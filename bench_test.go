@@ -8,8 +8,6 @@ package brainprint_test
 // full 100×360 dimensions. Ablation benchmarks cover the design choices
 // called out in DESIGN.md.
 
-//lint:file-ignore SA1019 the deprecated wrappers are benchmarked on purpose
-
 import (
 	"sync"
 	"testing"
@@ -75,7 +73,7 @@ func BenchmarkFigure1(b *testing.B) {
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := brainprint.RunFigure1(hcp, cfg)
+		res, err := runExp[*brainprint.SimilarityResult]("fig1", cfg, brainprint.ExperimentInput{HCP: hcp})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +90,7 @@ func BenchmarkFigure2(b *testing.B) {
 	b.ResetTimer()
 	var contrast float64
 	for i := 0; i < b.N; i++ {
-		res, err := brainprint.RunFigure2(hcp, cfg)
+		res, err := runExp[*brainprint.SimilarityResult]("fig2", cfg, brainprint.ExperimentInput{HCP: hcp})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +108,7 @@ func BenchmarkFigure5(b *testing.B) {
 	b.ResetTimer()
 	var restAcc, motorAcc float64
 	for i := 0; i < b.N; i++ {
-		res, err := brainprint.RunFigure5(hcp, cfg)
+		res, err := runExp[*brainprint.CrossTaskResult]("fig5", cfg, brainprint.ExperimentInput{HCP: hcp})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +133,8 @@ func BenchmarkFigure6(b *testing.B) {
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := brainprint.RunFigure6(hcp, 0.5, tcfg, 3)
+		res, err := runExp[*brainprint.TaskClusterResult]("fig6", brainprint.DefaultAttackConfig(),
+			brainprint.ExperimentInput{HCP: hcp, KnownFraction: 0.5, TSNE: &tcfg, Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +153,8 @@ func BenchmarkTable1(b *testing.B) {
 	b.ResetTimer()
 	var testErr float64
 	for i := 0; i < b.N; i++ {
-		res, err := brainprint.RunTable1(hcp, cfg)
+		res, err := runExp[*brainprint.Table1Result]("table1", brainprint.DefaultAttackConfig(),
+			brainprint.ExperimentInput{HCP: hcp, Performance: &cfg})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func BenchmarkFigure7(b *testing.B) {
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := brainprint.RunFigure7(adhd, cfg)
+		res, err := runExp[*brainprint.SimilarityResult]("fig7", cfg, brainprint.ExperimentInput{ADHD: adhd})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func BenchmarkFigure8(b *testing.B) {
 	b.ResetTimer()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := brainprint.RunFigure8(adhd, cfg)
+		res, err := runExp[*brainprint.SimilarityResult]("fig8", cfg, brainprint.ExperimentInput{ADHD: adhd})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +204,8 @@ func BenchmarkFigure9(b *testing.B) {
 	b.ResetTimer()
 	var mixed float64
 	for i := 0; i < b.N; i++ {
-		res, err := brainprint.RunFigure9(adhd, cfg, 5, 0.7, 5)
+		res, err := runExp[*brainprint.Figure9Result]("fig9", cfg,
+			brainprint.ExperimentInput{ADHD: adhd, Trials: 5, TrainFraction: 0.7, Seed: 5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,7 +222,8 @@ func BenchmarkTable2(b *testing.B) {
 	b.ResetTimer()
 	var low, high float64
 	for i := 0; i < b.N; i++ {
-		res, err := brainprint.RunTable2(hcp, adhd, []float64{0.1, 0.2, 0.3}, 2, cfg, 6)
+		res, err := runExp[*brainprint.Table2Result]("table2", cfg,
+			brainprint.ExperimentInput{HCP: hcp, ADHD: adhd, NoiseLevels: []float64{0.1, 0.2, 0.3}, Trials: 2, Seed: 6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -342,7 +344,8 @@ func BenchmarkAblationEmbedding(b *testing.B) {
 	b.Run("tsne", func(b *testing.B) {
 		var acc float64
 		for i := 0; i < b.N; i++ {
-			res, err := brainprint.RunFigure6(hcp, 0.5, brainprint.TSNEConfig{Perplexity: 20, Iterations: 300, Seed: 3}, 3)
+			res, err := runExp[*brainprint.TaskClusterResult]("fig6", brainprint.DefaultAttackConfig(),
+				brainprint.ExperimentInput{HCP: hcp, KnownFraction: 0.5, TSNE: &brainprint.TSNEConfig{Perplexity: 20, Iterations: 300, Seed: 3}, Seed: 3})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -353,7 +356,8 @@ func BenchmarkAblationEmbedding(b *testing.B) {
 	b.Run("tsne-few-iters", func(b *testing.B) {
 		var acc float64
 		for i := 0; i < b.N; i++ {
-			res, err := brainprint.RunFigure6(hcp, 0.5, brainprint.TSNEConfig{Perplexity: 20, Iterations: 30, ExaggerationIters: 5, Seed: 3}, 3)
+			res, err := runExp[*brainprint.TaskClusterResult]("fig6", brainprint.DefaultAttackConfig(),
+				brainprint.ExperimentInput{HCP: hcp, KnownFraction: 0.5, TSNE: &brainprint.TSNEConfig{Perplexity: 20, Iterations: 30, ExaggerationIters: 5, Seed: 3}, Seed: 3})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -371,7 +375,8 @@ func BenchmarkDefense(b *testing.B) {
 	b.ResetTimer()
 	var targeted, uniform float64
 	for i := 0; i < b.N; i++ {
-		res, err := brainprint.RunDefense(hcp, []float64{0.4}, 200, cfg, 9)
+		res, err := runExp[*brainprint.DefenseResult]("defense", cfg,
+			brainprint.ExperimentInput{HCP: hcp, Sigmas: []float64{0.4}, DefenseTopFeatures: 200, Seed: 9})
 		if err != nil {
 			b.Fatal(err)
 		}

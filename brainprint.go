@@ -334,116 +334,6 @@ type Figure9Result = experiments.Figure9Result
 // Table2Result holds the multi-site noise sweep.
 type Table2Result = experiments.Table2Result
 
-// RunFigure1 regenerates Figure 1 (resting-state similarity matrix).
-//
-// Deprecated: use Attacker.RunExperiment(ctx, "fig1", ...) for
-// cancellation and session-owned configuration.
-func RunFigure1(c *HCPCohort, cfg AttackConfig) (*SimilarityResult, error) {
-	res, err := runExperimentCompat("fig1", cfg, ExperimentInput{HCP: c})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*SimilarityResult), nil
-}
-
-// RunFigure2 regenerates Figure 2 (language-task similarity matrix).
-//
-// Deprecated: use Attacker.RunExperiment(ctx, "fig2", ...).
-func RunFigure2(c *HCPCohort, cfg AttackConfig) (*SimilarityResult, error) {
-	res, err := runExperimentCompat("fig2", cfg, ExperimentInput{HCP: c})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*SimilarityResult), nil
-}
-
-// RunFigure5 regenerates Figure 5 (cross-task identification accuracy).
-//
-// Deprecated: use Attacker.RunExperiment(ctx, "fig5", ...).
-func RunFigure5(c *HCPCohort, cfg AttackConfig) (*CrossTaskResult, error) {
-	res, err := runExperimentCompat("fig5", cfg, ExperimentInput{HCP: c})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*CrossTaskResult), nil
-}
-
-// RunFigure6 regenerates Figure 6 (t-SNE task clustering + prediction).
-//
-// Deprecated: use Attacker.RunExperiment(ctx, "fig6", ...).
-func RunFigure6(c *HCPCohort, knownFraction float64, tcfg TSNEConfig, seed int64) (*TaskClusterResult, error) {
-	res, err := runExperimentCompat("fig6", DefaultAttackConfig(),
-		ExperimentInput{HCP: c, KnownFraction: knownFraction, TSNE: &tcfg, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*TaskClusterResult), nil
-}
-
-// RunTable1 regenerates Table 1 (task-performance prediction error).
-//
-// Deprecated: use Attacker.RunExperiment(ctx, "table1", ...).
-func RunTable1(c *HCPCohort, cfg PerformanceConfig) (*Table1Result, error) {
-	res, err := runExperimentCompat("table1", DefaultAttackConfig(),
-		ExperimentInput{HCP: c, Performance: &cfg})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Table1Result), nil
-}
-
-// RunFigure7 regenerates Figure 7 (ADHD subtype-1 similarity).
-//
-// Deprecated: use Attacker.RunExperiment(ctx, "fig7", ...).
-func RunFigure7(c *ADHDCohort, cfg AttackConfig) (*SimilarityResult, error) {
-	res, err := runExperimentCompat("fig7", cfg, ExperimentInput{ADHD: c})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*SimilarityResult), nil
-}
-
-// RunFigure8 regenerates Figure 8 (ADHD subtype-3 similarity).
-//
-// Deprecated: use Attacker.RunExperiment(ctx, "fig8", ...).
-func RunFigure8(c *ADHDCohort, cfg AttackConfig) (*SimilarityResult, error) {
-	res, err := runExperimentCompat("fig8", cfg, ExperimentInput{ADHD: c})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*SimilarityResult), nil
-}
-
-// RunFigure9 regenerates Figure 9 (full ADHD cohort + transfer
-// accuracies).
-//
-// Deprecated: use Attacker.RunExperiment(ctx, "fig9", ...).
-func RunFigure9(c *ADHDCohort, cfg AttackConfig, trials int, trainFraction float64, seed int64) (*Figure9Result, error) {
-	if trials <= 0 {
-		// The registry's session-level default (5) differs; preserve this
-		// wrapper's historical fallback, defined once in experiments.
-		trials = experiments.DefaultTransferTrials
-	}
-	res, err := runExperimentCompat("fig9", cfg,
-		ExperimentInput{ADHD: c, Trials: trials, TrainFraction: trainFraction, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Figure9Result), nil
-}
-
-// RunTable2 regenerates Table 2 (multi-site noise robustness).
-//
-// Deprecated: use Attacker.RunExperiment(ctx, "table2", ...).
-func RunTable2(hcp *HCPCohort, adhd *ADHDCohort, levels []float64, trials int, cfg AttackConfig, seed int64) (*Table2Result, error) {
-	res, err := runExperimentCompat("table2", cfg,
-		ExperimentInput{HCP: hcp, ADHD: adhd, NoiseLevels: levels, Trials: trials, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Table2Result), nil
-}
-
 // ---- Defense (§4) ----
 
 // DefenseStrategy selects where a publisher spends the noise budget.
@@ -467,26 +357,3 @@ func Protect(group *Matrix, strategy DefenseStrategy, topFeatures int, sigma flo
 
 // DefenseResult is the privacy/utility sweep of the §4 defense.
 type DefenseResult = experiments.DefenseResult
-
-// RunDefense evaluates the paper's §4 countermeasure: noise on the
-// signature features of the released dataset, targeted vs uniform at
-// matched distortion, measuring identification accuracy (privacy) and
-// task-prediction accuracy (utility).
-//
-// Deprecated: use Attacker.RunExperiment(ctx, "defense", ...).
-func RunDefense(c *HCPCohort, sigmas []float64, topFeatures int, cfg AttackConfig, seed int64) (*DefenseResult, error) {
-	// The registry's session-level defaults differ; preserve this
-	// wrapper's historical fallbacks, defined once in experiments.
-	if len(sigmas) == 0 {
-		sigmas = experiments.DefaultDefenseSigmas()
-	}
-	if topFeatures <= 0 {
-		topFeatures = experiments.DefaultDefenseTopFeatures
-	}
-	res, err := runExperimentCompat("defense", cfg,
-		ExperimentInput{HCP: c, Sigmas: sigmas, DefenseTopFeatures: topFeatures, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return res.(*DefenseResult), nil
-}

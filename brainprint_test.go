@@ -2,12 +2,10 @@ package brainprint_test
 
 // Facade tests: exercise the public API exactly as a downstream user
 // would, covering the documented quickstart flow and every exported
-// entry point's happy path — including the deprecated compatibility
-// wrappers, which must keep delegating correctly.
-
-//lint:file-ignore SA1019 the deprecated wrappers are exercised on purpose
+// entry point's happy path.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,6 +14,21 @@ import (
 
 	"brainprint"
 )
+
+// runExp runs one registry experiment in a throwaway session and
+// returns its typed result (shared with bench_test.go).
+func runExp[T any](name string, cfg brainprint.AttackConfig, in brainprint.ExperimentInput) (T, error) {
+	var zero T
+	a, err := brainprint.NewAttacker(nil, brainprint.WithConfig(cfg))
+	if err != nil {
+		return zero, err
+	}
+	res, err := a.RunExperiment(context.Background(), name, in)
+	if err != nil {
+		return zero, err
+	}
+	return res.(T), nil
+}
 
 func facadeCohort(t *testing.T) *brainprint.HCPCohort {
 	t.Helper()
@@ -66,16 +79,16 @@ func TestFacadeExperimentRunners(t *testing.T) {
 	cfg := brainprint.DefaultAttackConfig()
 	cfg.Features = 60
 
-	f1, err := brainprint.RunFigure1(cohort, cfg)
+	f1, err := runExp[*brainprint.SimilarityResult]("fig1", cfg, brainprint.ExperimentInput{HCP: cohort})
 	if err != nil {
-		t.Fatalf("RunFigure1: %v", err)
+		t.Fatalf("fig1: %v", err)
 	}
 	if f1.DiagMean <= f1.OffMean {
 		t.Error("figure 1 contrast inverted")
 	}
-	f2, err := brainprint.RunFigure2(cohort, cfg)
+	f2, err := runExp[*brainprint.SimilarityResult]("fig2", cfg, brainprint.ExperimentInput{HCP: cohort})
 	if err != nil {
-		t.Fatalf("RunFigure2: %v", err)
+		t.Fatalf("fig2: %v", err)
 	}
 	if f2.Accuracy < 0.3 {
 		t.Errorf("figure 2 accuracy %.2f suspiciously low", f2.Accuracy)
@@ -84,18 +97,20 @@ func TestFacadeExperimentRunners(t *testing.T) {
 
 func TestFacadeTaskAndPerformance(t *testing.T) {
 	cohort := facadeCohort(t)
-	f6, err := brainprint.RunFigure6(cohort, 0.5, brainprint.TSNEConfig{Perplexity: 8, Iterations: 150, Seed: 2}, 2)
+	f6, err := runExp[*brainprint.TaskClusterResult]("fig6", brainprint.DefaultAttackConfig(),
+		brainprint.ExperimentInput{HCP: cohort, KnownFraction: 0.5, TSNE: &brainprint.TSNEConfig{Perplexity: 8, Iterations: 150, Seed: 2}, Seed: 2})
 	if err != nil {
-		t.Fatalf("RunFigure6: %v", err)
+		t.Fatalf("fig6: %v", err)
 	}
 	if f6.Accuracy < 0.8 {
 		t.Errorf("task prediction %.2f want >= 0.8", f6.Accuracy)
 	}
 	pcfg := brainprint.DefaultPerformanceConfig()
 	pcfg.Trials = 4
-	t1, err := brainprint.RunTable1(cohort, pcfg)
+	t1, err := runExp[*brainprint.Table1Result]("table1", brainprint.DefaultAttackConfig(),
+		brainprint.ExperimentInput{HCP: cohort, Performance: &pcfg})
 	if err != nil {
-		t.Fatalf("RunTable1: %v", err)
+		t.Fatalf("table1: %v", err)
 	}
 	if len(t1.Rows) != 4 {
 		t.Errorf("table 1 rows = %d want 4", len(t1.Rows))
@@ -116,25 +131,27 @@ func TestFacadeADHDAndNoise(t *testing.T) {
 	}
 	cfg := brainprint.DefaultAttackConfig()
 	cfg.Features = 60
-	f7, err := brainprint.RunFigure7(adhd, cfg)
+	f7, err := runExp[*brainprint.SimilarityResult]("fig7", cfg, brainprint.ExperimentInput{ADHD: adhd})
 	if err != nil {
-		t.Fatalf("RunFigure7: %v", err)
+		t.Fatalf("fig7: %v", err)
 	}
 	if f7.NumSubj != 5 {
 		t.Errorf("subtype-1 subjects = %d want 5", f7.NumSubj)
 	}
-	f9, err := brainprint.RunFigure9(adhd, cfg, 3, 0.7, 4)
+	f9, err := runExp[*brainprint.Figure9Result]("fig9", cfg,
+		brainprint.ExperimentInput{ADHD: adhd, Trials: 3, TrainFraction: 0.7, Seed: 4})
 	if err != nil {
-		t.Fatalf("RunFigure9: %v", err)
+		t.Fatalf("fig9: %v", err)
 	}
 	if f9.MixedTransfer.N != 3 {
 		t.Errorf("transfer trials = %d want 3", f9.MixedTransfer.N)
 	}
 
 	hcp := facadeCohort(t)
-	t2, err := brainprint.RunTable2(hcp, adhd, []float64{0.1}, 2, cfg, 5)
+	t2, err := runExp[*brainprint.Table2Result]("table2", cfg,
+		brainprint.ExperimentInput{HCP: hcp, ADHD: adhd, NoiseLevels: []float64{0.1}, Trials: 2, Seed: 5})
 	if err != nil {
-		t.Fatalf("RunTable2: %v", err)
+		t.Fatalf("table2: %v", err)
 	}
 	if len(t2.HCP) != 1 || len(t2.ADHD) != 1 {
 		t.Error("table 2 rows missing")

@@ -4,7 +4,7 @@
 // it with ranked top-k queries.
 //
 //	brainprint gallery enroll  -db hcp.bpg -task REST1 -encoding LR
-//	brainprint gallery shard   -db hcp.bpg -out hcp.bpm -shards 4 -quantize
+//	brainprint gallery shard   -db hcp.bpg -out hcp.bpm -shards 4
 //	brainprint gallery live    -from hcp.bpg -db hcp.live
 //	brainprint gallery compact -db hcp.live
 //	brainprint gallery index   -db hcp.bpm
@@ -165,7 +165,6 @@ func galleryDefend(args []string, out io.Writer) error {
 	outPath := fs.String("out", "", "shard manifest of the defended release to write (required)")
 	spec := fs.String("defense", "", "pipeline spec, steps joined with '+' (required), e.g. 'ksame(k=5)' or 'suppress(top=20)+noise(laplace,eps=0.5,seed=7)'")
 	shards := fs.Int("shards", 0, "shard count of the release (0 = inherit the source layout)")
-	quantize := fs.Bool("quantize", false, "derive int8 scalar-quantization parameters for the release")
 	par := fs.Int("parallelism", 0, "worker count (0 = all cores, 1 = serial); the release is identical at any setting")
 	force := fs.Bool("force", false, "overwrite an existing manifest")
 	if err := parseFlags(fs, args); err != nil {
@@ -209,7 +208,7 @@ func galleryDefend(args []string, out io.Writer) error {
 	if n <= 0 {
 		n = src.Shards()
 	}
-	store, err := brainprint.NewGalleryStore(defended, n, *quantize)
+	store, err := brainprint.NewGalleryStore(defended, n)
 	if err != nil {
 		return err
 	}
@@ -217,8 +216,8 @@ func galleryDefend(args []string, out io.Writer) error {
 	if err := store.WriteFiles(*outPath); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "defended %d subjects (%d features each) from %s into %s (%d shards%s)\n",
-		defended.Len(), defended.Features(), *db, *outPath, n, quantSuffix(*quantize))
+	fmt.Fprintf(out, "defended %d subjects (%d features each) from %s into %s (%d shards)\n",
+		defended.Len(), defended.Features(), *db, *outPath, n)
 	fmt.Fprintf(out, "  defense: %s\n", d)
 	return nil
 }
@@ -387,18 +386,17 @@ func (c *cohortFlags) buildGroup() ([]string, *brainprint.Matrix, error) {
 }
 
 // galleryEnroll builds fingerprints for one cohort session and writes
-// (or, with -append, extends) a gallery file — or, with -shards/
-// -quantize, a sharded store (manifest plus shard files).
+// (or, with -append, extends) a gallery file — or, with -shards, a
+// sharded store (manifest plus shard files).
 func galleryEnroll(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("brainprint gallery enroll", flag.ContinueOnError)
 	var cf cohortFlags
 	cf.register(fs)
-	db := fs.String("db", "", "gallery file (or shard manifest, with -shards/-quantize) to write (required)")
+	db := fs.String("db", "", "gallery file (or shard manifest, with -shards) to write (required)")
 	features := fs.Int("features", 100, "principal-features subspace size selected on the enrollment group (0 = keep every feature)")
 	appendMode := fs.Bool("append", false, "append to an existing gallery file instead of creating one (uses the file's stored feature index)")
 	force := fs.Bool("force", false, "overwrite an existing gallery file")
 	shards := fs.Int("shards", 1, "write a sharded store with this many shard files (1 = single-file gallery)")
-	quantize := fs.Bool("quantize", false, "store int8 scalar-quantization parameters and enable the quantized scan path (implies a sharded store)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -408,8 +406,8 @@ func galleryEnroll(args []string, out io.Writer) error {
 	if *shards < 1 {
 		return fmt.Errorf("gallery enroll: -shards %d must be at least 1", *shards)
 	}
-	if *appendMode && (*shards > 1 || *quantize) {
-		return fmt.Errorf("gallery enroll: -append cannot be combined with -shards/-quantize (append targets a single-file gallery)")
+	if *appendMode && *shards > 1 {
+		return fmt.Errorf("gallery enroll: -append cannot be combined with -shards (append targets a single-file gallery)")
 	}
 	if *appendMode {
 		// Appending reuses the file's stored feature selection; an
@@ -456,16 +454,16 @@ func galleryEnroll(args []string, out io.Writer) error {
 	if err := g.EnrollMatrix(ids, fps); err != nil {
 		return err
 	}
-	if *shards > 1 || *quantize {
-		store, err := brainprint.NewGalleryStore(g, *shards, *quantize)
+	if *shards > 1 {
+		store, err := brainprint.NewGalleryStore(g, *shards)
 		if err != nil {
 			return err
 		}
 		if err := store.WriteFiles(*db); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "enrolled %d subjects (%d features each) into %s (%d shards%s)\n",
-			g.Len(), g.Features(), *db, *shards, quantSuffix(*quantize))
+		fmt.Fprintf(out, "enrolled %d subjects (%d features each) into %s (%d shards)\n",
+			g.Len(), g.Features(), *db, *shards)
 		return nil
 	}
 	if err := g.WriteFile(*db); err != nil {
@@ -475,25 +473,14 @@ func galleryEnroll(args []string, out io.Writer) error {
 	return nil
 }
 
-// quantSuffix renders the ", quantized" tail of enroll/shard messages.
-func quantSuffix(on bool) string {
-	if on {
-		return ", quantized"
-	}
-	return ""
-}
-
 // galleryShard converts a single-file gallery into a sharded store:
 // subjects are routed by the stable hash, shard files are standard
 // gallery files, and the manifest records per-shard checksums and dims.
-// With -quantize the store also carries int8 scalar-quantization
-// parameters, enabling the approximate-scan-exact-rescore path.
 func galleryShard(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("brainprint gallery shard", flag.ContinueOnError)
 	db := fs.String("db", "", "single-file gallery to convert (required)")
 	outPath := fs.String("out", "", "shard manifest to write (required; shard files land beside it)")
 	shards := fs.Int("shards", 4, "shard count")
-	quantize := fs.Bool("quantize", false, "derive int8 scalar-quantization parameters and enable the quantized scan path")
 	force := fs.Bool("force", false, "overwrite an existing manifest")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -510,15 +497,15 @@ func galleryShard(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	store, err := brainprint.NewGalleryStore(g, *shards, *quantize)
+	store, err := brainprint.NewGalleryStore(g, *shards)
 	if err != nil {
 		return err
 	}
 	if err := store.WriteFiles(*outPath); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "sharded %d subjects (%d features each) from %s into %s (%d shards%s)\n",
-		g.Len(), g.Features(), *db, *outPath, *shards, quantSuffix(*quantize))
+	fmt.Fprintf(out, "sharded %d subjects (%d features each) from %s into %s (%d shards)\n",
+		g.Len(), g.Features(), *db, *outPath, *shards)
 	return nil
 }
 
@@ -527,7 +514,7 @@ func galleryShard(args []string, out io.Writer) error {
 type queryEngine interface {
 	Len() int
 	Index(id string) int
-	QueryAllP(probes *brainprint.Matrix, k, parallelism int) ([][]brainprint.GalleryCandidate, error)
+	QueryAllCtx(ctx context.Context, probes *brainprint.Matrix, k, parallelism int) ([][]brainprint.GalleryCandidate, error)
 }
 
 // openQueryEngine opens any gallery database — single file, shard
@@ -555,7 +542,6 @@ func galleryQuery(args []string, out io.Writer) error {
 	cf.register(fs)
 	db := fs.String("db", "", "gallery file, shard manifest, or live directory to query (required)")
 	k := fs.Int("k", 5, "candidates to report per probe")
-	scan := fs.String("scan", "", "candidate-scan precision: float64 (default), float32, or int8; reduced precisions rescore exactly, so reported scores are identical")
 	ann := fs.Bool("ann", false, "scan through the IVF coarse index at the default fan-out (requires a `gallery index` sidecar)")
 	nprobe := fs.Int("nprobe", 0, "IVF cells to probe per query (implies -ann; 0 with -ann = the default fan-out)")
 	if err := parseFlags(fs, args); err != nil {
@@ -567,26 +553,11 @@ func galleryQuery(args []string, out io.Writer) error {
 	if *nprobe < 0 {
 		return fmt.Errorf("gallery query: -nprobe %d must be non-negative", *nprobe)
 	}
-	prec, err := brainprint.ParseScanPrecision(*scan)
-	if err != nil {
-		return fmt.Errorf("gallery query: %w", err)
-	}
 	g, done, err := openQueryEngine(*db, out)
 	if err != nil {
 		return err
 	}
 	defer done()
-	if *scan != "" {
-		ps, ok := g.(brainprint.PrecisionSetter)
-		switch {
-		case ok:
-			if err := ps.SetPrecision(prec); err != nil {
-				return fmt.Errorf("gallery query: -scan %s: %w", prec, err)
-			}
-		case prec != brainprint.ScanFloat64:
-			return fmt.Errorf("gallery query: -scan %s: %s is a single-file gallery without the precision knob", prec, *db)
-		}
-	}
 	if *ann || *nprobe > 0 {
 		np := *nprobe
 		if np == 0 {
@@ -604,7 +575,7 @@ func galleryQuery(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ranked, err := g.QueryAllP(probes, *k, cf.parallelism)
+	ranked, err := g.QueryAllCtx(context.Background(), probes, *k, cf.parallelism)
 	if err != nil {
 		return err
 	}
@@ -706,9 +677,6 @@ func galleryInfo(args []string, out io.Writer) error {
 			g.Shards(), brainprint.GalleryManifestVersion, brainprint.GalleryFormatVersion)
 	} else {
 		fmt.Fprintf(out, "  layout:         single file (format version %d)\n", brainprint.GalleryFormatVersion)
-	}
-	if g.HasQuant() {
-		fmt.Fprintf(out, "  quantized:      int8 scalar scan with exact float64 rescore\n")
 	}
 	if d := g.Defense(); d != nil {
 		fmt.Fprintf(out, "  defense:        %s\n", d)

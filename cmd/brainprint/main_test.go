@@ -165,7 +165,7 @@ func TestGallerySubcommands(t *testing.T) {
 
 // TestGalleryShardSubcommands drives the sharded-store lifecycle from
 // the CLI: enroll a single-file gallery, convert it with `gallery
-// shard -quantize`, inspect the per-shard stats, and query the store —
+// shard`, inspect the per-shard stats, and query the store —
 // the query accuracy line must match the single-file gallery's, since
 // sharded scores are bit-identical.
 func TestGalleryShardSubcommands(t *testing.T) {
@@ -184,10 +184,10 @@ func TestGalleryShardSubcommands(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := runGallery([]string{"shard", "-db", db, "-out", manifest, "-shards", "3", "-quantize"}, &out); err != nil {
+	if err := runGallery([]string{"shard", "-db", db, "-out", manifest, "-shards", "3"}, &out); err != nil {
 		t.Fatalf("shard: %v", err)
 	}
-	if !strings.Contains(out.String(), "sharded 6 subjects") || !strings.Contains(out.String(), "3 shards, quantized") {
+	if !strings.Contains(out.String(), "sharded 6 subjects") || !strings.Contains(out.String(), "(3 shards)") {
 		t.Errorf("shard output: %q", out.String())
 	}
 	// Refuses to clobber without -force.
@@ -199,7 +199,7 @@ func TestGalleryShardSubcommands(t *testing.T) {
 	if err := runGallery([]string{"info", "-db", manifest}, &out); err != nil {
 		t.Fatalf("info: %v", err)
 	}
-	for _, want := range []string{"layout:         3 shard(s)", "quantized:      int8", "subjects:       6", "checksum ok", "hcp.s000.bpg"} {
+	for _, want := range []string{"layout:         3 shard(s)", "subjects:       6", "checksum ok", "hcp.s000.bpg"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("info output missing %q:\n%s", want, out.String())
 		}
@@ -298,6 +298,17 @@ func TestGallerySubcommandErrors(t *testing.T) {
 	}
 	if err := runGallery([]string{"query", "-db", "x.bpg", "-bogusflag"}, &out); err == nil {
 		t.Error("expected flag parse error to surface as an error, not an exit")
+	}
+	// The removed precision flags are ordinary unknown flags now.
+	for _, args := range [][]string{
+		{"enroll", "-db", "x.bpg", "-quantize"},
+		{"shard", "-db", "x.bpg", "-out", "x.bpm", "-quantize"},
+		{"defend", "-db", "x.bpg", "-out", "x.bpm", "-defense", "ksame(k=2)", "-quantize"},
+		{"query", "-db", "x.bpg", "-scan", "float32"},
+	} {
+		if err := runGallery(args, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("gallery %v = %v, want the unknown-flag error", args, err)
+		}
 	}
 	if err := runGallery([]string{"enroll", "-db", "x.bpg", "-append", "-features", "40"}, &out); err == nil || !strings.Contains(err.Error(), "-append") {
 		t.Errorf("expected -features/-append conflict error, got %v", err)

@@ -56,7 +56,6 @@ func runServe(args []string, out io.Writer) error {
 		replicaOf    = fs.String("replica-of", "", "serve as a read replica of the primary at this base URL, keeping replica state in the -db directory")
 		drain        = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound: how long in-flight and streaming requests get to finish")
 		compactAfter = fs.Int("compact-after", 0, "auto-compact the live gallery once its write-ahead log holds this many records (0 = manual gallery compact only)")
-		scan         = fs.String("scan", "", "candidate-scan precision: float64 (default), float32, or int8; reduced precisions rescore exactly, so served scores are identical")
 		ann          = fs.Bool("ann", false, "serve through the IVF coarse index at the default fan-out (requires a `gallery index` sidecar)")
 		nprobe       = fs.Int("nprobe", 0, "IVF cells to probe per identification (implies -ann; 0 with -ann = the default fan-out)")
 	)
@@ -65,10 +64,6 @@ func runServe(args []string, out io.Writer) error {
 	}
 	if *db == "" {
 		return fmt.Errorf("serve: -db is required")
-	}
-	prec, err := brainprint.ParseScanPrecision(*scan)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
 	}
 	if *nprobe < 0 {
 		return fmt.Errorf("serve: -nprobe %d must be non-negative", *nprobe)
@@ -83,11 +78,6 @@ func runServe(args []string, out io.Writer) error {
 	sessionOpts := []brainprint.AttackerOption{
 		brainprint.WithParallelism(*parallelism),
 		brainprint.WithTopK(*k),
-	}
-	if *scan != "" {
-		// Explicit -scan wins even when it names the default: float64
-		// on a quantized store switches the scan back to exact.
-		sessionOpts = append(sessionOpts, brainprint.WithScanPrecision(prec))
 	}
 	if np > 0 {
 		sessionOpts = append(sessionOpts, brainprint.WithANN(np))
@@ -150,14 +140,6 @@ func runServe(args []string, out io.Writer) error {
 	layout = "single file"
 	if g.Shards() > 1 {
 		layout = fmt.Sprintf("%d/%d shards loaded", g.LoadedShards(), g.Shards())
-	}
-	// An explicit -scan overrides whatever the store opened with, so the
-	// banner must reflect the flag, not the pre-session state.
-	switch {
-	case *scan != "":
-		layout += ", " + prec.String() + " scan"
-	case g.Quantized():
-		layout += ", quantized scan"
 	}
 	if np > 0 {
 		layout += fmt.Sprintf(", ivf nprobe=%d", np)

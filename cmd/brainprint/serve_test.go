@@ -25,6 +25,9 @@ func TestServeFlagErrors(t *testing.T) {
 	if err := runServe([]string{"-db", "x.bpg", "-bogus"}, &out); err == nil {
 		t.Error("expected flag parse error")
 	}
+	if err := runServe([]string{"-db", "x.bpg", "-scan", "float32"}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("serve -scan = %v, want the unknown-flag error", err)
+	}
 }
 
 // TestServeBindFailure drives the happy path all the way to the

@@ -80,9 +80,9 @@ func ExampleAttacker_IdentifyBatch() {
 	// probe 1 -> alice
 }
 
-// ExampleOpenGalleryStore shards a gallery across four files with int8
-// quantization, persists it, and reopens it for querying. A plain
-// single-file gallery path opens through the same call.
+// ExampleOpenGalleryStore shards a gallery across four files, persists
+// it, and reopens it for querying. A plain single-file gallery path
+// opens through the same call.
 func ExampleOpenGalleryStore() {
 	g := brainprint.NewGallery(4)
 	_ = g.Enroll("alice", []float64{5, 1, 1, 1})
@@ -92,7 +92,7 @@ func ExampleOpenGalleryStore() {
 
 	dir, _ := os.MkdirTemp("", "store")
 	defer os.RemoveAll(dir)
-	store, err := brainprint.NewGalleryStore(g, 4, true)
+	store, err := brainprint.NewGalleryStore(g, 4)
 	if err != nil {
 		panic(err)
 	}
@@ -108,9 +108,8 @@ func ExampleOpenGalleryStore() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("shards: %d, quantized: %v, identified: %s\n",
-		reopened.Shards(), reopened.Quantized(), top[0].ID)
-	// Output: shards: 4, quantized: true, identified: carol
+	fmt.Printf("shards: %d, identified: %s\n", reopened.Shards(), top[0].ID)
+	// Output: shards: 4, identified: carol
 }
 
 // ExampleOpenGalleryStore_partial shows the degraded-open contract: a
@@ -122,7 +121,7 @@ func ExampleOpenGalleryStore_partial() {
 	_ = g.Enroll("bob", []float64{1, 5, 1, 1})
 	dir, _ := os.MkdirTemp("", "store")
 	defer os.RemoveAll(dir)
-	store, _ := brainprint.NewGalleryStore(g, 2, false)
+	store, _ := brainprint.NewGalleryStore(g, 2)
 	_ = store.WriteFiles(filepath.Join(dir, "cohort.bpm"))
 	// Lose the shard holding bob.
 	_ = os.Remove(filepath.Join(dir, fmt.Sprintf("cohort.s%03d.bpg", brainprint.RouteGalleryID("bob", 2))))
@@ -134,32 +133,6 @@ func ExampleOpenGalleryStore_partial() {
 	// Output:
 	// partial: true
 	// still identified: alice
-}
-
-// ExampleWithScanPrecision runs an identification session over a
-// sharded store with the float32 scan: candidates are selected at
-// reduced precision and rescored exactly, so the returned scores are
-// bit-identical to the default scan.
-func ExampleWithScanPrecision() {
-	g := brainprint.NewGallery(4)
-	_ = g.Enroll("alice", []float64{5, 1, 1, 1})
-	_ = g.Enroll("bob", []float64{1, 5, 1, 1})
-	store, err := brainprint.NewGalleryStore(g, 2, false)
-	if err != nil {
-		panic(err)
-	}
-
-	atk, err := brainprint.NewAttacker(store,
-		brainprint.WithScanPrecision(brainprint.ScanFloat32))
-	if err != nil {
-		panic(err)
-	}
-	top, err := atk.Identify(context.Background(), []float64{1.2, 4.8, 0.9, 1.1})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("scan %s identified %s\n", store.Precision(), top[0].ID)
-	// Output: scan float32 identified bob
 }
 
 // ExampleExperiments lists the experiment registry — the single source

@@ -55,8 +55,6 @@ type Attacker struct {
 	topK       int
 	assignment bool
 	timeout    time.Duration
-	prec       gallery.ScanPrecision
-	precSet    bool
 	nprobe     int
 	nprobeSet  bool
 }
@@ -148,25 +146,6 @@ func WithTimeout(d time.Duration) Option {
 	}
 }
 
-// WithScanPrecision selects the engine's candidate-scan precision
-// (gallery.ScanFloat64, ScanFloat32, or ScanInt8). Reduced precisions
-// only steer candidate SELECTION — every returned score is the exact
-// float64 expression, bit-identical to the default scan (see DESIGN.md
-// §8). The precision is applied once, after all options, to whichever
-// engine the session ends up with; engines without the knob (the
-// single-file gallery) accept only the default ScanFloat64.
-func WithScanPrecision(p gallery.ScanPrecision) Option {
-	return func(a *Attacker) error {
-		switch p {
-		case gallery.ScanFloat64, gallery.ScanFloat32, gallery.ScanInt8:
-		default:
-			return fmt.Errorf("attacker: WithScanPrecision(%d): unknown precision", uint8(p))
-		}
-		a.prec, a.precSet = p, true
-		return nil
-	}
-}
-
 // WithANN selects the engine's ANN cell fan-out: queries scan only the
 // nprobe index cells nearest the probe instead of every record. 0 (the
 // default) disables the index and scans exactly. The knob trades
@@ -206,25 +185,6 @@ func (a *Attacker) applyANN() error {
 	return as.SetANNProbe(a.nprobe)
 }
 
-// applyPrecision pushes a requested scan precision to the session's
-// engine after every option has applied.
-func (a *Attacker) applyPrecision() error {
-	if !a.precSet {
-		return nil
-	}
-	if a.gallery == nil {
-		return fmt.Errorf("attacker: WithScanPrecision(%v): session has no gallery", a.prec)
-	}
-	ps, ok := a.gallery.(gallery.PrecisionSetter)
-	if !ok {
-		if a.prec == gallery.ScanFloat64 {
-			return nil // every engine scans exact by default
-		}
-		return fmt.Errorf("attacker: WithScanPrecision(%v): %T does not support scan precision selection", a.prec, a.gallery)
-	}
-	return ps.SetPrecision(a.prec)
-}
-
 // New builds a session over an enrolled gallery engine — a single-file
 // *gallery.Gallery or a sharded *shard.Store. g may be nil for an
 // experiment-only session (RunExperiment and TaskPredict work;
@@ -238,9 +198,6 @@ func New(g gallery.Engine, opts ...Option) (*Attacker, error) {
 		if err := opt(a); err != nil {
 			return nil, err
 		}
-	}
-	if err := a.applyPrecision(); err != nil {
-		return nil, err
 	}
 	if err := a.applyANN(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package gallery
 
 import (
 	"bytes"
+	"context"
 	"sort"
 	"testing"
 
@@ -46,9 +47,9 @@ func TestRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
 
 	for _, par := range []int{1, 0, 3} {
 		// Batched query path.
-		ranked, err := loaded.QueryAllP(anon, subjects, par)
+		ranked, err := loaded.QueryAllCtx(context.Background(), anon, subjects, par)
 		if err != nil {
-			t.Fatalf("QueryAllP(par=%d): %v", par, err)
+			t.Fatalf("QueryAllCtx(par=%d): %v", par, err)
 		}
 		for j := 0; j < probes; j++ {
 			want := rankColumn(sim.Col(j))
@@ -67,9 +68,9 @@ func TestRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
 			}
 		}
 		// Single-probe path must agree with the batch.
-		single, err := loaded.TopKP(anon.Col(0), subjects, par)
+		single, err := loaded.TopKCtx(context.Background(), anon.Col(0), subjects, par)
 		if err != nil {
-			t.Fatalf("TopKP(par=%d): %v", par, err)
+			t.Fatalf("TopKCtx(par=%d): %v", par, err)
 		}
 		for r := range single {
 			if single[r] != ranked[0][r] {
@@ -77,9 +78,9 @@ func TestRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
 			}
 		}
 		// Dense fallback: the full matrix, bit for bit.
-		dense, err := loaded.DenseSimilarity(anon, par)
+		dense, err := loaded.DenseSimilarityCtx(context.Background(), anon, par)
 		if err != nil {
-			t.Fatalf("DenseSimilarity(par=%d): %v", par, err)
+			t.Fatalf("DenseSimilarityCtx(par=%d): %v", par, err)
 		}
 		dr, dc := dense.Dims()
 		if dr != subjects || dc != probes {
@@ -118,15 +119,15 @@ func TestTopKPrefixStable(t *testing.T) {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
 	probe := randomGroup(22, features, 1).Col(0)
-	full, err := g.TopKP(probe, subjects, 1)
+	full, err := g.TopKCtx(context.Background(), probe, subjects, 1)
 	if err != nil {
-		t.Fatalf("TopKP full: %v", err)
+		t.Fatalf("TopKCtx full: %v", err)
 	}
 	for _, k := range []int{1, 3, 17} {
 		for _, par := range []int{1, 0, 5} {
-			top, err := g.TopKP(probe, k, par)
+			top, err := g.TopKCtx(context.Background(), probe, k, par)
 			if err != nil {
-				t.Fatalf("TopKP(k=%d, par=%d): %v", k, par, err)
+				t.Fatalf("TopKCtx(k=%d, par=%d): %v", k, par, err)
 			}
 			if len(top) != k {
 				t.Fatalf("k=%d par=%d: got %d candidates", k, par, len(top))

@@ -14,7 +14,7 @@
 // z-scores each fingerprint through the same stats.ZScore code path
 // match uses on its columns, queries z-score each probe once the same
 // way, and every score is the identical linalg.Dot(zk, za)/features
-// expression. DenseSimilarity exposes the exact-equivalence fallback;
+// expression. DenseSimilarityCtx exposes the exact-equivalence fallback;
 // the property test in equiv_test.go pins both paths to match.
 package gallery
 
@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"brainprint/internal/linalg"
-	"brainprint/internal/stats"
 )
 
 // Engine is the query surface shared by the single-file Gallery and the
@@ -139,7 +138,7 @@ type MutableStats struct {
 // so a query is one dot product per enrolled subject.
 //
 // A Gallery is not safe for concurrent mutation; concurrent queries
-// (TopK, QueryAll, DenseSimilarity) against a fixed gallery are safe.
+// (TopK, QueryAll, DenseSimilarityCtx) against a fixed gallery are safe.
 type Gallery struct {
 	features     int
 	featureIndex []int // optional raw-space row indices; nil = identity
@@ -206,8 +205,8 @@ func (g *Gallery) fingerprint(i int) []float64 {
 
 // Fingerprint returns the stored z-scored fingerprint of subject i,
 // aliased into the gallery's backing array — the caller must not mutate
-// it. It is the raw material the sharded store's scan and exact-rescore
-// paths read, exported so the shard engine can score records without
+// it. It is the raw material the sharded store's IVF gather and dense
+// rows read, exported so the shard engine can score records without
 // copying the gallery.
 func (g *Gallery) Fingerprint(i int) []float64 { return g.fingerprint(i) }
 
@@ -265,11 +264,10 @@ func (g *Gallery) Enroll(id string, fingerprint []float64) error {
 	if len(id) > maxIDLen {
 		return fmt.Errorf("gallery: subject id is %d bytes (max %d)", len(id), maxIDLen)
 	}
-	z, err := g.project(fingerprint)
+	z, err := g.Normalize(fingerprint)
 	if err != nil {
 		return fmt.Errorf("enrolling %q: %w", id, err)
 	}
-	stats.ZScore(z)
 	g.byID[id] = len(g.ids)
 	g.ids = append(g.ids, id)
 	g.vecs = append(g.vecs, z...)
@@ -299,32 +297,5 @@ func (g *Gallery) EnrollMatrix(ids []string, group *linalg.Matrix) error {
 // offline enrollment of the same raw vector would have stored. The
 // argument is never mutated.
 func (g *Gallery) Normalize(fingerprint []float64) ([]float64, error) {
-	z, err := g.project(fingerprint)
-	if err != nil {
-		return nil, err
-	}
-	stats.ZScore(z)
-	return z, nil
-}
-
-// project copies v into gallery space: identity when v is already
-// gallery-sized, a gather through the feature index when the gallery has
-// one and v is a longer raw vector.
-func (g *Gallery) project(v []float64) ([]float64, error) {
-	if len(v) == g.features {
-		out := make([]float64, g.features)
-		copy(out, v)
-		return out, nil
-	}
-	if g.featureIndex == nil {
-		return nil, fmt.Errorf("%w: got %d features, gallery has %d", ErrDimMismatch, len(v), g.features)
-	}
-	out := make([]float64, g.features)
-	for k, idx := range g.featureIndex {
-		if idx < 0 || idx >= len(v) {
-			return nil, fmt.Errorf("%w: feature index %d outside raw vector of length %d", ErrDimMismatch, idx, len(v))
-		}
-		out[k] = v[idx]
-	}
-	return out, nil
+	return Normalize(fingerprint, g.features, g.featureIndex)
 }

@@ -24,11 +24,11 @@
 // produce identical centroids and identical posting lists.
 //
 // Exactness. The index only restricts WHICH records are scored; it
-// never changes HOW they are scored. The shard store's IVF scan paths
-// reuse the blocked kernels and the exact-float64 rescore discipline,
-// so every returned score is bit-identical to the dense path — the
-// approximation is confined to the candidate set, and the recall gate
-// in CI measures exactly that (see DESIGN.md §9).
+// never changes HOW they are scored. The shard store's IVF scan scores
+// each candidate with the same float64 linalg.Dot expression as the
+// full sweep, so every returned score is bit-identical to the dense
+// path — the approximation is confined to the candidate set, and the
+// recall gate in CI measures exactly that (see DESIGN.md §9).
 package ivf
 
 import (

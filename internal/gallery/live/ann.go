@@ -19,7 +19,7 @@ import (
 // manifest); BuildANN trains one online without blocking queries; and
 // compaction rebuilds the index for each fresh generation whenever the
 // superseded base carried one, reusing its training seed, so the knob
-// survives generation switches the same way scan precision does.
+// survives generation switches.
 
 var _ gallery.ANNSetter = (*Engine)(nil)
 

@@ -67,7 +67,7 @@ func TestLiveANNLifecycle(t *testing.T) {
 		if err := e.SetANNProbe(0); err != nil {
 			t.Fatalf("%s: SetANNProbe(0): %v", stage, err)
 		}
-		want, err := e.QueryAllP(probes, k, 0)
+		want, err := e.QueryAllCtx(context.Background(), probes, k, 0)
 		if err != nil {
 			t.Fatalf("%s: exact QueryAll: %v", stage, err)
 		}
@@ -77,7 +77,7 @@ func TestLiveANNLifecycle(t *testing.T) {
 		if err := e.SetANNProbe(4096); err != nil {
 			t.Fatalf("%s: SetANNProbe(4096): %v", stage, err)
 		}
-		got, err := e.QueryAllP(probes, k, 0)
+		got, err := e.QueryAllCtx(context.Background(), probes, k, 0)
 		if err != nil {
 			t.Fatalf("%s: IVF QueryAll: %v", stage, err)
 		}
@@ -104,7 +104,7 @@ func TestLiveANNLifecycle(t *testing.T) {
 	if err := e.SetANNProbe(2); err != nil { // deliberately narrow
 		t.Fatalf("SetANNProbe(2): %v", err)
 	}
-	top, err := e.TopKP(extra.Col(1), 1, 0)
+	top, err := e.TopKCtx(context.Background(), extra.Col(1), 1, 0)
 	if err != nil {
 		t.Fatalf("overlay TopK: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestLiveANNLifecycle(t *testing.T) {
 		t.Fatal("index lost across compaction")
 	}
 	if e.ANNProbe() != cells {
-		t.Fatalf("nprobe %d after compact, want %d (carried like precision)", e.ANNProbe(), cells)
+		t.Fatalf("nprobe %d after compact, want %d", e.ANNProbe(), cells)
 	}
 	newSide := filepath.Join(dir, "live.g0001.bpm.ivf")
 	x, err := ivf.ReadFile(newSide)
@@ -144,7 +144,7 @@ func TestLiveANNLifecycle(t *testing.T) {
 	assertSame("generation 1")
 
 	// Reopen: the base store auto-loads the generation sidecar; the
-	// nprobe knob (session state, like precision) resets to exact.
+	// nprobe knob (session state) resets to exact.
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

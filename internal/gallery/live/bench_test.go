@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -58,7 +59,7 @@ func BenchmarkLiveTopK(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.TopKP(probe, k, 0); err != nil {
+			if _, err := s.TopKCtx(context.Background(), probe, k, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -67,7 +68,7 @@ func BenchmarkLiveTopK(b *testing.B) {
 		e := benchEngine(b, features, subjects, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.TopKP(probe, k, 0); err != nil {
+			if _, err := e.TopKCtx(context.Background(), probe, k, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -76,7 +77,7 @@ func BenchmarkLiveTopK(b *testing.B) {
 		e := benchEngine(b, features, subjects-200, 200)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.TopKP(probe, k, 0); err != nil {
+			if _, err := e.TopKCtx(context.Background(), probe, k, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

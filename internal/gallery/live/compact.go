@@ -181,13 +181,6 @@ func (e *Engine) Compact() error {
 	oldWAL := e.wal
 	e.gen = newGen
 	e.base = newBase
-	if newBase != nil && e.prec != gallery.ScanFloat64 {
-		// Re-apply the engine's scan precision to the fresh base; only
-		// float32 can be set on a live engine, and it cannot fail here.
-		if err := newBase.SetPrecision(e.prec); err != nil {
-			panic(fmt.Sprintf("live: re-applying scan precision after compaction: %v", err))
-		}
-	}
 	if e.nprobe > 0 {
 		if newBase != nil {
 			// An active fan-out implies the old base carried an index,

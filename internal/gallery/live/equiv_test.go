@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -125,11 +126,11 @@ func assertEnginesAgree(t *testing.T, phase string, cold *shard.Store, e *Engine
 	t.Helper()
 	for _, par := range []int{1, 0} {
 		name := fmt.Sprintf("%s par=%d", phase, par)
-		wantRanked, err := cold.QueryAllP(probes, k, par)
+		wantRanked, err := cold.QueryAllCtx(context.Background(), probes, k, par)
 		if err != nil {
 			t.Fatalf("%s: cold QueryAll: %v", name, err)
 		}
-		gotRanked, err := e.QueryAllP(probes, k, par)
+		gotRanked, err := e.QueryAllCtx(context.Background(), probes, k, par)
 		if err != nil {
 			t.Fatalf("%s: live QueryAll: %v", name, err)
 		}
@@ -152,11 +153,11 @@ func assertEnginesAgree(t *testing.T, phase string, cold *shard.Store, e *Engine
 			}
 		}
 		// Single-probe path agrees with the batch path.
-		topCold, err := cold.TopKP(probes.Col(0), k, par)
+		topCold, err := cold.TopKCtx(context.Background(), probes.Col(0), k, par)
 		if err != nil {
 			t.Fatalf("%s: cold TopK: %v", name, err)
 		}
-		topLive, err := e.TopKP(probes.Col(0), k, par)
+		topLive, err := e.TopKCtx(context.Background(), probes.Col(0), k, par)
 		if err != nil {
 			t.Fatalf("%s: live TopK: %v", name, err)
 		}
@@ -239,13 +240,13 @@ func TestEnrollsRacingQueries(t *testing.T) {
 			defer wg.Done()
 			probe := randomGroup(int64(200+q), features, 1).Col(0)
 			for i := 0; i < 50; i++ {
-				top, err := e.TopKP(probe, 5, 0)
+				top, err := e.TopKCtx(context.Background(), probe, 5, 0)
 				if err != nil {
 					errc <- fmt.Errorf("query %d: %w", i, err)
 					return
 				}
 				for r := 1; r < len(top); r++ {
-					if better(top[r], top[r-1]) {
+					if gallery.BetterByID(top[r], top[r-1]) {
 						errc <- fmt.Errorf("query %d: ranking out of order at %d", i, r)
 						return
 					}

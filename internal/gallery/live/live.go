@@ -146,15 +146,10 @@ type Engine struct {
 	baseSkip    []bool
 	baseVisible int
 
-	// prec is the scan precision applied to the base store — carried
-	// across compactions so a generation swap re-applies it to the
-	// fresh base. The overlay always scans exact (see query.go).
-	prec gallery.ScanPrecision
-
 	// nprobe is the ANN cell fan-out applied to the base store (0 =
-	// exact scan), carried across compactions like prec: each fresh
-	// base is re-indexed when its predecessor carried an index, and
-	// the fan-out is re-applied at the swap (see ann.go).
+	// exact scan), carried across compactions: each fresh base is
+	// re-indexed when its predecessor carried an index, and the fan-out
+	// is re-applied at the swap (see ann.go).
 	nprobe int
 
 	wal        *walWriter
@@ -674,42 +669,6 @@ func (e *Engine) Index(id string) int {
 	}
 	return -1
 }
-
-// ---- scan precision ----
-
-// SetPrecision selects the precision of the base store's candidate
-// scan (gallery.ScanFloat64 or gallery.ScanFloat32; see the shard
-// package for the float32 selection + exact rescore contract — scores
-// stay bit-identical either way). The overlay always scans exact. The
-// setting survives compactions: each fresh base is built at the
-// engine's precision. ScanInt8 is rejected: live bases carry no
-// quantized sidecar.
-func (e *Engine) SetPrecision(p gallery.ScanPrecision) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	if p == gallery.ScanInt8 {
-		return fmt.Errorf("live: %v scans need a quantized sidecar, which live bases do not carry", p)
-	}
-	if e.base != nil {
-		if err := e.base.SetPrecision(p); err != nil {
-			return err
-		}
-	}
-	e.prec = p
-	return nil
-}
-
-// Precision reports the engine's base-scan precision.
-func (e *Engine) Precision() gallery.ScanPrecision {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.prec
-}
-
-var _ gallery.PrecisionSetter = (*Engine)(nil)
 
 // Defense returns the anonymization pipeline every base build passes
 // its snapshot through, nil for an undefended engine. The caller must

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -133,7 +134,7 @@ func TestMutationsSurviveReopen(t *testing.T) {
 func snapshotRanked(t testing.TB, e *Engine) []gallery.Candidate {
 	t.Helper()
 	probe := randomGroup(99, e.Features(), 1).Col(0)
-	top, err := e.TopKP(probe, e.Len(), 1)
+	top, err := e.TopKCtx(context.Background(), probe, e.Len(), 1)
 	if err != nil {
 		t.Fatalf("TopK: %v", err)
 	}
@@ -287,7 +288,7 @@ func TestCreateFromStore(t *testing.T) {
 		t.Fatalf("FromGallery: %v", err)
 	}
 	probe := randomGroup(98, features, 1).Col(0)
-	want, err := src.TopKP(probe, subjects, 1)
+	want, err := src.TopKCtx(context.Background(), probe, subjects, 1)
 	if err != nil {
 		t.Fatalf("source TopK: %v", err)
 	}
@@ -301,7 +302,7 @@ func TestCreateFromStore(t *testing.T) {
 	if e.Len() != subjects || e.Stats().BaseRecords != subjects {
 		t.Fatalf("seeded engine: len=%d stats=%+v", e.Len(), e.Stats())
 	}
-	got, err := e.TopKP(probe, subjects, 1)
+	got, err := e.TopKCtx(context.Background(), probe, subjects, 1)
 	if err != nil {
 		t.Fatalf("live TopK: %v", err)
 	}
@@ -356,7 +357,7 @@ func TestFeatureIndexRoundTrip(t *testing.T) {
 			t.Fatalf("raw-space Enroll: %v", err)
 		}
 	}
-	top, err := e.TopKP(raw.Col(1), 1, 1)
+	top, err := e.TopKCtx(context.Background(), raw.Col(1), 1, 1)
 	if err != nil {
 		t.Fatalf("raw-space TopK: %v", err)
 	}
@@ -375,7 +376,7 @@ func TestFeatureIndexRoundTrip(t *testing.T) {
 	if got := re.FeatureIndex(); len(got) != len(index) {
 		t.Fatalf("feature index lost across compaction+reopen: %v", got)
 	}
-	top, err = re.TopKP(raw.Col(1), 1, 1)
+	top, err = re.TopKCtx(context.Background(), raw.Col(1), 1, 1)
 	if err != nil {
 		t.Fatalf("reopened raw-space TopK: %v", err)
 	}
@@ -455,7 +456,7 @@ func TestAbortFreezeWindowMutations(t *testing.T) {
 		}
 	}
 	// The re-enrolled d must carry the window's bits, not the frozen ones.
-	top, err := e.TopKP(group.Col(4), 1, 1)
+	top, err := e.TopKCtx(context.Background(), group.Col(4), 1, 1)
 	if err != nil || top[0].ID != "d" {
 		t.Fatalf("re-enrolled d lost its window bits: %v %v", top, err)
 	}

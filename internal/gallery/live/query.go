@@ -2,11 +2,9 @@ package live
 
 import (
 	"context"
-	"fmt"
 
 	"brainprint/internal/gallery"
 	"brainprint/internal/linalg"
-	"brainprint/internal/match"
 	"brainprint/internal/parallel"
 )
 
@@ -37,33 +35,22 @@ import (
 // so delete-heavy workloads should compact (or set Options.
 // CompactAfter) rather than accumulate an unbounded overlay.
 
-// better reports whether a outranks b: higher score first, ties broken
-// by the lexicographically smaller subject ID — the sharded store's
-// layout-invariant total order.
-func better(a, b gallery.Candidate) bool {
-	return a.Score > b.Score || (a.Score == b.Score && a.ID < b.ID)
-}
-
 // TopK ranks the k enrolled subjects most correlated with the probe,
 // best first, using the default worker count.
 func (e *Engine) TopK(probe []float64, k int) ([]gallery.Candidate, error) {
-	return e.TopKP(probe, k, 0)
+	return e.TopKCtx(context.Background(), probe, k, 0)
 }
 
-// TopKP is TopK with an explicit parallelism knob (0 = all cores,
-// 1 = serial, n = n workers). Results are identical at any setting.
-func (e *Engine) TopKP(probe []float64, k, parallelism int) ([]gallery.Candidate, error) {
-	return e.TopKCtx(context.Background(), probe, k, parallelism)
-}
-
-// TopKCtx is TopKP under a context: the sweep aborts between chunks
-// once ctx is cancelled and returns ctx.Err(). The probe may be a
-// gallery-space vector or a raw vector when the engine carries a
-// feature index; k larger than the engine is clamped.
+// TopKCtx is TopK under a context and with an explicit parallelism knob
+// (0 = all cores, 1 = serial, n = n workers; results are identical at
+// any setting): the sweep aborts between chunks once ctx is cancelled
+// and returns ctx.Err(). The probe may be a gallery-space vector or a
+// raw vector when the engine carries a feature index; k larger than the
+// engine is clamped.
 func (e *Engine) TopKCtx(ctx context.Context, probe []float64, k, parallelism int) ([]gallery.Candidate, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	k, err := e.clampK(k)
+	k, err := gallery.ClampK(k, len(e.ids))
 	if err != nil {
 		return nil, err
 	}
@@ -77,26 +64,22 @@ func (e *Engine) TopKCtx(ctx context.Context, probe []float64, k, parallelism in
 // QueryAll answers a batch of probes — the columns of a features×probes
 // matrix — returning one ranked top-k list per probe.
 func (e *Engine) QueryAll(probes *linalg.Matrix, k int) ([][]gallery.Candidate, error) {
-	return e.QueryAllP(probes, k, 0)
+	return e.QueryAllCtx(context.Background(), probes, k, 0)
 }
 
-// QueryAllP is QueryAll with an explicit parallelism knob. Probes
-// normalize through the same match.ZScoreColumns path every other
-// engine uses, so batch scores stay bit-identical.
-func (e *Engine) QueryAllP(probes *linalg.Matrix, k, parallelism int) ([][]gallery.Candidate, error) {
-	return e.QueryAllCtx(context.Background(), probes, k, parallelism)
-}
-
-// QueryAllCtx is QueryAllP under a context: the batch aborts between
-// probes once ctx is cancelled. Rankings are identical at any setting.
+// QueryAllCtx is QueryAll under a context and with an explicit
+// parallelism knob. Probes normalize through gallery.PrepProbes like
+// every other engine's, so batch scores stay bit-identical; the batch
+// aborts between probes once ctx is cancelled. Rankings are identical
+// at any setting.
 func (e *Engine) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, parallelism int) ([][]gallery.Candidate, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	k, err := e.clampK(k)
+	k, err := gallery.ClampK(k, len(e.ids))
 	if err != nil {
 		return nil, err
 	}
-	zcols, err := e.prepProbes(probes, parallelism)
+	zcols, err := gallery.PrepProbes(probes, e.features, e.fidx, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +102,7 @@ func (e *Engine) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, para
 			for i := range bl {
 				bl[i].Index = e.byID[bl[i].ID]
 			}
-			out[j] = gallery.RankMergeLists([][]gallery.Candidate{bl, overlay}, k, better)
+			out[j] = gallery.RankMergeLists([][]gallery.Candidate{bl, overlay}, k, gallery.BetterByID)
 		}
 		return nil
 	})
@@ -129,48 +112,18 @@ func (e *Engine) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, para
 	return out, nil
 }
 
-// DenseSimilarity materializes the full engine×probes similarity
+// DenseSimilarityCtx materializes the full engine×probes similarity
 // matrix, rows in live enumeration order — the exact fallback the
-// Hungarian assignment path consumes.
-func (e *Engine) DenseSimilarity(probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
-	return e.DenseSimilarityCtx(context.Background(), probes, parallelism)
-}
-
-// DenseSimilarityCtx is DenseSimilarity under a context: the row sweep
-// aborts between chunks once ctx is cancelled.
+// Hungarian assignment path consumes. The row sweep aborts between
+// chunks once ctx is cancelled.
 func (e *Engine) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	n := len(e.ids)
-	if n == 0 {
-		return nil, fmt.Errorf("live: empty gallery")
-	}
-	zcols, err := e.prepProbes(probes, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	m := len(zcols)
-	features := e.mem.Features()
-	out := linalg.NewMatrix(n, m)
-	inv := 1 / float64(features)
-	err = parallel.ForCtx(ctx, parallelism, n, 1+4096/(features*m+1), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			fp := e.fingerprint(i)
-			orow := out.RowView(i)
-			for j, zc := range zcols {
-				orow[j] = linalg.Dot(fp, zc) * inv
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return gallery.DenseSimilarity(ctx, probes, len(e.ids), e.features, e.fidx, e.fingerprint, parallelism)
 }
 
 // topK is the merged sweep with a z-scored, gallery-space probe: the
-// masked base scan (blocked kernels, at the engine's precision) plus
+// masked base scan (blocked kernels) plus
 // the scalar overlay sweep, tournament-merged. Base candidates come
 // back carrying base-store indices; they are remapped to live
 // enumeration indices before the merge. Called with the read lock held.
@@ -189,7 +142,7 @@ func (e *Engine) topK(ctx context.Context, zp []float64, k, parallelism int) ([]
 	for i := range base {
 		base[i].Index = e.byID[base[i].ID]
 	}
-	return gallery.RankMergeLists([][]gallery.Candidate{base, overlay}, k, better), nil
+	return gallery.RankMergeLists([][]gallery.Candidate{base, overlay}, k, gallery.BetterByID), nil
 }
 
 // overlayTopK ranks the overlay — the frozen memtable's survivors and
@@ -199,7 +152,7 @@ func (e *Engine) topK(ctx context.Context, zp []float64, k, parallelism int) ([]
 // Called with the read lock held.
 func (e *Engine) overlayTopK(zp []float64, k int) []gallery.Candidate {
 	inv := 1 / float64(e.features)
-	r := gallery.NewRanker(k, better)
+	r := gallery.NewRanker(k, gallery.BetterByID)
 	li := e.baseVisible
 	if e.frozen != nil {
 		for i, n := 0, e.frozen.Len(); i < n; i++ {
@@ -216,48 +169,4 @@ func (e *Engine) overlayTopK(zp []float64, k int) []gallery.Candidate {
 		li++
 	}
 	return r.Ranked()
-}
-
-// clampK validates the engine and k, clamping k to the visible record
-// count. Called with the read lock held.
-func (e *Engine) clampK(k int) (int, error) {
-	if len(e.ids) == 0 {
-		return 0, fmt.Errorf("live: empty gallery")
-	}
-	if k <= 0 {
-		return 0, fmt.Errorf("live: k=%d must be positive", k)
-	}
-	return min(k, len(e.ids)), nil
-}
-
-// prepProbes converts a features×probes matrix into z-scored
-// gallery-space probe vectors — the same normalization pipeline every
-// other engine uses. Called with the read lock held.
-func (e *Engine) prepProbes(probes *linalg.Matrix, parallelism int) ([][]float64, error) {
-	features := e.mem.Features()
-	f, m := probes.Dims()
-	if m == 0 {
-		return nil, fmt.Errorf("live: no probe columns")
-	}
-	gal := probes
-	if f != features {
-		index := e.mem.FeatureIndex()
-		if index == nil {
-			return nil, fmt.Errorf("%w: probes have %d features, gallery has %d", gallery.ErrDimMismatch, f, features)
-		}
-		for _, idx := range index {
-			if idx < 0 || idx >= f {
-				return nil, fmt.Errorf("%w: feature index %d outside raw probes with %d features", gallery.ErrDimMismatch, idx, f)
-			}
-		}
-		gal = probes.SelectRows(index)
-	}
-	z := match.ZScoreColumns(gal, parallelism)
-	cols := make([][]float64, m)
-	parallel.ForWith(parallelism, m, 1+1024/features, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			cols[j] = z.Col(j)
-		}
-	})
-	return cols, nil
 }

@@ -2,12 +2,9 @@ package gallery
 
 import (
 	"context"
-	"fmt"
 
 	"brainprint/internal/linalg"
-	"brainprint/internal/match"
 	"brainprint/internal/parallel"
-	"brainprint/internal/stats"
 )
 
 // Candidate is one ranked identification hypothesis: an enrolled
@@ -36,58 +33,45 @@ func better(a, b Candidate) bool {
 // gallery carries a feature index; it is projected and z-scored once,
 // never mutated. k larger than the gallery is clamped.
 func (g *Gallery) TopK(probe []float64, k int) ([]Candidate, error) {
-	return g.TopKP(probe, k, 0)
+	return g.TopKCtx(context.Background(), probe, k, 0)
 }
 
-// TopKP is TopK with an explicit parallelism knob (0 = all cores,
-// 1 = serial, n = n workers). The gallery sweep is blocked: each worker
-// chunk keeps a local ranked list of at most k candidates, and partial
-// lists merge in ascending chunk order, so the result is identical at
-// any setting.
-func (g *Gallery) TopKP(probe []float64, k, parallelism int) ([]Candidate, error) {
-	return g.TopKCtx(context.Background(), probe, k, parallelism)
-}
-
-// TopKCtx is TopKP under a context: the gallery sweep aborts between
-// chunks once ctx is cancelled and returns ctx.Err(). On success the
-// ranking is bit-identical to TopK/TopKP at any parallelism setting.
+// TopKCtx is TopK under a context and with an explicit parallelism knob
+// (0 = all cores, 1 = serial, n = n workers). The gallery sweep is
+// blocked: each worker chunk keeps a local ranked list of at most k
+// candidates, and partial lists merge in ascending chunk order, so the
+// ranking is bit-identical at any setting. The sweep aborts between
+// chunks once ctx is cancelled and returns ctx.Err().
 func (g *Gallery) TopKCtx(ctx context.Context, probe []float64, k, parallelism int) ([]Candidate, error) {
-	k, err := g.clampK(k)
+	k, err := ClampK(k, g.Len())
 	if err != nil {
 		return nil, err
 	}
-	zp, err := g.project(probe)
+	zp, err := g.Normalize(probe)
 	if err != nil {
 		return nil, err
 	}
-	stats.ZScore(zp)
 	return g.topK(ctx, zp, k, parallelism)
 }
 
 // QueryAll answers a batch of probes — the columns of a features×probes
-// matrix — returning one ranked top-k list per probe. See QueryAllP.
+// matrix — returning one ranked top-k list per probe, using the default
+// worker count.
 func (g *Gallery) QueryAll(probes *linalg.Matrix, k int) ([][]Candidate, error) {
-	return g.QueryAllP(probes, k, 0)
+	return g.QueryAllCtx(context.Background(), probes, k, 0)
 }
 
-// QueryAllP is QueryAll with an explicit parallelism knob. Probes are
-// z-scored once up front (through the same match.ZScoreColumns path the
-// dense attack uses), then the batch fans out one probe per worker with
-// a serial inner sweep — the outer loop owns the cores. Results are
-// identical at any setting.
-func (g *Gallery) QueryAllP(probes *linalg.Matrix, k, parallelism int) ([][]Candidate, error) {
-	return g.QueryAllCtx(context.Background(), probes, k, parallelism)
-}
-
-// QueryAllCtx is QueryAllP under a context: the batch aborts between
-// probes once ctx is cancelled and returns ctx.Err(). On success the
-// rankings are bit-identical to QueryAll/QueryAllP at any setting.
+// QueryAllCtx is QueryAll under a context and with an explicit
+// parallelism knob. Probes are z-scored once up front (PrepProbes), then
+// record ranges fan out across workers, each scanned once for the whole
+// batch. Rankings are bit-identical at any setting; the batch aborts
+// between ranges once ctx is cancelled and returns ctx.Err().
 func (g *Gallery) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, parallelism int) ([][]Candidate, error) {
-	k, err := g.clampK(k)
+	k, err := ClampK(k, g.Len())
 	if err != nil {
 		return nil, err
 	}
-	zcols, err := g.prepProbes(probes, parallelism)
+	zcols, err := PrepProbes(probes, g.features, g.featureIndex, parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -189,54 +173,15 @@ func (g *Gallery) scanSelectBatch(bk *Blocked, lo, hi int, zps [][]float64, inv 
 	return lists
 }
 
-// DenseSimilarity materializes the full gallery×probes similarity
+// DenseSimilarityCtx materializes the full gallery×probes similarity
 // matrix — the exact-equivalence fallback path. Entry (i, j) is
 // bit-identical to match.SimilarityMatrix(known, probes) at (i, j) when
 // the gallery was enrolled from the columns of known: enrollment stored
 // the same z-scored columns, probes normalize through the same code
-// path, and each entry is the same Dot·(1/features) expression.
-func (g *Gallery) DenseSimilarity(probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
-	return g.DenseSimilarityCtx(context.Background(), probes, parallelism)
-}
-
-// DenseSimilarityCtx is DenseSimilarity under a context: the row sweep
-// aborts between chunks once ctx is cancelled.
+// path, and each entry is the same Dot·(1/features) expression. The row
+// sweep aborts between chunks once ctx is cancelled.
 func (g *Gallery) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
-	if g.Len() == 0 {
-		return nil, fmt.Errorf("gallery: empty gallery")
-	}
-	zcols, err := g.prepProbes(probes, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	n, m := g.Len(), len(zcols)
-	out := linalg.NewMatrix(n, m)
-	inv := 1 / float64(g.features)
-	err = parallel.ForCtx(ctx, parallelism, n, 1+4096/(g.features*m+1), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			fp := g.fingerprint(i)
-			orow := out.RowView(i)
-			for j, zc := range zcols {
-				orow[j] = linalg.Dot(fp, zc) * inv
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// clampK validates the gallery and k, clamping k to the gallery size.
-func (g *Gallery) clampK(k int) (int, error) {
-	if g.Len() == 0 {
-		return 0, fmt.Errorf("gallery: empty gallery")
-	}
-	if k <= 0 {
-		return 0, fmt.Errorf("gallery: k=%d must be positive", k)
-	}
-	return min(k, g.Len()), nil
+	return DenseSimilarity(ctx, probes, g.Len(), g.features, g.featureIndex, g.fingerprint, parallelism)
 }
 
 // scanStripe is the record width of one kernel pass in the top-k scan:
@@ -252,7 +197,7 @@ const scanStripe = 1024
 // chunks. Each score is still the linalg.Dot(fingerprint, zp)·(1/F)
 // expression bit for bit (the blocked kernel preserves per-record
 // accumulation order), so results stay bit-identical to the pre-blocked
-// sweep and to DenseSimilarity.
+// sweep and to DenseSimilarityCtx.
 func (g *Gallery) topK(ctx context.Context, zp []float64, k, parallelism int) ([]Candidate, error) {
 	bk := g.Blocked()
 	inv := 1 / float64(g.features)
@@ -296,36 +241,6 @@ func (g *Gallery) scanSelect(bk *Blocked, lo, hi int, zp []float64, inv float64,
 		}
 	}
 	return r.Ranked()
-}
-
-// prepProbes converts a features×probes matrix into z-scored
-// gallery-space probe vectors, projecting through the feature index
-// when the probes are raw-space.
-func (g *Gallery) prepProbes(probes *linalg.Matrix, parallelism int) ([][]float64, error) {
-	f, m := probes.Dims()
-	if m == 0 {
-		return nil, fmt.Errorf("gallery: no probe columns")
-	}
-	gal := probes
-	if f != g.features {
-		if g.featureIndex == nil {
-			return nil, fmt.Errorf("%w: probes have %d features, gallery has %d", ErrDimMismatch, f, g.features)
-		}
-		for _, idx := range g.featureIndex {
-			if idx < 0 || idx >= f {
-				return nil, fmt.Errorf("%w: feature index %d outside raw probes with %d features", ErrDimMismatch, idx, f)
-			}
-		}
-		gal = probes.SelectRows(g.featureIndex)
-	}
-	z := match.ZScoreColumns(gal, parallelism)
-	cols := make([][]float64, m)
-	parallel.ForWith(parallelism, m, 1+1024/g.features, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			cols[j] = z.Col(j)
-		}
-	})
-	return cols, nil
 }
 
 // mergeRanked merges two descending-ranked lists, keeping at most k.

@@ -1,10 +1,5 @@
 package gallery
 
-import (
-	"fmt"
-	"strings"
-)
-
 // This file is the scan-optimized fingerprint layout behind every hot
 // TopK sweep. The naive layout — one []float64 slice per record —
 // makes the inner loop chase a pointer per subject and leaves the
@@ -45,78 +40,15 @@ const ScanLanes = 4
 // fingerprint dimensionality.
 const scanTileF = 512
 
-// ScanPrecision selects the arithmetic of the gallery scan pass on
-// engines that support it (the sharded store). Whatever the scan
-// precision, every returned score is exact: the reduced-precision
-// passes only select candidates, which are rescored with the full
-// float64 expression before anything is returned.
-type ScanPrecision uint8
-
-const (
-	// ScanFloat64 scans at full precision — every record is scored
-	// with the exact float64 expression directly.
-	ScanFloat64 ScanPrecision = iota
-	// ScanFloat32 scans a float32 copy of the fingerprints (half the
-	// memory traffic), selects the leading candidates, and rescores
-	// them in exact float64.
-	ScanFloat32
-	// ScanInt8 scans int8 scalar-quantized fingerprints (an eighth of
-	// the memory traffic), selects the leading candidates, and
-	// rescores them in exact float64. Requires stored quantization
-	// parameters.
-	ScanInt8
-)
-
-// String renders the precision as its CLI/API spelling.
-func (p ScanPrecision) String() string {
-	switch p {
-	case ScanFloat32:
-		return "float32"
-	case ScanInt8:
-		return "int8"
-	default:
-		return "float64"
-	}
-}
-
-// ParseScanPrecision parses a CLI/API precision name ("float64",
-// "float32", or "int8").
-func ParseScanPrecision(s string) (ScanPrecision, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "float64", "f64", "exact", "":
-		return ScanFloat64, nil
-	case "float32", "f32":
-		return ScanFloat32, nil
-	case "int8", "quantized":
-		return ScanInt8, nil
-	}
-	return ScanFloat64, fmt.Errorf("gallery: unknown scan precision %q (want float64, float32, or int8)", s)
-}
-
-// PrecisionSetter is the optional knob surface of engines with a
-// selectable scan precision — today the sharded store. The attacker
-// session's WithScanPrecision option and the serve/CLI -scan flags are
-// written against it.
-type PrecisionSetter interface {
-	// SetPrecision selects the scan arithmetic. Not safe to call
-	// concurrently with queries.
-	SetPrecision(ScanPrecision) error
-	// Precision reports the active scan arithmetic.
-	Precision() ScanPrecision
-}
-
 // Blocked is the scan-optimized view of a set of fingerprints:
 // subject-major in blocks of ScanLanes records, feature-tiled, built
-// once at load/compaction time from the flat record accessor. The
-// float64 image is always present; the float32 image is built on
-// demand by EnsureF32 for the reduced-precision scan pass. A Blocked
+// once at load/compaction time from the flat record accessor. A Blocked
 // is immutable after construction and safe for concurrent scans.
 type Blocked struct {
 	n        int // records (excluding lane padding)
 	features int
 	blocks   int // ceil(n/ScanLanes)
 	f64      []float64
-	f32      []float32 // nil until EnsureF32
 }
 
 // tileWidth returns the width of the feature tile starting at column
@@ -163,24 +95,6 @@ func NewBlocked(n, features int, fp func(i int) []float64) *Blocked {
 	return bk
 }
 
-// EnsureF32 materializes the float32 image of the layout for the
-// reduced-precision scan pass. Idempotent; not safe to call
-// concurrently with scans that use the float32 kernels (pair it with
-// the owning engine's SetPrecision locking discipline).
-func (bk *Blocked) EnsureF32() {
-	if bk.f32 != nil {
-		return
-	}
-	f32 := make([]float32, len(bk.f64))
-	for i, x := range bk.f64 {
-		f32[i] = float32(x)
-	}
-	bk.f32 = f32
-}
-
-// HasF32 reports whether the float32 image has been built.
-func (bk *Blocked) HasF32() bool { return bk.f32 != nil }
-
 // Len returns the number of records in the layout (padding excluded).
 func (bk *Blocked) Len() int { return bk.n }
 
@@ -221,48 +135,6 @@ func (bk *Blocked) DotsF64(lo, hi int, zp []float64, out []float64) {
 			out[o+3] = a3
 		}
 	}
-}
-
-// DotF64 returns the float64 dot product of record i against the
-// probe. Features are consumed strictly in ascending order across
-// tiles with one accumulator, so the result is bit-identical to
-// linalg.Dot(record i, zp) — it is the single-record accessor the IVF
-// posting-list scan uses, where candidates are too sparse for the
-// striped kernels.
-func (bk *Blocked) DotF64(i int, zp []float64) float64 {
-	b, l := i/ScanLanes, i%ScanLanes
-	var acc float64
-	for tlo := 0; tlo < bk.features; tlo += scanTileF {
-		w := bk.tileWidth(tlo)
-		base := bk.tileBase(tlo) + b*w*ScanLanes + l
-		d := bk.f64[base : base+(w-1)*ScanLanes+1]
-		j := 0
-		for _, p := range zp[tlo : tlo+w] {
-			acc += d[j] * p
-			j += ScanLanes
-		}
-	}
-	return acc
-}
-
-// DotF32 is the reduced-precision single-record accessor: the float32
-// dot product of record i against a float32 probe. EnsureF32 must
-// have been called. Like DotsF32, results are approximate — callers
-// use them only to select rescore candidates.
-func (bk *Blocked) DotF32(i int, zp []float32) float32 {
-	b, l := i/ScanLanes, i%ScanLanes
-	var acc float32
-	for tlo := 0; tlo < bk.features; tlo += scanTileF {
-		w := bk.tileWidth(tlo)
-		base := bk.tileBase(tlo) + b*w*ScanLanes + l
-		d := bk.f32[base : base+(w-1)*ScanLanes+1]
-		j := 0
-		for _, p := range zp[tlo : tlo+w] {
-			acc += d[j] * p
-			j += ScanLanes
-		}
-	}
-	return acc
 }
 
 // DotsF64Batch is DotsF64 over a batch of probes: outs[p][i-lo]
@@ -325,99 +197,4 @@ func (bk *Blocked) dotsF64x2(lo, hi int, zp0, zp1 []float64, o0, o1 []float64) {
 			o1[o+3] = a31
 		}
 	}
-}
-
-// DotsF32 is the reduced-precision single-probe kernel: it accumulates
-// float32 dot products of [lo, hi) against a float32 probe into out.
-// Same alignment and zeroing rules as DotsF64. EnsureF32 must have
-// been called. The results are approximate — callers use them only to
-// select rescore candidates, never as returned scores.
-func (bk *Blocked) DotsF32(lo, hi int, zp []float32, out []float32) {
-	hi = alignLanes(hi)
-	for tlo := 0; tlo < bk.features; tlo += scanTileF {
-		w := bk.tileWidth(tlo)
-		pt := zp[tlo : tlo+w]
-		region := bk.f32[bk.tileBase(tlo):]
-		for r := lo; r < hi; r += ScanLanes {
-			base := (r / ScanLanes) * w * ScanLanes
-			d := region[base : base+w*ScanLanes : base+w*ScanLanes]
-			o := r - lo
-			a0, a1, a2, a3 := out[o], out[o+1], out[o+2], out[o+3]
-			j := 0
-			for _, p := range pt {
-				a0 += d[j] * p
-				a1 += d[j+1] * p
-				a2 += d[j+2] * p
-				a3 += d[j+3] * p
-				j += ScanLanes
-			}
-			out[o] = a0
-			out[o+1] = a1
-			out[o+2] = a2
-			out[o+3] = a3
-		}
-	}
-}
-
-// DotsF32Batch is DotsF32 over a batch of probes, tiled two probes per
-// pass like DotsF64Batch (same register-budget reasoning).
-func (bk *Blocked) DotsF32Batch(lo, hi int, zps [][]float32, outs [][]float32) {
-	p := 0
-	for ; p+2 <= len(zps); p += 2 {
-		bk.dotsF32x2(lo, hi, zps[p], zps[p+1], outs[p], outs[p+1])
-	}
-	if p < len(zps) {
-		bk.DotsF32(lo, hi, zps[p], outs[p])
-	}
-}
-
-// dotsF32x2 is the float32 2-probe × 4-lane kernel.
-func (bk *Blocked) dotsF32x2(lo, hi int, zp0, zp1 []float32, o0, o1 []float32) {
-	hi = alignLanes(hi)
-	for tlo := 0; tlo < bk.features; tlo += scanTileF {
-		w := bk.tileWidth(tlo)
-		t0 := zp0[tlo : tlo+w : tlo+w]
-		t1 := zp1[tlo : tlo+w : tlo+w]
-		region := bk.f32[bk.tileBase(tlo):]
-		for r := lo; r < hi; r += ScanLanes {
-			base := (r / ScanLanes) * w * ScanLanes
-			d := region[base : base+w*ScanLanes : base+w*ScanLanes]
-			o := r - lo
-			a00, a10, a20, a30 := o0[o], o0[o+1], o0[o+2], o0[o+3]
-			a01, a11, a21, a31 := o1[o], o1[o+1], o1[o+2], o1[o+3]
-			j := 0
-			for f := 0; f < w; f++ {
-				v0, v1, v2, v3 := d[j], d[j+1], d[j+2], d[j+3]
-				p0 := t0[f]
-				a00 += v0 * p0
-				a10 += v1 * p0
-				a20 += v2 * p0
-				a30 += v3 * p0
-				p1 := t1[f]
-				a01 += v0 * p1
-				a11 += v1 * p1
-				a21 += v2 * p1
-				a31 += v3 * p1
-				j += ScanLanes
-			}
-			o0[o] = a00
-			o0[o+1] = a10
-			o0[o+2] = a20
-			o0[o+3] = a30
-			o1[o] = a01
-			o1[o+1] = a11
-			o1[o+2] = a21
-			o1[o+3] = a31
-		}
-	}
-}
-
-// ToF32 converts a z-scored probe to the float32 image the reduced-
-// precision kernels consume.
-func ToF32(zp []float64) []float32 {
-	out := make([]float32, len(zp))
-	for i, x := range zp {
-		out[i] = float32(x)
-	}
-	return out
 }

@@ -17,12 +17,9 @@ func BenchmarkBlockedKernels(b *testing.B) {
 		b.Fatal(err)
 	}
 	bk := g.Blocked()
-	bk.EnsureF32()
 	zps := make([][]float64, probes)
-	zp32s := make([][]float32, probes)
 	for p := range zps {
 		zps[p] = g.fingerprint((p * 37) % subjects)
-		zp32s[p] = ToF32(zps[p])
 	}
 	flops := int64(2 * features * subjects)
 
@@ -55,27 +52,6 @@ func BenchmarkBlockedKernels(b *testing.B) {
 				clear(outs[p])
 			}
 			bk.DotsF64Batch(0, subjects, zps[:4], outs)
-		}
-	})
-	b.Run("f32x1", func(b *testing.B) {
-		b.SetBytes(flops)
-		out := make([]float32, alignLanes(subjects))
-		for i := 0; i < b.N; i++ {
-			clear(out)
-			bk.DotsF32(0, subjects, zp32s[0], out)
-		}
-	})
-	b.Run("f32batch", func(b *testing.B) {
-		b.SetBytes(4 * flops)
-		outs := make([][]float32, 4)
-		for p := range outs {
-			outs[p] = make([]float32, alignLanes(subjects))
-		}
-		for i := 0; i < b.N; i++ {
-			for p := range outs {
-				clear(outs[p])
-			}
-			bk.DotsF32Batch(0, subjects, zp32s[:4], outs)
 		}
 	})
 }

@@ -56,41 +56,6 @@ func TestBlockedDotsBitIdenticalToScalar(t *testing.T) {
 			}
 		}
 	}
-
-	// Float32 kernels against a scalar float32 reference with the same
-	// ascending-feature accumulation order.
-	bk.EnsureF32()
-	if !bk.HasF32() {
-		t.Fatal("HasF32() = false after EnsureF32")
-	}
-	zp32s := make([][]float32, probes)
-	for p := range zps {
-		zp32s[p] = ToF32(zps[p])
-	}
-	dot32 := func(i int, zp []float32) float32 {
-		var s float32
-		for f, v := range g.fingerprint(i) {
-			s += float32(v) * zp[f]
-		}
-		return s
-	}
-	out32 := make([]float32, alignLanes(subjects))
-	bk.DotsF32(0, subjects, zp32s[0], out32)
-	outs32 := make([][]float32, probes)
-	for p := range outs32 {
-		outs32[p] = make([]float32, alignLanes(subjects))
-	}
-	bk.DotsF32Batch(0, subjects, zp32s, outs32)
-	for i := 0; i < subjects; i++ {
-		if want := dot32(i, zp32s[0]); out32[i] != want {
-			t.Fatalf("DotsF32 record %d = %v, want %v", i, out32[i], want)
-		}
-		for p := range zp32s {
-			if want := dot32(i, zp32s[p]); outs32[p][i] != want {
-				t.Fatalf("DotsF32Batch probe %d record %d = %v, want %v", p, i, outs32[p][i], want)
-			}
-		}
-	}
 }
 
 // TestBlockedCacheInvalidation checks that the cached layout tracks
@@ -116,32 +81,6 @@ func TestBlockedCacheInvalidation(t *testing.T) {
 	second.DotsF64(0, 2, g.fingerprint(1), out)
 	if want := linalg.Dot(g.fingerprint(1), g.fingerprint(1)); out[1] != want {
 		t.Fatalf("rebuilt layout scores %v, want %v", out[1], want)
-	}
-}
-
-// TestParseScanPrecision covers the precision knob's parse/format pair.
-func TestParseScanPrecision(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want ScanPrecision
-	}{
-		{"float64", ScanFloat64}, {"F64", ScanFloat64}, {"exact", ScanFloat64}, {"", ScanFloat64},
-		{"float32", ScanFloat32}, {" f32 ", ScanFloat32},
-		{"int8", ScanInt8}, {"quantized", ScanInt8},
-	} {
-		got, err := ParseScanPrecision(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseScanPrecision(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseScanPrecision("float16"); err == nil {
-		t.Fatal("ParseScanPrecision(float16) succeeded, want error")
-	}
-	for _, p := range []ScanPrecision{ScanFloat64, ScanFloat32, ScanInt8} {
-		back, err := ParseScanPrecision(p.String())
-		if err != nil || back != p {
-			t.Fatalf("round-trip %v → %q → %v, %v", p, p.String(), back, err)
-		}
 	}
 }
 

@@ -12,21 +12,17 @@ import (
 	"brainprint/internal/parallel"
 )
 
-// The IVF scan paths. With an index loaded and nprobe > 0, a query
+// The IVF scan path. With an index loaded and nprobe > 0, a query
 // ranks the index cells against the probe and scans only the posting
 // lists of the best nprobe cells — sub-linear candidate selection —
-// while scoring stays exactly what the full sweep computes: the
-// float64 path scores candidates with linalg.Dot over the contiguous
-// per-record fingerprints, and the float32/int8 paths select a
-// rescoreDepth(k) pool that is rescored with the exact float64
-// expression, the same discipline as the linear reduced-precision
-// sweeps. The index therefore changes WHICH records can be returned
-// (recall, measured by the CI gate), never the score of any record
-// that is returned. Because each shard's posting lists partition its
-// local index space, nprobe ≥ Cells() scans every record exactly once
-// and the result is bit-identical to the exact sweep — the
-// equivalence matrix pins this at several shard counts and
-// parallelism settings.
+// while scoring stays exactly what the full sweep computes:
+// linalg.Dot over the contiguous per-record fingerprints. The index
+// therefore changes WHICH records can be returned (recall, measured by
+// the CI gate), never the score of any record that is returned. Because
+// each shard's posting lists partition its local index space,
+// nprobe ≥ Cells() scans every record exactly once and the result is
+// bit-identical to the exact sweep — the equivalence matrix pins this at
+// several shard counts and parallelism settings.
 
 // ErrNoANNIndex is returned by SetANNProbe when enabling the ANN scan
 // on a store without a loaded index.
@@ -161,69 +157,35 @@ func (s *Store) annMatches(x *ivf.Index) bool {
 }
 
 // topKANN is the IVF sweep for one z-scored probe: rank the cells,
-// scan the probed posting lists per shard under the active precision,
-// and merge per-shard rankings by tournament (one shared ranker in
-// the serial path, carrying the selection threshold across shards).
-// The reduced precisions select a rescoreDepth(k) pool that is
-// rescored exactly, so returned scores are bit-identical to the dense
-// path whatever the precision.
+// scan the probed posting lists per shard, and merge per-shard rankings
+// by tournament (one shared ranker in the serial path, carrying the
+// selection threshold across shards).
 func (s *Store) topKANN(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
 	cells := s.ann.RankCells(zp, s.nprobe)
-	depth := k
-	if s.prec != gallery.ScanFloat64 {
-		depth = rescoreDepth(k, s.total)
-	}
-	var zp32 []float32
-	var scaled []float64
-	var offsetDot, pnorm float64
-	switch s.prec {
-	case gallery.ScanFloat32:
-		zp32 = gallery.ToF32(zp)
-	case gallery.ScanInt8:
-		scaled, offsetDot, pnorm = s.quant.probeQuantTerms(zp)
-	}
 	inv := 1 / float64(s.features)
-
-	scanShard := func(si int, r *gallery.Ranker) {
-		switch s.prec {
-		case gallery.ScanInt8:
-			s.scanANNShardQuant(si, cells, scaled, offsetDot, pnorm, r, skip)
-		case gallery.ScanFloat32:
-			s.scanANNShardF32(si, cells, zp32, inv, r, skip)
-		default:
-			s.scanANNShardExact(si, cells, zp, inv, r, skip)
-		}
-	}
-
-	var pool []gallery.Candidate
 	if serialScan(parallelism) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := gallery.NewRanker(depth, better)
+		r := gallery.NewRanker(k, gallery.BetterByID)
 		for si := range s.galleries {
-			scanShard(si, r)
+			s.scanANNShard(si, cells, zp, inv, r, skip)
 		}
-		pool = r.Ranked()
-	} else {
-		partials := make([][]gallery.Candidate, len(s.galleries))
-		err := parallel.ForCtx(ctx, parallelism, len(s.galleries), 1, func(lo, hi int) error {
-			for si := lo; si < hi; si++ {
-				r := gallery.NewRanker(depth, better)
-				scanShard(si, r)
-				partials[si] = r.Ranked()
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		return r.Ranked(), nil
+	}
+	partials := make([][]gallery.Candidate, len(s.galleries))
+	err := parallel.ForCtx(ctx, parallelism, len(s.galleries), 1, func(lo, hi int) error {
+		for si := lo; si < hi; si++ {
+			r := gallery.NewRanker(k, gallery.BetterByID)
+			s.scanANNShard(si, cells, zp, inv, r, skip)
+			partials[si] = r.Ranked()
 		}
-		pool = gallery.RankMergeLists(partials, depth, better)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if s.prec == gallery.ScanFloat64 {
-		return pool, nil // scores are already the exact expression
-	}
-	return s.rescore(pool, zp, k), nil
+	return gallery.RankMergeLists(partials, k, gallery.BetterByID), nil
 }
 
 // queryAllANN is the IVF batch path: probes fan out one per worker
@@ -247,10 +209,9 @@ func (s *Store) queryAllANN(ctx context.Context, zcols [][]float64, k, paralleli
 	return out, nil
 }
 
-// scanANNShardExact scans one shard's probed posting lists at full
-// precision, scoring candidates against the gallery's contiguous
-// per-record fingerprints — the same expression the rescore pass uses
-// — so these scores are final, no rescore pass needed. The blocked
+// scanANNShard scans one shard's probed posting lists, scoring
+// candidates against the gallery's contiguous per-record fingerprints
+// with the exact expression, so these scores are final. The blocked
 // layout is deliberately avoided here: its record-striped lanes put
 // consecutive features of one record a stride apart, which is ideal
 // for full sweeps but wastes most of every streamed cache line when
@@ -260,7 +221,7 @@ func (s *Store) queryAllANN(ctx context.Context, zcols [][]float64, k, paralleli
 // overlap; each score is still bit-identical to a lone linalg.Dot,
 // and offer order is exactly the posting order, so results match the
 // unbatched loop bit for bit.
-func (s *Store) scanANNShardExact(si int, cells []int, zp []float64, inv float64, r *gallery.Ranker, skip []bool) {
+func (s *Store) scanANNShard(si int, cells []int, zp []float64, inv float64, r *gallery.Ranker, skip []bool) {
 	g := s.galleries[si]
 	if g == nil {
 		return
@@ -277,7 +238,7 @@ func (s *Store) scanANNShardExact(si int, cells []int, zp []float64, inv float64
 				continue
 			}
 			cand := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-			if full && !better(cand, thr) {
+			if full && !gallery.BetterByID(cand, thr) {
 				continue
 			}
 			r.Offer(cand)
@@ -308,66 +269,4 @@ func (s *Store) scanANNShardExact(si int, cells []int, zp []float64, inv float64
 		dots[t] = linalg.Dot(g.Fingerprint(idx[t]), zp)
 	}
 	flush()
-}
-
-// scanANNShardF32 scans one shard's probed posting lists through the
-// float32 single-record accessor, offering approximate scores to the
-// depth-bounded pool ranker.
-func (s *Store) scanANNShardF32(si int, cells []int, zp32 []float32, inv float64, r *gallery.Ranker, skip []bool) {
-	g := s.galleries[si]
-	if g == nil {
-		return
-	}
-	bk := g.Blocked()
-	base := s.bases[si]
-	thr, full := r.Threshold()
-	for _, c := range cells {
-		for _, li := range s.ann.Postings(si, c) {
-			i := int(li)
-			if skip != nil && skip[base+i] {
-				continue
-			}
-			sc := float64(bk.DotF32(i, zp32)) * inv
-			if full && sc < thr.Score {
-				continue
-			}
-			cand := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-			if full && !better(cand, thr) {
-				continue
-			}
-			r.Offer(cand)
-			thr, full = r.Threshold()
-		}
-	}
-}
-
-// scanANNShardQuant scans one shard's probed posting lists against
-// the precomputed int8 probe terms, offering approximate cosines to
-// the depth-bounded pool ranker.
-func (s *Store) scanANNShardQuant(si int, cells []int, scaled []float64, offsetDot, pnorm float64, r *gallery.Ranker, skip []bool) {
-	g := s.galleries[si]
-	if g == nil {
-		return
-	}
-	base := s.bases[si]
-	qv, qn := s.qvecs[si], s.qnorms[si]
-	thr, full := r.Threshold()
-	for _, c := range cells {
-		for _, li := range s.ann.Postings(si, c) {
-			i := int(li)
-			if skip != nil && skip[base+i] {
-				continue
-			}
-			sc := approxScore(qv[i*s.features:(i+1)*s.features], scaled, offsetDot, qn[i], pnorm)
-			if full && sc < thr.Score {
-				continue
-			}
-			cand := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-			if full && !better(cand, thr) {
-				continue
-			}
-			r.Offer(cand)
-			thr, full = r.Threshold()
-		}
-	}
 }

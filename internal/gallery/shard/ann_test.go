@@ -36,7 +36,7 @@ func TestIVFExactWhenProbeCoversAllCells(t *testing.T) {
 	if err := g.EnrollMatrix(subjectIDs(subjects), known); err != nil {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
-	wantRanked, err := g.QueryAllP(anon, k, 1)
+	wantRanked, err := g.QueryAllCtx(context.Background(), anon, k, 1)
 	if err != nil {
 		t.Fatalf("gallery QueryAll: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestIVFExactWhenProbeCoversAllCells(t *testing.T) {
 			}
 			for _, par := range []int{1, 0, 3} {
 				name := fmt.Sprintf("shards=%d nprobe=%d par=%d", shards, nprobe, par)
-				ranked, err := s.QueryAllP(anon, k, par)
+				ranked, err := s.QueryAllCtx(context.Background(), anon, k, par)
 				if err != nil {
 					t.Fatalf("%s: QueryAll: %v", name, err)
 				}
@@ -73,7 +73,7 @@ func TestIVFExactWhenProbeCoversAllCells(t *testing.T) {
 						}
 					}
 				}
-				single, err := s.TopKP(anon.Col(0), k, par)
+				single, err := s.TopKCtx(context.Background(), anon.Col(0), k, par)
 				if err != nil {
 					t.Fatalf("%s: TopK: %v", name, err)
 				}
@@ -81,81 +81,6 @@ func TestIVFExactWhenProbeCoversAllCells(t *testing.T) {
 					if single[r] != ranked[0][r] {
 						t.Fatalf("%s: TopK and QueryAll disagree at rank %d", name, r)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestIVFRescoreGuaranteeReducedPrecision pins the two halves of the
-// reduced-precision ANN contract. With full cell coverage the float32
-// and int8 IVF scans must return bit-identical results to the exact
-// path (the rescore corrects approximate ordering, exactly as in the
-// dense scans). With a NARROW fan-out the candidate set may legally
-// shrink — but every score the IVF path returns must still be the
-// exact float64 similarity of that subject, never an approximate one.
-func TestIVFRescoreGuaranteeReducedPrecision(t *testing.T) {
-	const features, subjects, k, cells = 100, 1000, 10, 16
-	known := randomGroup(111, features, subjects)
-	anon := noisyProbes(known, 112)
-	g := gallery.New(features)
-	if err := g.EnrollMatrix(subjectIDs(subjects), known); err != nil {
-		t.Fatalf("EnrollMatrix: %v", err)
-	}
-	wantRanked, err := g.QueryAllP(anon, k, 1)
-	if err != nil {
-		t.Fatalf("gallery QueryAll: %v", err)
-	}
-	wantDense, err := g.DenseSimilarity(anon, 1)
-	if err != nil {
-		t.Fatalf("gallery DenseSimilarity: %v", err)
-	}
-	s, err := FromGallery(g, 4, true)
-	if err != nil {
-		t.Fatalf("FromGallery: %v", err)
-	}
-	buildANN(t, s, cells, 7)
-	for _, prec := range []gallery.ScanPrecision{gallery.ScanFloat32, gallery.ScanInt8} {
-		if err := s.SetPrecision(prec); err != nil {
-			t.Fatalf("SetPrecision(%v): %v", prec, err)
-		}
-		// Full coverage: bit-identical to exact.
-		if err := s.SetANNProbe(cells); err != nil {
-			t.Fatalf("SetANNProbe: %v", err)
-		}
-		for _, par := range []int{1, 0} {
-			ranked, err := s.QueryAllP(anon, k, par)
-			if err != nil {
-				t.Fatalf("%v par=%d: QueryAll: %v", prec, par, err)
-			}
-			for j := range ranked {
-				for r := range ranked[j] {
-					got, want := ranked[j][r], wantRanked[j][r]
-					if got.ID != want.ID || got.Score != want.Score {
-						t.Fatalf("%v par=%d probe %d rank %d: (%s, %v) != exact (%s, %v)",
-							prec, par, j, r, got.ID, got.Score, want.ID, want.Score)
-					}
-				}
-			}
-		}
-		// Narrow fan-out: returned scores are still exact similarities.
-		if err := s.SetANNProbe(2); err != nil {
-			t.Fatalf("SetANNProbe(2): %v", err)
-		}
-		ranked, err := s.QueryAllP(anon, k, 0)
-		if err != nil {
-			t.Fatalf("%v narrow: QueryAll: %v", prec, err)
-		}
-		for j := range ranked {
-			for r, c := range ranked[j] {
-				srcIdx := g.Index(c.ID)
-				storeIdx := s.Index(c.ID)
-				if want := wantDense.At(srcIdx, j); c.Score != want {
-					t.Fatalf("%v probe %d rank %d: score %v != exact similarity %v (approximate score leaked)",
-						prec, j, r, c.Score, want)
-				}
-				if c.Index != storeIdx {
-					t.Fatalf("%v probe %d rank %d: Index %d != store index %d", prec, j, r, c.Index, storeIdx)
 				}
 			}
 		}
@@ -202,14 +127,14 @@ func TestIVFSidecarRoundTripThroughOpen(t *testing.T) {
 		t.Fatalf("reopened store has nprobe %d, want 0 (exact until opted in)", s.ANNProbe())
 	}
 	probe := randomGroup(122, features, 1).Col(0)
-	want, err := s.TopKP(probe, k, 1) // nprobe 0: exact
+	want, err := s.TopKCtx(context.Background(), probe, k, 1) // nprobe 0: exact
 	if err != nil {
 		t.Fatalf("exact TopK: %v", err)
 	}
 	if err := s.SetANNProbe(cells); err != nil {
 		t.Fatalf("SetANNProbe: %v", err)
 	}
-	got, err := s.TopKP(probe, k, 1)
+	got, err := s.TopKCtx(context.Background(), probe, k, 1)
 	if err != nil {
 		t.Fatalf("IVF TopK: %v", err)
 	}
@@ -445,7 +370,7 @@ func TestIVFRecallCurve(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromGallery: %v", err)
 	}
-	exact, err := s.QueryAllP(anon, kMax, 0)
+	exact, err := s.QueryAllCtx(context.Background(), anon, kMax, 0)
 	if err != nil {
 		t.Fatalf("exact QueryAll: %v", err)
 	}
@@ -464,7 +389,7 @@ func TestIVFRecallCurve(t *testing.T) {
 		if err := s.SetANNProbe(nprobe); err != nil {
 			t.Fatalf("SetANNProbe(%d): %v", nprobe, err)
 		}
-		approx, err := s.QueryAllP(anon, kMax, 0)
+		approx, err := s.QueryAllCtx(context.Background(), anon, kMax, 0)
 		if err != nil {
 			t.Fatalf("IVF QueryAll(nprobe=%d): %v", nprobe, err)
 		}

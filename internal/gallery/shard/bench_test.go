@@ -10,21 +10,19 @@ import (
 	"brainprint/internal/match"
 )
 
-// BenchmarkShardTopK pins the six ways to attack a probe batch against
+// BenchmarkShardTopK pins the four ways to attack a probe batch against
 // galleries of 1k, 10k, 100k, 500k, and 1M synthetic subjects:
 //
 //	dense      match.SimilarityMatrix over the raw groups (recomputes
 //	           normalization every run — what the experiment drivers do)
 //	single     single-file gallery top-k (the PR 2 engine)
 //	sharded    8-shard store, exact blocked scan
-//	f32        8-shard store, float32 blocked scan + exact rescore
-//	quantized  8-shard store, int8 approximate scan + exact rescore
 //	ivf        8-shard store, IVF coarse index at the default nprobe,
 //	           exact scan within the probed cells
 //
-// All six return identical top-1 subjects; sharded, f32, and quantized
-// additionally return bit-identical scores to single (the equivalence
-// tests pin this), and ivf returns exact scores for whatever it
+// All four return identical top-1 subjects; sharded additionally
+// returns bit-identical scores to single (the equivalence tests pin
+// this), and ivf returns exact scores for whatever it
 // returns (the recall gate pins its candidate quality). The JSON
 // benchmark artifact records the trajectory; the CI dominance gate
 // requires sharded to stay at or below single at every cohort size it
@@ -43,7 +41,7 @@ func BenchmarkShardTopK(b *testing.B) {
 		if err := g.EnrollMatrix(ids, known); err != nil {
 			b.Fatalf("EnrollMatrix: %v", err)
 		}
-		s, err := FromGallery(g, 8, true)
+		s, err := FromGallery(g, 8, false)
 		if err != nil {
 			b.Fatalf("FromGallery: %v", err)
 		}
@@ -79,43 +77,6 @@ func BenchmarkShardTopK(b *testing.B) {
 			}
 		})
 		b.Run("sharded/"+scale, func(b *testing.B) {
-			if err := s.SetQuantized(false); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.SetANNProbe(0); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAll(anon, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ranked) != probes {
-					b.Fatal("short result")
-				}
-			}
-		})
-		b.Run("f32/"+scale, func(b *testing.B) {
-			if err := s.SetPrecision(gallery.ScanFloat32); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer() // first call builds the float32 layout image
-			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAll(anon, k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ranked) != probes {
-					b.Fatal("short result")
-				}
-			}
-		})
-		b.Run("quantized/"+scale, func(b *testing.B) {
-			if err := s.SetQuantized(true); err != nil {
-				b.Fatal(err)
-			}
 			if err := s.SetANNProbe(0); err != nil {
 				b.Fatal(err)
 			}
@@ -131,9 +92,6 @@ func BenchmarkShardTopK(b *testing.B) {
 			}
 		})
 		b.Run("ivf/"+scale, func(b *testing.B) {
-			if err := s.SetQuantized(false); err != nil {
-				b.Fatal(err)
-			}
 			if err := s.SetANNProbe(ivf.DefaultNProbe); err != nil {
 				b.Fatal(err)
 			}
@@ -158,10 +116,9 @@ func BenchmarkShardTopK(b *testing.B) {
 // BenchmarkShardTopK1M is the million-subject regime — the tentpole
 // scale where the exact scan's linear cost becomes the bottleneck and
 // the IVF coarse index must win by ≥5× (the CI ivf speedup gate holds
-// that line). Only the sub-linear contenders run here: the exact
-// 8-shard blocked scan as the reference, the int8 approximate scan,
-// and the IVF scan at the default nprobe (16 of 512 trained cells,
-// ~3% of records actually scored, plus the exact rescore). A separate
+// that line). Two contenders run here: the exact 8-shard blocked scan
+// as the reference and the IVF scan at the default nprobe (16 of 512
+// trained cells, ~3% of records actually scored). A separate
 // function so filtered runs of BenchmarkShardTopK skip the ~minute of
 // 1M enrollment + index training.
 func BenchmarkShardTopK1M(b *testing.B) {
@@ -176,7 +133,7 @@ func BenchmarkShardTopK1M(b *testing.B) {
 	if err := g.EnrollMatrix(ids, known); err != nil {
 		b.Fatalf("EnrollMatrix: %v", err)
 	}
-	s, err := FromGallery(g, 8, true)
+	s, err := FromGallery(g, 8, false)
 	if err != nil {
 		b.Fatalf("FromGallery: %v", err)
 	}
@@ -201,29 +158,13 @@ func BenchmarkShardTopK1M(b *testing.B) {
 			}
 		})
 	}
-	run("sharded", func() error {
-		if err := s.SetQuantized(false); err != nil {
-			return err
-		}
-		return s.SetANNProbe(0)
-	})
-	run("quantized", func() error {
-		if err := s.SetQuantized(true); err != nil {
-			return err
-		}
-		return s.SetANNProbe(0)
-	})
-	run("ivf", func() error {
-		if err := s.SetQuantized(false); err != nil {
-			return err
-		}
-		return s.SetANNProbe(ivf.DefaultNProbe)
-	})
+	run("sharded", func() error { return s.SetANNProbe(0) })
+	run("ivf", func() error { return s.SetANNProbe(ivf.DefaultNProbe) })
 }
 
 // BenchmarkShardOpen measures cold-start deserialization of a sharded
-// store — manifest decode, per-shard gallery load, whole-file CRC
-// verification, and int8 quantization table construction.
+// store — manifest decode, per-shard gallery load, and whole-file CRC
+// verification.
 func BenchmarkShardOpen(b *testing.B) {
 	const features, subjects = 100, 10_000
 	ids := make([]string, subjects)
@@ -234,7 +175,7 @@ func BenchmarkShardOpen(b *testing.B) {
 	if err := g.EnrollMatrix(ids, randomGroup(7, features, subjects)); err != nil {
 		b.Fatalf("EnrollMatrix: %v", err)
 	}
-	s, err := FromGallery(g, 8, true)
+	s, err := FromGallery(g, 8, false)
 	if err != nil {
 		b.Fatalf("FromGallery: %v", err)
 	}

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,10 +13,10 @@ import (
 
 // writeStore builds a 4-shard store from a deterministic cohort and
 // persists it, returning the manifest path and the source gallery.
-func writeStore(t *testing.T, quantize bool) (string, *gallery.Gallery) {
+func writeStore(t *testing.T) (string, *gallery.Gallery) {
 	t.Helper()
 	g := buildGallery(t, 81, 16, 48)
-	s, err := FromGallery(g, 4, quantize)
+	s, err := FromGallery(g, 4, false)
 	if err != nil {
 		t.Fatalf("FromGallery: %v", err)
 	}
@@ -42,14 +44,14 @@ func flipByte(t *testing.T, path string, offset int64) {
 }
 
 func TestOpenRejectsTruncatedManifest(t *testing.T) {
-	manifest, _ := writeStore(t, true)
+	manifest, _ := writeStore(t)
 	full, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	// Cut inside the fixed header, inside the header body (feature
-	// index / quant params / CRC), and inside a shard entry.
-	for _, cut := range []int{4, 20, len(full) / 2, len(full) - 3} {
+	// Cut inside the fixed header, inside the header checksum, and
+	// inside a shard entry.
+	for _, cut := range []int{4, 20, 30, len(full) / 2, len(full) - 3} {
 		if err := os.WriteFile(manifest, full[:cut], 0o644); err != nil {
 			t.Fatalf("WriteFile: %v", err)
 		}
@@ -61,10 +63,10 @@ func TestOpenRejectsTruncatedManifest(t *testing.T) {
 }
 
 func TestOpenRejectsManifestHeaderCorruption(t *testing.T) {
-	manifest, _ := writeStore(t, true)
-	// Flip a byte inside the quantization parameters: the header CRC
-	// must catch it.
-	flipByte(t, manifest, int64(len(manifestMagic))+20+10)
+	manifest, _ := writeStore(t)
+	// Flip a byte of the stored header checksum: the header CRC must
+	// catch it.
+	flipByte(t, manifest, int64(len(manifestMagic))+20)
 	_, err := Open(manifest)
 	if !errors.Is(err, gallery.ErrChecksum) {
 		t.Fatalf("Open(corrupt header) = %v, want ErrChecksum", err)
@@ -72,7 +74,7 @@ func TestOpenRejectsManifestHeaderCorruption(t *testing.T) {
 }
 
 func TestOpenRejectsManifestEntryCorruption(t *testing.T) {
-	manifest, _ := writeStore(t, false)
+	manifest, _ := writeStore(t)
 	// Flip the last byte of the file — inside the final entry's CRC.
 	flipByte(t, manifest, -1)
 	_, err := Open(manifest)
@@ -82,7 +84,7 @@ func TestOpenRejectsManifestEntryCorruption(t *testing.T) {
 }
 
 func TestOpenRejectsUnsupportedManifestVersion(t *testing.T) {
-	manifest, _ := writeStore(t, false)
+	manifest, _ := writeStore(t)
 	flipByte(t, manifest, int64(len(manifestMagic))) // version field
 	_, err := Open(manifest)
 	if !errors.Is(err, ErrManifestVersion) {
@@ -94,7 +96,7 @@ func TestOpenManifestWithBadMagicFallsThroughToGallery(t *testing.T) {
 	// A manifest whose magic is destroyed is indistinguishable from an
 	// arbitrary non-gallery file: Open falls through to the single-file
 	// reader, which reports its typed bad-magic error.
-	manifest, _ := writeStore(t, false)
+	manifest, _ := writeStore(t)
 	flipByte(t, manifest, 0)
 	_, err := Open(manifest)
 	if !errors.Is(err, gallery.ErrBadMagic) {
@@ -106,7 +108,7 @@ func TestOpenManifestWithBadMagicFallsThroughToGallery(t *testing.T) {
 // typed partial failure and a store that still answers queries over the
 // surviving shards.
 func TestMissingShardDegradesToPartial(t *testing.T) {
-	manifest, g := writeStore(t, false)
+	manifest, g := writeStore(t)
 	victim := filepath.Join(filepath.Dir(manifest), shardFileName(manifest, 1))
 	if err := os.Remove(victim); err != nil {
 		t.Fatalf("Remove: %v", err)
@@ -129,31 +131,26 @@ func TestMissingShardDegradesToPartial(t *testing.T) {
 // file faults that shard only; every subject on a surviving shard
 // stays identifiable with exact scores.
 func TestCorruptShardDegradesToPartial(t *testing.T) {
-	for _, quantize := range []bool{false, true} {
-		manifest, g := writeStore(t, quantize)
-		victim := filepath.Join(filepath.Dir(manifest), shardFileName(manifest, 2))
-		// Flip a fingerprint byte mid-file: the record CRC (and the
-		// manifest's whole-file CRC) both catch it.
-		flipByte(t, victim, -20)
-		s, err := Open(manifest)
-		if !errors.Is(err, ErrPartial) || !errors.Is(err, ErrShardCorrupt) {
-			t.Fatalf("quantize=%v: Open = %v, want ErrPartial wrapping ErrShardCorrupt", quantize, err)
-		}
-		if !errors.Is(err, gallery.ErrChecksum) {
-			t.Fatalf("quantize=%v: Open = %v, want wrapped gallery.ErrChecksum", quantize, err)
-		}
-		if s.Quantized() != quantize {
-			t.Fatalf("quantize=%v: partial store quantized=%v", quantize, s.Quantized())
-		}
-		assertSurvivorsQueryable(t, s, g, 2)
+	manifest, g := writeStore(t)
+	victim := filepath.Join(filepath.Dir(manifest), shardFileName(manifest, 2))
+	// Flip a fingerprint byte mid-file: the record CRC (and the
+	// manifest's whole-file CRC) both catch it.
+	flipByte(t, victim, -20)
+	s, err := Open(manifest)
+	if !errors.Is(err, ErrPartial) || !errors.Is(err, ErrShardCorrupt) {
+		t.Fatalf("Open = %v, want ErrPartial wrapping ErrShardCorrupt", err)
 	}
+	if !errors.Is(err, gallery.ErrChecksum) {
+		t.Fatalf("Open = %v, want wrapped gallery.ErrChecksum", err)
+	}
+	assertSurvivorsQueryable(t, s, g, 2)
 }
 
 // TestDimsMismatchFlaggedNotRawError: replacing a shard with a valid
 // gallery of different dimensionality is diagnosed as a dims mismatch
 // (the satellite fix), not a checksum or decode error.
 func TestDimsMismatchFlaggedNotRawError(t *testing.T) {
-	manifest, g := writeStore(t, false)
+	manifest, g := writeStore(t)
 	impostor := buildGallery(t, 99, 24, 5) // 24 features, store has 16
 	victim := filepath.Join(filepath.Dir(manifest), shardFileName(manifest, 0))
 	if err := impostor.WriteFile(victim); err != nil {
@@ -197,7 +194,7 @@ func assertSurvivorsQueryable(t *testing.T, s *Store, g *gallery.Gallery, faulte
 			}
 			continue
 		}
-		top, err := s.TopKP(g.Fingerprint(i), 1, 1)
+		top, err := s.TopKCtx(context.Background(), g.Fingerprint(i), 1, 1)
 		if err != nil {
 			t.Fatalf("TopK(%q): %v", id, err)
 		}
@@ -210,5 +207,84 @@ func assertSurvivorsQueryable(t *testing.T, s *Store, g *gallery.Gallery, faulte
 	}
 	if s.Len() != g.Len()-lost {
 		t.Fatalf("degraded store Len() = %d, want %d", s.Len(), g.Len()-lost)
+	}
+}
+
+// TestManifestWithLegacyQuantTablesOpensExact pins the on-disk
+// compatibility rule for stores written with the removed -quantize
+// option (manifest flag bit 0 plus a 16·features-byte table block): the
+// manifest still opens, the tables are checksummed and discarded,
+// re-encoding drops the bit, and the store answers with float64 scores
+// bit-identical to the same store written without the flag. A table
+// block that is truncated or fails the header CRC is still rejected.
+func TestManifestWithLegacyQuantTablesOpensExact(t *testing.T) {
+	manifest, g := writeStore(t)
+	plain, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	legacy := withLegacyQuantTables(t, plain)
+	if len(legacy) != len(plain)+16*g.Features() {
+		t.Fatalf("legacy manifest is %d bytes, want %d", len(legacy), len(plain)+16*g.Features())
+	}
+	// Shard entries name files relative to the manifest's directory, so
+	// a second manifest beside the first describes the same shard files.
+	legacyPath := filepath.Join(filepath.Dir(manifest), "legacy.bpm")
+	write := func(buf []byte) {
+		t.Helper()
+		if err := os.WriteFile(legacyPath, buf, 0o644); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+	}
+
+	m, err := decodeManifest(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("decodeManifest(legacy): %v", err)
+	}
+	again, err := m.encode()
+	if err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	if !bytes.Equal(again, plain) {
+		t.Fatal("re-encoding a legacy manifest did not yield the unflagged manifest byte for byte")
+	}
+
+	write(legacy)
+	flagged, err := Open(legacyPath)
+	if err != nil {
+		t.Fatalf("Open(legacy): %v", err)
+	}
+	unflagged, err := Open(manifest)
+	if err != nil {
+		t.Fatalf("Open(plain): %v", err)
+	}
+	probes := randomGroup(82, g.Features(), 12)
+	for _, par := range []int{1, 0, 3} {
+		want, err := unflagged.QueryAllCtx(context.Background(), probes, 5, par)
+		if err != nil {
+			t.Fatalf("par=%d: unflagged QueryAll: %v", par, err)
+		}
+		got, err := flagged.QueryAllCtx(context.Background(), probes, 5, par)
+		if err != nil {
+			t.Fatalf("par=%d: legacy QueryAll: %v", par, err)
+		}
+		for j := range want {
+			for r := range want[j] {
+				if got[j][r] != want[j][r] {
+					t.Fatalf("par=%d probe %d rank %d: legacy %+v != unflagged %+v", par, j, r, got[j][r], want[j][r])
+				}
+			}
+		}
+	}
+
+	tables := len(manifestMagic) + 20 // no feature index: the block follows the fixed header
+	write(legacy[:tables+16*g.Features()/2])
+	if _, err := Open(legacyPath); !errors.Is(err, gallery.ErrTruncated) {
+		t.Fatalf("Open(truncated table block) = %v, want ErrTruncated", err)
+	}
+	write(legacy)
+	flipByte(t, legacyPath, int64(tables)+10)
+	if _, err := Open(legacyPath); !errors.Is(err, gallery.ErrChecksum) {
+		t.Fatalf("Open(corrupt table block) = %v, want ErrChecksum", err)
 	}
 }

@@ -26,11 +26,11 @@ import (
 //	  shards       uint32   shard count N (> 0)
 //	  features     uint32   fingerprint dimensionality (> 0)
 //	  indexLen     uint32   feature-index length (0 = none, else == features)
-//	  flags        uint32   bit 0: quantization parameters present
+//	  flags        uint32   bit 0: legacy quantization tables present
 //	                        bit 1: defense descriptor present
 //	  featureIndex [indexLen]uint32
-//	  scale        [features]float64   only when flag bit 0 is set
-//	  offset       [features]float64   only when flag bit 0 is set
+//	  quantTables  [2*features]float64 only when flag bit 0 is set
+//	                                   (legacy; read, checksummed, discarded)
 //	  defenseLen   uint32              only when flag bit 1 is set
 //	  defense      [defenseLen]byte    defense descriptor blob
 //	                                   (defense.EncodeDescriptor)
@@ -50,6 +50,13 @@ import (
 // for diagnosis: it lets `gallery info` flag a manifest↔shard dims
 // mismatch (a swapped or regenerated shard file) as such instead of
 // surfacing a raw decode error.
+//
+// Legacy read rule for flag bit 0: stores written with the removed
+// -quantize option carry a 16·features-byte table block (per-feature
+// int8 scale and offset). The decoder still bounds-checks the block and
+// covers it with the header CRC, then discards it — such a store opens
+// and answers with the same float64 scores as one written without the
+// flag. encode never sets the bit.
 const (
 	manifestMagic = "BPSHMAN\x00"
 
@@ -61,8 +68,9 @@ const (
 	// cannot drive an absurd allocation before its checksum is read.
 	maxShards = 1 << 16
 
-	// flagQuantized marks a manifest that carries int8 scalar
-	// quantization parameters (per-feature scale and offset).
+	// flagQuantized marks a manifest written with the removed -quantize
+	// option: a legacy table block follows the feature index (see the
+	// read rule above). Accepted on decode, never written.
 	flagQuantized = 1 << 0
 
 	// flagDefended marks a manifest that carries a defense descriptor —
@@ -98,9 +106,6 @@ var (
 	// ErrPartial means some shards failed to load while the rest remain
 	// queryable; match the concrete *PartialError for per-shard detail.
 	ErrPartial = errors.New("shard: some shards unavailable")
-	// ErrNoQuantization is returned by SetQuantized(true) on a store
-	// whose manifest carries no quantization parameters.
-	ErrNoQuantization = errors.New("shard: store has no quantization parameters")
 )
 
 // Meta is one shard's manifest entry.
@@ -119,29 +124,14 @@ type Meta struct {
 	CRC uint32
 }
 
-// Quant holds the int8 scalar-quantization parameters of a store:
-// feature f of a stored fingerprint x quantizes to
-// round((x - Offset[f]) / Scale[f]), clamped to [-127, 127], and
-// dequantizes to q·Scale[f] + Offset[f]. See DESIGN.md §6 for the
-// derivation and the rescore guarantee.
-type Quant struct {
-	// Scale is the per-feature quantization step (always > 0).
-	Scale []float64
-	// Offset is the per-feature range midpoint.
-	Offset []float64
-}
-
 // Manifest is the decoded shard manifest: the store-wide geometry, the
-// optional quantization parameters, and one Meta per shard.
+// optional defense descriptor, and one Meta per shard.
 type Manifest struct {
 	// Features is the fingerprint dimensionality shared by every shard.
 	Features int
 	// FeatureIndex is the raw-space projection (nil = none), shared by
 	// every shard.
 	FeatureIndex []int
-	// Quant holds the quantization parameters, nil when the store was
-	// built without -quantize.
-	Quant *Quant
 	// Defense is the anonymization pipeline the store's records were
 	// built through, nil for an undefended store.
 	Defense *defense.Descriptor
@@ -154,16 +144,13 @@ func (m *Manifest) encode() ([]byte, error) {
 	if len(m.Shards) == 0 || len(m.Shards) > maxShards {
 		return nil, fmt.Errorf("shard: implausible shard count %d", len(m.Shards))
 	}
-	buf := make([]byte, 0, 64+4*len(m.FeatureIndex)+16*m.Features)
+	buf := make([]byte, 0, 64+4*len(m.FeatureIndex))
 	buf = append(buf, manifestMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, ManifestVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Shards)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Features))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.FeatureIndex)))
 	var flags uint32
-	if m.Quant != nil {
-		flags |= flagQuantized
-	}
 	var defBlob []byte
 	if m.Defense != nil {
 		var err error
@@ -179,18 +166,6 @@ func (m *Manifest) encode() ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, flags)
 	for _, idx := range m.FeatureIndex {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(idx))
-	}
-	if m.Quant != nil {
-		if len(m.Quant.Scale) != m.Features || len(m.Quant.Offset) != m.Features {
-			return nil, fmt.Errorf("shard: quantization parameters cover %d/%d features, store has %d",
-				len(m.Quant.Scale), len(m.Quant.Offset), m.Features)
-		}
-		for _, s := range m.Quant.Scale {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
-		}
-		for _, o := range m.Quant.Offset {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(o))
-		}
 	}
 	if defBlob != nil {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(defBlob)))
@@ -247,6 +222,8 @@ func decodeManifest(r io.Reader) (*Manifest, error) {
 	if flags&^uint32(flagQuantized|flagDefended) != 0 {
 		return nil, fmt.Errorf("shard: unknown manifest flags %#x", flags)
 	}
+	// rest is the feature index plus, on a legacy quantized manifest, the
+	// table block: read (bounded) and checksummed, never interpreted.
 	quantLen := 0
 	if flags&flagQuantized != 0 {
 		quantLen = 16 * int(features)
@@ -290,23 +267,6 @@ func decodeManifest(r io.Reader) (*Manifest, error) {
 		for k := range m.FeatureIndex {
 			m.FeatureIndex[k] = int(binary.LittleEndian.Uint32(rest[4*k:]))
 		}
-	}
-	if flags&flagQuantized != 0 {
-		base := 4 * int(indexLen)
-		q := &Quant{Scale: make([]float64, features), Offset: make([]float64, features)}
-		for f := 0; f < int(features); f++ {
-			q.Scale[f] = math.Float64frombits(binary.LittleEndian.Uint64(rest[base+8*f:]))
-		}
-		base += 8 * int(features)
-		for f := 0; f < int(features); f++ {
-			q.Offset[f] = math.Float64frombits(binary.LittleEndian.Uint64(rest[base+8*f:]))
-		}
-		for f, s := range q.Scale {
-			if !(s > 0) || math.IsInf(s, 0) {
-				return nil, fmt.Errorf("shard: invalid quantization scale %v for feature %d", s, f)
-			}
-		}
-		m.Quant = q
 	}
 	if flags&flagDefended != 0 {
 		d, err := defense.DecodeDescriptor(defBlob)

@@ -2,32 +2,19 @@ package shard
 
 import (
 	"context"
-	"fmt"
 
 	"brainprint/internal/gallery"
 	"brainprint/internal/linalg"
-	"brainprint/internal/match"
-	"brainprint/internal/parallel"
-	"brainprint/internal/stats"
 )
 
 // The public query surface. Probes are validated, projected, and
-// z-scored here; the scan itself — per-shard unit planning, blocked
-// kernels, precision dispatch, bounded-heap selection, and the
+// z-scored by the shared gallery helpers; the scan itself — per-shard
+// unit planning, blocked kernels, bounded-heap selection, and the
 // tournament merge — lives in scan.go. Per-unit partial rankings merge
-// under a strict total order (score descending, subject ID ascending),
-// which makes the result independent of chunking, worker count, and
-// shard placement; see the package comment for the full determinism
-// argument.
-
-// better reports whether a outranks b: higher score first, ties broken
-// by the lexicographically smaller subject ID. Unlike the single-file
-// gallery's index tiebreak, the ID tiebreak is invariant under
-// resharding — enrollment indices change when records move between
-// shards, IDs never do.
-func better(a, b gallery.Candidate) bool {
-	return a.Score > b.Score || (a.Score == b.Score && a.ID < b.ID)
-}
+// under gallery.BetterByID (score descending, subject ID ascending), a
+// strict total order, which makes the result independent of chunking,
+// worker count, and shard placement; see the package comment for the
+// full determinism argument.
 
 // TopK ranks the k enrolled subjects most correlated with the probe,
 // best first, using the default worker count. The probe may be a
@@ -35,178 +22,59 @@ func better(a, b gallery.Candidate) bool {
 // store carries a feature index; it is projected and z-scored once,
 // never mutated. k larger than the store is clamped.
 func (s *Store) TopK(probe []float64, k int) ([]gallery.Candidate, error) {
-	return s.TopKP(probe, k, 0)
+	return s.TopKCtx(context.Background(), probe, k, 0)
 }
 
-// TopKP is TopK with an explicit parallelism knob (0 = all cores,
-// 1 = serial, n = n workers). Results are identical at any setting and
-// any shard count.
-func (s *Store) TopKP(probe []float64, k, parallelism int) ([]gallery.Candidate, error) {
-	return s.TopKCtx(context.Background(), probe, k, parallelism)
-}
-
-// TopKCtx is TopKP under a context: the sweep aborts between chunks
-// once ctx is cancelled and returns ctx.Err(). Scores are bit-identical
-// to the single-file gallery's TopK (and hence match.SimilarityMatrix)
-// whether or not the quantized scan path is active; the ranking itself
-// matches the single-file gallery's whenever scores are tie-free (on
-// an exact score tie the store orders by subject ID where the
-// single-file gallery orders by enrollment index — see better).
+// TopKCtx is TopK under a context and with an explicit parallelism knob
+// (0 = all cores, 1 = serial, n = n workers): the sweep aborts between
+// chunks once ctx is cancelled and returns ctx.Err(). Results are
+// identical at any setting and any shard count. Scores are bit-identical
+// to the single-file gallery's TopK (and hence match.SimilarityMatrix);
+// the ranking itself matches the single-file gallery's whenever scores
+// are tie-free (on an exact score tie the store orders by subject ID
+// where the single-file gallery orders by enrollment index — see
+// gallery.BetterByID).
 func (s *Store) TopKCtx(ctx context.Context, probe []float64, k, parallelism int) ([]gallery.Candidate, error) {
-	k, err := s.clampK(k)
+	k, err := gallery.ClampK(k, s.total)
 	if err != nil {
 		return nil, err
 	}
-	zp, err := s.project(probe)
+	zp, err := gallery.Normalize(probe, s.features, s.featureIndex)
 	if err != nil {
 		return nil, err
 	}
-	stats.ZScore(zp)
-	return s.topK(ctx, zp, k, parallelism)
+	return s.TopKZMasked(ctx, zp, k, parallelism, nil)
 }
 
 // QueryAll answers a batch of probes — the columns of a features×probes
-// matrix — returning one ranked top-k list per probe.
+// matrix — returning one ranked top-k list per probe, using the default
+// worker count.
 func (s *Store) QueryAll(probes *linalg.Matrix, k int) ([][]gallery.Candidate, error) {
-	return s.QueryAllP(probes, k, 0)
+	return s.QueryAllCtx(context.Background(), probes, k, 0)
 }
 
-// QueryAllP is QueryAll with an explicit parallelism knob. Probes are
-// z-scored once up front (the same match.ZScoreColumns path the dense
-// attack uses), then the batch fans out one probe per worker with a
-// serial inner sweep.
-func (s *Store) QueryAllP(probes *linalg.Matrix, k, parallelism int) ([][]gallery.Candidate, error) {
-	return s.QueryAllCtx(context.Background(), probes, k, parallelism)
-}
-
-// QueryAllCtx is QueryAllP under a context: the batch aborts between
-// probes once ctx is cancelled. Rankings are identical at any setting.
+// QueryAllCtx is QueryAll under a context and with an explicit
+// parallelism knob. Probes are z-scored once up front (the same
+// match.ZScoreColumns path the dense attack uses); the batch aborts
+// between scan units once ctx is cancelled. Rankings are identical at
+// any setting.
 func (s *Store) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, parallelism int) ([][]gallery.Candidate, error) {
-	k, err := s.clampK(k)
+	k, err := gallery.ClampK(k, s.total)
 	if err != nil {
 		return nil, err
 	}
-	zcols, err := s.prepProbes(probes, parallelism)
+	zcols, err := gallery.PrepProbes(probes, s.features, s.featureIndex, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	return s.queryAllZMasked(ctx, zcols, k, parallelism, nil)
+	return s.QueryAllZMasked(ctx, zcols, k, parallelism, nil)
 }
 
-// DenseSimilarity materializes the full store×probes similarity matrix,
-// rows in global index order — the exact fallback the Hungarian
-// assignment path consumes. Entries are bit-identical to the
-// single-file gallery's DenseSimilarity over the same subjects.
-func (s *Store) DenseSimilarity(probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
-	return s.DenseSimilarityCtx(context.Background(), probes, parallelism)
-}
-
-// DenseSimilarityCtx is DenseSimilarity under a context: the row sweep
-// aborts between chunks once ctx is cancelled. The dense path never
-// uses the quantized scan — it exists precisely to materialize exact
-// scores for every pair.
+// DenseSimilarityCtx materializes the full store×probes similarity
+// matrix, rows in global index order — the exact fallback the Hungarian
+// assignment path consumes. Entries are bit-identical to the single-file
+// gallery's DenseSimilarityCtx over the same subjects. The row sweep
+// aborts between chunks once ctx is cancelled.
 func (s *Store) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
-	if s.total == 0 {
-		return nil, fmt.Errorf("shard: empty store")
-	}
-	zcols, err := s.prepProbes(probes, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	n, m := s.total, len(zcols)
-	out := linalg.NewMatrix(n, m)
-	inv := 1 / float64(s.features)
-	err = parallel.ForCtx(ctx, parallelism, n, 1+4096/(s.features*m+1), func(lo, hi int) error {
-		si, li := s.locate(lo)
-		for gi := lo; gi < hi; gi++ {
-			for li >= s.galleries[si].Len() {
-				si, li = si+1, 0
-				for s.galleries[si] == nil {
-					si++
-				}
-			}
-			fp := s.galleries[si].Fingerprint(li)
-			orow := out.RowView(gi)
-			for j, zc := range zcols {
-				orow[j] = linalg.Dot(fp, zc) * inv
-			}
-			li++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// topK dispatches a z-scored, gallery-space probe to the active scan
-// path (scan.go) with no record mask.
-func (s *Store) topK(ctx context.Context, zp []float64, k, parallelism int) ([]gallery.Candidate, error) {
-	return s.topKZMasked(ctx, zp, k, parallelism, nil)
-}
-
-// clampK validates the store and k, clamping k to the store size.
-func (s *Store) clampK(k int) (int, error) {
-	if s.total == 0 {
-		return 0, fmt.Errorf("shard: empty store")
-	}
-	if k <= 0 {
-		return 0, fmt.Errorf("shard: k=%d must be positive", k)
-	}
-	return min(k, s.total), nil
-}
-
-// project copies a probe into gallery space: identity when it is
-// already gallery-sized, a gather through the feature index when the
-// store has one and the probe is a longer raw vector.
-func (s *Store) project(v []float64) ([]float64, error) {
-	if len(v) == s.features {
-		out := make([]float64, s.features)
-		copy(out, v)
-		return out, nil
-	}
-	if s.featureIndex == nil {
-		return nil, fmt.Errorf("%w: got %d features, store has %d", gallery.ErrDimMismatch, len(v), s.features)
-	}
-	out := make([]float64, s.features)
-	for k, idx := range s.featureIndex {
-		if idx < 0 || idx >= len(v) {
-			return nil, fmt.Errorf("%w: feature index %d outside raw vector of length %d", gallery.ErrDimMismatch, idx, len(v))
-		}
-		out[k] = v[idx]
-	}
-	return out, nil
-}
-
-// prepProbes converts a features×probes matrix into z-scored
-// gallery-space probe vectors, projecting through the feature index
-// when the probes are raw-space — the same normalization pipeline the
-// single-file gallery and the dense attack use, so batch scores stay
-// bit-identical.
-func (s *Store) prepProbes(probes *linalg.Matrix, parallelism int) ([][]float64, error) {
-	f, m := probes.Dims()
-	if m == 0 {
-		return nil, fmt.Errorf("shard: no probe columns")
-	}
-	gal := probes
-	if f != s.features {
-		if s.featureIndex == nil {
-			return nil, fmt.Errorf("%w: probes have %d features, store has %d", gallery.ErrDimMismatch, f, s.features)
-		}
-		for _, idx := range s.featureIndex {
-			if idx < 0 || idx >= f {
-				return nil, fmt.Errorf("%w: feature index %d outside raw probes with %d features", gallery.ErrDimMismatch, idx, f)
-			}
-		}
-		gal = probes.SelectRows(s.featureIndex)
-	}
-	z := match.ZScoreColumns(gal, parallelism)
-	cols := make([][]float64, m)
-	parallel.ForWith(parallelism, m, 1+1024/s.features, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			cols[j] = z.Col(j)
-		}
-	})
-	return cols, nil
+	return gallery.DenseSimilarity(ctx, probes, s.total, s.features, s.featureIndex, s.Fingerprint, parallelism)
 }

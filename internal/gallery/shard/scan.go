@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"brainprint/internal/gallery"
-	"brainprint/internal/linalg"
 	"brainprint/internal/parallel"
 )
 
@@ -64,39 +63,28 @@ func planUnits(galleries []*gallery.Gallery, features int) []scanUnit {
 // TopKZMasked ranks the top k subjects for a probe that is ALREADY in
 // gallery space and z-scored, excluding every global index gi with
 // skip[gi] true. skip must be nil (no exclusions) or have length
-// Len(). It exists for the live engine, which scans its immutable base
-// store through the blocked kernels while masking tombstoned records;
-// ordinary callers should use TopKCtx, which normalizes the probe
-// first. Scores and ranking follow the same contract as TopKCtx, and k
-// is the caller's responsibility to clamp (at most the number of
+// Len(). It is the scan behind TopKCtx, exported for the live engine,
+// which scans its immutable base store through the blocked kernels
+// while masking tombstoned records. With an index loaded and nprobe > 0
+// only the probed cells are scanned (ann.go); otherwise every record is.
+// k is the caller's responsibility to clamp (at most the number of
 // unmasked records).
 func (s *Store) TopKZMasked(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
-	return s.topKZMasked(ctx, zp, k, parallelism, skip)
-}
-
-// QueryAllZMasked is TopKZMasked over a batch of z-scored gallery-space
-// probes, one ranked list per probe, scanned through the batched
-// kernels.
-func (s *Store) QueryAllZMasked(ctx context.Context, zps [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
-	return s.queryAllZMasked(ctx, zps, k, parallelism, skip)
-}
-
-// topKZMasked is the precision dispatcher shared by the public query
-// surface and the live engine's masked base scan: zp must already be a
-// z-scored gallery-space probe; skip (nil for none) excludes global
-// indices from the result.
-func (s *Store) topKZMasked(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
 	if s.ann != nil && s.nprobe > 0 {
 		return s.topKANN(ctx, zp, k, parallelism, skip)
 	}
-	switch s.prec {
-	case gallery.ScanInt8:
-		return s.topKQuant(ctx, zp, k, parallelism, skip)
-	case gallery.ScanFloat32:
-		return s.topKF32(ctx, zp, k, parallelism, skip)
-	default:
-		return s.topKExact(ctx, zp, k, parallelism, skip)
+	return s.topKExact(ctx, zp, k, parallelism, skip)
+}
+
+// QueryAllZMasked is TopKZMasked over a batch of z-scored gallery-space
+// probes, one ranked list per probe. The exact sweep scans each unit
+// once for the whole batch through the probe-tiled kernels (one pass
+// over the records per probe pair instead of one pass per probe).
+func (s *Store) QueryAllZMasked(ctx context.Context, zcols [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
+	if s.ann != nil && s.nprobe > 0 {
+		return s.queryAllANN(ctx, zcols, k, parallelism, skip)
 	}
+	return s.queryAllExact(ctx, zcols, k, parallelism, skip)
 }
 
 // serialScan reports whether the sweep should bypass the worker
@@ -125,11 +113,11 @@ func forUnits[T any](ctx context.Context, s *Store, parallelism int, fn func(u s
 }
 
 // newRankers returns n independent bounded rankers of capacity k under
-// the shard tiebreak order, as values in one allocation.
+// the subject-ID tiebreak order, as values in one allocation.
 func newRankers(n, k int) []gallery.Ranker {
 	rs := make([]gallery.Ranker, n)
 	for i := range rs {
-		rs[i] = *gallery.NewRanker(k, better)
+		rs[i] = *gallery.NewRanker(k, gallery.BetterByID)
 	}
 	return rs
 }
@@ -143,7 +131,7 @@ func rankedAll(rs []gallery.Ranker) [][]gallery.Candidate {
 	return out
 }
 
-// topKExact is the full-precision sweep: every record is scored through
+// topKExact is the full sweep: every record is scored through
 // the blocked 4-lane kernel with the identical linalg.Dot(fp, zp)/F
 // expression (bit for bit) the single-file gallery and
 // match.SimilarityMatrix use, selected by bounded heap — one shared
@@ -155,7 +143,7 @@ func (s *Store) topKExact(ctx context.Context, zp []float64, k, parallelism int,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r := gallery.NewRanker(k, better)
+		r := gallery.NewRanker(k, gallery.BetterByID)
 		dots := make([]float64, scanStripeRecords)
 		for _, u := range s.units {
 			if err := ctx.Err(); err != nil {
@@ -166,14 +154,14 @@ func (s *Store) topKExact(ctx context.Context, zp []float64, k, parallelism int,
 		return r.Ranked(), nil
 	}
 	partials, err := forUnits(ctx, s, parallelism, func(u scanUnit) []gallery.Candidate {
-		r := gallery.NewRanker(k, better)
+		r := gallery.NewRanker(k, gallery.BetterByID)
 		s.scanUnitExactInto(u, zp, inv, r, make([]float64, scanStripeRecords), skip)
 		return r.Ranked()
 	})
 	if err != nil {
 		return nil, err
 	}
-	return gallery.RankMergeLists(partials, k, better), nil
+	return gallery.RankMergeLists(partials, k, gallery.BetterByID), nil
 }
 
 // scanUnitExactInto scores one unit against one probe, offering every
@@ -202,7 +190,7 @@ func (s *Store) scanUnitExactInto(u scanUnit, zp []float64, inv float64, r *gall
 				continue
 			}
 			c := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-			if full && !better(c, thr) {
+			if full && !gallery.BetterByID(c, thr) {
 				continue
 			}
 			r.Offer(c)
@@ -211,179 +199,7 @@ func (s *Store) scanUnitExactInto(u scanUnit, zp []float64, inv float64, r *gall
 	}
 }
 
-// topKF32 is the reduced-precision sweep: a float32 scan of the blocked
-// layout (half the memory traffic of exact) selects rescoreDepth(k)
-// candidates, which are rescored with the exact float64 expression and
-// re-ranked — so returned scores are bit-identical to the exact path,
-// and only candidate SELECTION sees float32 arithmetic. The selection
-// itself is deterministic (float32 scores are exact IEEE results,
-// ranked under a strict total order), so the pool — and therefore the
-// final ranking — is still independent of parallelism and sharding.
-func (s *Store) topKF32(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
-	zp32 := gallery.ToF32(zp)
-	inv := 1 / float64(s.features)
-	depth := rescoreDepth(k, s.total)
-	if serialScan(parallelism) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := gallery.NewRanker(depth, better)
-		dots := make([]float32, scanStripeRecords)
-		for _, u := range s.units {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			s.scanUnitF32Into(u, zp32, inv, r, dots, skip)
-		}
-		return s.rescore(r.Ranked(), zp, k), nil
-	}
-	partials, err := forUnits(ctx, s, parallelism, func(u scanUnit) []gallery.Candidate {
-		r := gallery.NewRanker(depth, better)
-		s.scanUnitF32Into(u, zp32, inv, r, make([]float32, scanStripeRecords), skip)
-		return r.Ranked()
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool := gallery.RankMergeLists(partials, depth, better)
-	return s.rescore(pool, zp, k), nil
-}
-
-// scanUnitF32Into scores one unit against one float32 probe, offering
-// every threshold-passing record to r (a depth-bounded heap). dots is
-// caller scratch of at least scanStripeRecords float32s.
-func (s *Store) scanUnitF32Into(u scanUnit, zp32 []float32, inv float64, r *gallery.Ranker, dots []float32, skip []bool) {
-	g := s.galleries[u.si]
-	bk := g.Blocked()
-	base := s.bases[u.si]
-	for slo := u.lo; slo < u.hi; slo += scanStripeRecords {
-		shi := min(slo+scanStripeRecords, u.hi)
-		d := dots[:lanesUp(shi-slo)]
-		clear(d)
-		bk.DotsF32(slo, shi, zp32, d)
-		thr, full := r.Threshold()
-		for i := slo; i < shi; i++ {
-			if skip != nil && skip[base+i] {
-				continue
-			}
-			sc := float64(d[i-slo]) * inv
-			if full && sc < thr.Score {
-				continue
-			}
-			c := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-			if full && !better(c, thr) {
-				continue
-			}
-			r.Offer(c)
-			thr, full = r.Threshold()
-		}
-	}
-}
-
-// rescore replaces each pool candidate's (approximate) score with the
-// exact float64 expression and returns the top k of the pool under the
-// exact scores. The pool came from a deterministic approximate
-// selection, so the result is deterministic too.
-func (s *Store) rescore(pool []gallery.Candidate, zp []float64, k int) []gallery.Candidate {
-	inv := 1 / float64(s.features)
-	r := gallery.NewRanker(min(k, len(pool)), better)
-	for _, c := range pool {
-		c.Score = linalg.Dot(s.Fingerprint(c.Index), zp) * inv
-		r.Offer(c)
-	}
-	return r.Ranked()
-}
-
-// topKQuant is the int8 two-phase sweep (see quant.go for the scheme):
-// the approximate scan walks per-shard units like the exact path — no
-// per-record locate() — then rescores exactly.
-func (s *Store) topKQuant(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
-	scaled, offsetDot, pnorm := s.quant.probeQuantTerms(zp)
-	depth := rescoreDepth(k, s.total)
-	if serialScan(parallelism) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := gallery.NewRanker(depth, better)
-		for _, u := range s.units {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			s.scanUnitQuantInto(u, scaled, offsetDot, pnorm, r, skip)
-		}
-		return s.rescore(r.Ranked(), zp, k), nil
-	}
-	partials, err := forUnits(ctx, s, parallelism, func(u scanUnit) []gallery.Candidate {
-		r := gallery.NewRanker(depth, better)
-		s.scanUnitQuantInto(u, scaled, offsetDot, pnorm, r, skip)
-		return r.Ranked()
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool := gallery.RankMergeLists(partials, depth, better)
-	return s.rescore(pool, zp, k), nil
-}
-
-// scanUnitQuantInto scores one unit's int8 vectors against the
-// precomputed probe terms, offering every threshold-passing record to
-// r (a depth-bounded heap of approximate cosines).
-func (s *Store) scanUnitQuantInto(u scanUnit, scaled []float64, offsetDot, pnorm float64, r *gallery.Ranker, skip []bool) {
-	g := s.galleries[u.si]
-	base := s.bases[u.si]
-	qv, qn := s.qvecs[u.si], s.qnorms[u.si]
-	thr, full := r.Threshold()
-	for i := u.lo; i < u.hi; i++ {
-		if skip != nil && skip[base+i] {
-			continue
-		}
-		sc := approxScore(qv[i*s.features:(i+1)*s.features], scaled, offsetDot, qn[i], pnorm)
-		if full && sc < thr.Score {
-			continue
-		}
-		c := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-		if full && !better(c, thr) {
-			continue
-		}
-		r.Offer(c)
-		thr, full = r.Threshold()
-	}
-}
-
-// queryAllZMasked is the batch dispatcher over z-scored gallery-space
-// probes: the exact and float32 paths scan each unit once for the whole
-// batch through the probe-tiled kernels (one pass over the records per
-// probe pair instead of one pass per probe); the int8 path fans out
-// per probe, whose precomputed probe terms don't batch.
-func (s *Store) queryAllZMasked(ctx context.Context, zcols [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
-	if s.ann != nil && s.nprobe > 0 {
-		return s.queryAllANN(ctx, zcols, k, parallelism, skip)
-	}
-	switch s.prec {
-	case gallery.ScanInt8:
-		out := make([][]gallery.Candidate, len(zcols))
-		err := parallel.ForCtx(ctx, parallelism, len(zcols), 1, func(lo, hi int) error {
-			for j := lo; j < hi; j++ {
-				top, err := s.topKQuant(ctx, zcols[j], k, 1, skip)
-				if err != nil {
-					return err
-				}
-				out[j] = top
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	case gallery.ScanFloat32:
-		return s.queryAllF32(ctx, zcols, k, parallelism, skip)
-	default:
-		return s.queryAllExact(ctx, zcols, k, parallelism, skip)
-	}
-}
-
-// queryAllExact is the batched full-precision sweep: each unit streams
+// queryAllExact is the batched full sweep: each unit streams
 // once through the probe-tiled batch kernel for every probe. Serial,
 // the whole sweep shares one ranker per probe and one dot buffer;
 // under workers, per-probe unit rankings merge by tournament.
@@ -449,101 +265,7 @@ func (s *Store) scanUnitExactBatchInto(u scanUnit, zps [][]float64, inv float64,
 					continue
 				}
 				c := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-				if full && !better(c, thr) {
-					continue
-				}
-				r.Offer(c)
-				thr, full = r.Threshold()
-			}
-		}
-	}
-}
-
-// queryAllF32 is the batched reduced-precision sweep: a float32 batch
-// scan selects a rescoreDepth(k) pool per probe, then each pool is
-// rescored exactly.
-func (s *Store) queryAllF32(ctx context.Context, zcols [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
-	inv := 1 / float64(s.features)
-	depth := rescoreDepth(k, s.total)
-	zp32s := make([][]float32, len(zcols))
-	for p, zp := range zcols {
-		zp32s[p] = gallery.ToF32(zp)
-	}
-	if serialScan(parallelism) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rankers := newRankers(len(zcols), depth)
-		outs := make([][]float32, len(zcols))
-		buf := make([]float32, len(zcols)*scanBatchRecords)
-		for _, u := range s.units {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			s.scanUnitF32BatchInto(u, zp32s, inv, rankers, outs, buf, skip)
-		}
-		out := make([][]gallery.Candidate, len(zcols))
-		for j := range rankers {
-			out[j] = s.rescore(rankers[j].Ranked(), zcols[j], k)
-		}
-		return out, nil
-	}
-	partials, err := forUnits(ctx, s, parallelism, func(u scanUnit) [][]gallery.Candidate {
-		rankers := newRankers(len(zp32s), depth)
-		outs := make([][]float32, len(zp32s))
-		buf := make([]float32, len(zp32s)*min(scanBatchRecords, lanesUp(u.hi-u.lo)))
-		s.scanUnitF32BatchInto(u, zp32s, inv, rankers, outs, buf, skip)
-		return rankedAll(rankers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	pools := mergeBatch(partials, len(zcols), depth)
-	out := make([][]gallery.Candidate, len(zcols))
-	err = parallel.ForCtx(ctx, parallelism, len(zcols), 1, func(lo, hi int) error {
-		for j := lo; j < hi; j++ {
-			out[j] = s.rescore(pools[j], zcols[j], k)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// scanUnitF32BatchInto scores one unit against every float32 probe,
-// offering threshold-passers to the per-probe depth-bounded rankers.
-// outs and buf are caller scratch, reusable across units.
-func (s *Store) scanUnitF32BatchInto(u scanUnit, zp32s [][]float32, inv float64, rankers []gallery.Ranker, outs [][]float32, buf []float32, skip []bool) {
-	g := s.galleries[u.si]
-	bk := g.Blocked()
-	base := s.bases[u.si]
-	stripe := min(scanBatchRecords, lanesUp(u.hi-u.lo))
-	for p := range outs {
-		outs[p] = buf[p*stripe : (p+1)*stripe]
-	}
-	for slo := u.lo; slo < u.hi; slo += stripe {
-		shi := min(slo+stripe, u.hi)
-		nd := lanesUp(shi - slo)
-		for p := range outs {
-			clear(outs[p][:nd])
-		}
-		bk.DotsF32Batch(slo, shi, zp32s, outs)
-		for p := range rankers {
-			r := &rankers[p]
-			d := outs[p]
-			thr, full := r.Threshold()
-			for i := slo; i < shi; i++ {
-				if skip != nil && skip[base+i] {
-					continue
-				}
-				sc := float64(d[i-slo]) * inv
-				if full && sc < thr.Score {
-					continue
-				}
-				c := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-				if full && !better(c, thr) {
+				if full && !gallery.BetterByID(c, thr) {
 					continue
 				}
 				r.Offer(c)
@@ -562,7 +284,7 @@ func mergeBatch(partials [][][]gallery.Candidate, probes, k int) [][]gallery.Can
 		for u := range partials {
 			lists[u] = partials[u][p]
 		}
-		out[p] = gallery.RankMergeLists(lists, k, better)
+		out[p] = gallery.RankMergeLists(lists, k, gallery.BetterByID)
 	}
 	return out
 }

@@ -3,7 +3,7 @@
 // the per-shard codec, checksums, and tooling are reused wholesale —
 // routed by a stable hash of the subject ID, describes the set in a
 // checksummed manifest (manifest.go), and answers the same TopK /
-// QueryAll / DenseSimilarity queries as a single-file gallery by
+// QueryAll / DenseSimilarityCtx queries as a single-file gallery by
 // fanning out across shards and merging per-shard rankings
 // deterministically (query.go).
 //
@@ -12,10 +12,9 @@
 // neither fits one append-only file comfortably nor scans fast enough
 // in one pass. Sharding bounds per-file blast radius (a corrupt shard
 // leaves the others queryable — Open degrades with a typed
-// *PartialError), parallelizes the scan across the full store, and the
-// opt-in int8 scalar-quantized scan path (quant.go) cuts scan memory
-// traffic 8× while an exact float64 rescore of the top candidates keeps
-// returned scores bit-identical to match.SimilarityMatrix.
+// *PartialError) and parallelizes the scan across the full store. Every
+// scan is float64, so returned scores are bit-identical to
+// match.SimilarityMatrix.
 //
 // Determinism contract: results are bit-identical at any parallelism
 // AND any shard count. Per-subject scores never depend on shard
@@ -45,15 +44,12 @@ import (
 // manifest geometry. Subjects are enumerated shard-major (all of shard
 // 0 in enrollment order, then shard 1, …) over the loaded shards; that
 // enumeration is the canonical Candidate.Index space. A Store is
-// read-only after construction apart from SetPrecision (and its
-// SetQuantized wrapper), which must not race with queries; concurrent
-// queries are safe.
+// read-only after construction apart from the ANN setters (ann.go),
+// which must not race with queries; concurrent queries are safe.
 type Store struct {
 	features     int
 	featureIndex []int
-	quant        *Quant
 	defense      *defense.Descriptor
-	prec         gallery.ScanPrecision
 	manifest     bool
 
 	// galleries[i] is the loaded gallery of shard i, nil when the shard
@@ -71,11 +67,6 @@ type Store struct {
 	// computed once at construction.
 	units []scanUnit
 
-	// qvecs[i]/qnorms[i] are shard i's int8-quantized fingerprints and
-	// cached dequantized norms, built lazily by SetPrecision(ScanInt8).
-	qvecs  [][]int8
-	qnorms [][]float64
-
 	// ann is the loaded IVF coarse index, nil when none; nprobe is the
 	// active cell fan-out (0 = exact scan). See ann.go.
 	ann    *ivf.Index
@@ -83,7 +74,6 @@ type Store struct {
 }
 
 var _ gallery.Engine = (*Store)(nil)
-var _ gallery.PrecisionSetter = (*Store)(nil)
 var _ gallery.ANNSetter = (*Store)(nil)
 
 // Fault describes one shard that failed to load.
@@ -141,10 +131,16 @@ func RouteID(id string, shards int) int {
 // FromGallery splits an in-memory gallery into a sharded store with the
 // given shard count, routing each enrolled subject by RouteID. Stored
 // fingerprints move verbatim (no renormalization), so per-subject
-// scores are bit-identical to the source gallery's. With quantize set,
-// int8 scalar-quantization parameters are derived from the enrolled
-// population and the quantized scan path is enabled.
+// scores are bit-identical to the source gallery's.
+//
+// quantize is vestigial: the int8 scan it used to enable is gone, so
+// true is refused with an error naming the removal. The parameter
+// survives only because the frozen bench module calls
+// FromGallery(g, n, false); a later benchmark-archetype PR drops it.
 func FromGallery(g *gallery.Gallery, shards int, quantize bool) (*Store, error) {
+	if quantize {
+		return nil, fmt.Errorf("shard: the int8 quantized scan was removed (every scan is float64); pass quantize=false")
+	}
 	if shards <= 0 || shards > maxShards {
 		return nil, fmt.Errorf("shard: shard count %d out of range [1, %d]", shards, maxShards)
 	}
@@ -170,12 +166,6 @@ func FromGallery(g *gallery.Gallery, shards int, quantize bool) (*Store, error) 
 	}
 	s := newStore(g.Features(), g.FeatureIndex(), parts, meta, nil)
 	s.manifest = true
-	if quantize {
-		s.quant = deriveQuant(parts, g.Features())
-		if err := s.SetQuantized(true); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
@@ -240,7 +230,6 @@ func (s *Store) WriteFiles(manifestPath string) error {
 	m := &Manifest{
 		Features:     s.features,
 		FeatureIndex: s.featureIndex,
-		Quant:        s.quant,
 		Defense:      s.defense,
 		Shards:       make([]Meta, len(s.galleries)),
 	}
@@ -332,13 +321,7 @@ func openShards(m *Manifest, dir string) (*Store, error) {
 	}
 	s := newStore(m.Features, m.FeatureIndex, galleries, m.Shards, faults)
 	s.manifest = true
-	s.quant = m.Quant
 	s.defense = m.Defense
-	if s.quant != nil {
-		if err := s.SetQuantized(true); err != nil {
-			return nil, err
-		}
-	}
 	if len(faults) > 0 {
 		return s, &PartialError{Faults: faults}
 	}
@@ -482,54 +465,6 @@ func (s *Store) Defense() *defense.Descriptor { return s.defense }
 // live engine's compaction, `gallery defend`) applies defense.Apply to
 // the snapshot before sharding it.
 func (s *Store) SetDefense(d *defense.Descriptor) { s.defense = d }
-
-// Quantized reports whether the int8 quantized scan path is active —
-// equivalent to Precision() == gallery.ScanInt8.
-func (s *Store) Quantized() bool { return s.prec == gallery.ScanInt8 }
-
-// HasQuant reports whether the store carries quantization parameters
-// (whether or not the quantized scan is currently enabled).
-func (s *Store) HasQuant() bool { return s.quant != nil }
-
-// SetQuantized toggles the int8 quantized scan path — a compatibility
-// wrapper over SetPrecision: on selects gallery.ScanInt8, off returns
-// to gallery.ScanFloat64. Not safe to call concurrently with queries.
-func (s *Store) SetQuantized(on bool) error {
-	if on {
-		return s.SetPrecision(gallery.ScanInt8)
-	}
-	return s.SetPrecision(gallery.ScanFloat64)
-}
-
-// SetPrecision selects the scan arithmetic (gallery.PrecisionSetter).
-// ScanFloat32 builds the float32 layout image on first use; ScanInt8
-// requires stored quantization parameters (ErrNoQuantization otherwise)
-// and builds the int8 vectors on first use. Whatever the precision,
-// returned scores are exact: the reduced-precision paths rescore their
-// top candidates with the full-precision vectors. Not safe to call
-// concurrently with queries.
-func (s *Store) SetPrecision(p gallery.ScanPrecision) error {
-	switch p {
-	case gallery.ScanInt8:
-		if s.quant == nil {
-			return ErrNoQuantization
-		}
-		if s.qvecs == nil {
-			s.buildQuantized()
-		}
-	case gallery.ScanFloat32:
-		for _, g := range s.galleries {
-			if g != nil {
-				g.Blocked().EnsureF32()
-			}
-		}
-	}
-	s.prec = p
-	return nil
-}
-
-// Precision reports the active scan arithmetic.
-func (s *Store) Precision() gallery.ScanPrecision { return s.prec }
 
 // locate maps a global index to (shard, local index) over the loaded
 // shards.

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"brainprint/internal/gallery"
@@ -102,47 +104,45 @@ func TestFromGalleryPartitionsEverySubject(t *testing.T) {
 
 func TestWriteOpenRoundTrip(t *testing.T) {
 	g := buildGallery(t, 2, 16, 60)
-	for _, quantize := range []bool{false, true} {
-		for _, shards := range []int{1, 3, 5} {
-			name := fmt.Sprintf("shards=%d,quantize=%v", shards, quantize)
-			src, err := FromGallery(g, shards, quantize)
-			if err != nil {
-				t.Fatalf("%s: FromGallery: %v", name, err)
+	for _, shards := range []int{1, 3, 5} {
+		name := fmt.Sprintf("shards=%d", shards)
+		src, err := FromGallery(g, shards, false)
+		if err != nil {
+			t.Fatalf("%s: FromGallery: %v", name, err)
+		}
+		dir := t.TempDir()
+		manifest := filepath.Join(dir, "g.bpm")
+		if err := src.WriteFiles(manifest); err != nil {
+			t.Fatalf("%s: WriteFiles: %v", name, err)
+		}
+		s, err := Open(manifest)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", name, err)
+		}
+		if s.Len() != g.Len() || s.Shards() != shards {
+			t.Fatalf("%s: reopened store: len=%d shards=%d", name, s.Len(), s.Shards())
+		}
+		// Reopened rankings must match the in-memory store's bit for bit.
+		probe := randomGroup(9, 16, 1).Col(0)
+		want, err := src.TopKCtx(context.Background(), probe, 7, 1)
+		if err != nil {
+			t.Fatalf("%s: TopK (source): %v", name, err)
+		}
+		got, err := s.TopKCtx(context.Background(), probe, 7, 1)
+		if err != nil {
+			t.Fatalf("%s: TopK (reopened): %v", name, err)
+		}
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("%s: rank %d: reopened %+v != source %+v", name, r, got[r], want[r])
 			}
-			dir := t.TempDir()
-			manifest := filepath.Join(dir, "g.bpm")
-			if err := src.WriteFiles(manifest); err != nil {
-				t.Fatalf("%s: WriteFiles: %v", name, err)
+		}
+		for _, st := range s.Stats() {
+			if !st.Loaded || st.Err != nil {
+				t.Fatalf("%s: healthy store reports fault: %+v", name, st)
 			}
-			s, err := Open(manifest)
-			if err != nil {
-				t.Fatalf("%s: Open: %v", name, err)
-			}
-			if s.Len() != g.Len() || s.Shards() != shards || s.Quantized() != quantize {
-				t.Fatalf("%s: reopened store: len=%d shards=%d quant=%v", name, s.Len(), s.Shards(), s.Quantized())
-			}
-			// Reopened rankings must match the in-memory store's bit for bit.
-			probe := randomGroup(9, 16, 1).Col(0)
-			want, err := src.TopKP(probe, 7, 1)
-			if err != nil {
-				t.Fatalf("%s: TopK (source): %v", name, err)
-			}
-			got, err := s.TopKP(probe, 7, 1)
-			if err != nil {
-				t.Fatalf("%s: TopK (reopened): %v", name, err)
-			}
-			for r := range want {
-				if got[r] != want[r] {
-					t.Fatalf("%s: rank %d: reopened %+v != source %+v", name, r, got[r], want[r])
-				}
-			}
-			for _, st := range s.Stats() {
-				if !st.Loaded || st.Err != nil {
-					t.Fatalf("%s: healthy store reports fault: %+v", name, st)
-				}
-				if st.Meta.Features != 16 {
-					t.Fatalf("%s: entry features = %d", name, st.Meta.Features)
-				}
+			if st.Meta.Features != 16 {
+				t.Fatalf("%s: entry features = %d", name, st.Meta.Features)
 			}
 		}
 	}
@@ -160,8 +160,8 @@ func TestOpenWrapsSingleFileGallery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if s.Shards() != 1 || s.Len() != g.Len() || s.HasQuant() {
-		t.Fatalf("wrapped store: shards=%d len=%d quant=%v", s.Shards(), s.Len(), s.HasQuant())
+	if s.Shards() != 1 || s.Len() != g.Len() {
+		t.Fatalf("wrapped store: shards=%d len=%d", s.Shards(), s.Len())
 	}
 	for i, id := range g.IDs() {
 		if s.ID(i) != id || s.Index(id) != i {
@@ -177,7 +177,7 @@ func TestFeatureIndexSurvivesShardingAndReload(t *testing.T) {
 	if err := g.EnrollMatrix(subjectIDs(30), raw); err != nil {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
-	src, err := FromGallery(g, 3, true)
+	src, err := FromGallery(g, 3, false)
 	if err != nil {
 		t.Fatalf("FromGallery: %v", err)
 	}
@@ -200,37 +200,19 @@ func TestFeatureIndexSurvivesShardingAndReload(t *testing.T) {
 	}
 	// Raw-space probes must project server-side, exactly like the
 	// single-file gallery.
-	want, err := g.TopKP(raw.Col(7), 3, 1)
+	want, err := g.TopKCtx(context.Background(), raw.Col(7), 3, 1)
 	if err != nil {
 		t.Fatalf("gallery TopK: %v", err)
 	}
-	for _, quant := range []bool{false, true} {
-		if err := s.SetQuantized(quant); err != nil {
-			t.Fatalf("SetQuantized(%v): %v", quant, err)
-		}
-		top, err := s.TopKP(raw.Col(7), 3, 1)
-		if err != nil {
-			t.Fatalf("store TopK (quant=%v): %v", quant, err)
-		}
-		for r := range want {
-			if top[r].ID != want[r].ID || top[r].Score != want[r].Score {
-				t.Fatalf("quant=%v rank %d: store (%s, %v) != gallery (%s, %v)",
-					quant, r, top[r].ID, top[r].Score, want[r].ID, want[r].Score)
-			}
-		}
-	}
-}
-
-func TestSetQuantizedWithoutParams(t *testing.T) {
-	s, err := FromGallery(buildGallery(t, 5, 8, 10), 2, false)
+	top, err := s.TopKCtx(context.Background(), raw.Col(7), 3, 1)
 	if err != nil {
-		t.Fatalf("FromGallery: %v", err)
+		t.Fatalf("store TopK: %v", err)
 	}
-	if err := s.SetQuantized(true); err != ErrNoQuantization {
-		t.Fatalf("SetQuantized(true) = %v, want ErrNoQuantization", err)
-	}
-	if err := s.SetQuantized(false); err != nil {
-		t.Fatalf("SetQuantized(false) = %v", err)
+	for r := range want {
+		if top[r].ID != want[r].ID || top[r].Score != want[r].Score {
+			t.Fatalf("rank %d: store (%s, %v) != gallery (%s, %v)",
+				r, top[r].ID, top[r].Score, want[r].ID, want[r].Score)
+		}
 	}
 }
 
@@ -241,5 +223,9 @@ func TestFromGalleryRejectsBadInput(t *testing.T) {
 	}
 	if _, err := FromGallery(gallery.New(8), 2, false); err == nil {
 		t.Fatal("FromGallery(empty gallery) succeeded")
+	}
+	// The vestigial quantize argument is refused, naming the removal.
+	if _, err := FromGallery(g, 2, true); err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Fatalf("FromGallery(quantize=true) = %v, want the removal error", err)
 	}
 }

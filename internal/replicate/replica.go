@@ -108,7 +108,7 @@ const upstreamFile = "UPSTREAM"
 
 // Replica is a read-only follower of a remote primary: a local live
 // engine kept in sync by tailing the primary's write-ahead-log stream.
-// It implements gallery.Engine (plus the precision and ANN knobs), so
+// It implements gallery.Engine (plus the ANN knob), so
 // it drops into an attacker session and the HTTP service exactly like
 // a local store; writes are refused upstream of it (the serve layer
 // answers 405, because a replica session carries no mutable gallery).
@@ -484,21 +484,15 @@ func (r *Replica) bootstrap(ctx context.Context) (*live.Engine, int, error) {
 // rebootstrap replaces the local state with a fresh snapshot while the
 // superseded engine keeps serving queries: its records live in memory
 // and its log handle survives the unlink, so reads never block on the
-// download. The swap carries the scan precision and ANN fan-out over.
+// download. The swap carries the ANN fan-out over.
 func (r *Replica) rebootstrap(ctx context.Context) error {
 	r.mu.RLock()
 	old := r.eng
 	r.mu.RUnlock()
-	prec := old.Precision()
 	nprobe := old.ANNProbe()
 	eng, gen, err := r.bootstrap(ctx)
 	if err != nil {
 		return err
-	}
-	if prec != gallery.ScanFloat64 {
-		if serr := eng.SetPrecision(prec); serr != nil {
-			r.opts.Logf("replica: re-applying scan precision after re-bootstrap: %v", serr)
-		}
 	}
 	if nprobe > 0 {
 		if serr := eng.SetANNProbe(nprobe); serr != nil {
@@ -674,13 +668,6 @@ func (r *Replica) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix,
 	return r.Engine().DenseSimilarityCtx(ctx, probes, parallelism)
 }
 
-// SetPrecision selects the local base scan precision (see the live
-// engine; scores stay bit-identical).
-func (r *Replica) SetPrecision(p gallery.ScanPrecision) error { return r.Engine().SetPrecision(p) }
-
-// Precision reports the local base scan precision.
-func (r *Replica) Precision() gallery.ScanPrecision { return r.Engine().Precision() }
-
 // SetANNProbe selects the IVF cell fan-out of the local base scan
 // (requires the primary's generation to carry an ANN sidecar, which
 // bootstrap copies).
@@ -693,9 +680,8 @@ func (r *Replica) ANNProbe() int { return r.Engine().ANNProbe() }
 func (r *Replica) HasANNIndex() bool { return r.Engine().HasANNIndex() }
 
 var (
-	_ gallery.Engine          = (*Replica)(nil)
-	_ gallery.PrecisionSetter = (*Replica)(nil)
-	_ gallery.ANNSetter       = (*Replica)(nil)
+	_ gallery.Engine    = (*Replica)(nil)
+	_ gallery.ANNSetter = (*Replica)(nil)
 )
 
 // decodeJSON decodes one JSON document.

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -722,7 +723,6 @@ func writeMutationError(w http.ResponseWriter, err error) {
 type shardedEngine interface {
 	Shards() int
 	LoadedShards() int
-	Quantized() bool
 }
 
 // defendedEngine is the optional anonymization surface a defended
@@ -734,14 +734,26 @@ type defendedEngine interface {
 	Defense() *defense.Descriptor
 }
 
-// defenseString resolves the engine's defense descriptor spec ("" when
-// the engine is undefended or has no defense surface).
-func defenseString(g gallery.Engine) string {
-	d, ok := g.(defendedEngine)
-	if !ok || d.Defense() == nil {
-		return ""
+// engineTopology builds the topology block /healthz and /v1/gallery
+// share, from whichever optional surfaces the engine has: shards and
+// loaded_shards (sharded store), ann_index and nprobe (ANN knob),
+// defense (a defended engine's descriptor spec). degraded reports a
+// sharded engine serving with some shards unavailable.
+func engineTopology(g gallery.Engine) (topo map[string]any, degraded bool) {
+	topo = map[string]any{}
+	if sh, ok := g.(shardedEngine); ok {
+		topo["shards"] = sh.Shards()
+		topo["loaded_shards"] = sh.LoadedShards()
+		degraded = sh.LoadedShards() < sh.Shards()
 	}
-	return d.Defense().String()
+	if as, ok := g.(gallery.ANNSetter); ok {
+		topo["ann_index"] = as.HasANNIndex()
+		topo["nprobe"] = as.ANNProbe()
+	}
+	if d, ok := g.(defendedEngine); ok && d.Defense() != nil {
+		topo["defense"] = d.Defense().String()
+	}
+	return topo, degraded
 }
 
 func (s *Server) handleGallery(w http.ResponseWriter, r *http.Request) {
@@ -755,21 +767,8 @@ func (s *Server) handleGallery(w http.ResponseWriter, r *http.Request) {
 		"feature_index":  g.FeatureIndex() != nil,
 		"ids":            g.IDs(),
 	}
-	if sh, ok := g.(shardedEngine); ok {
-		resp["shards"] = sh.Shards()
-		resp["loaded_shards"] = sh.LoadedShards()
-		resp["quantized"] = sh.Quantized()
-	}
-	if ps, ok := g.(gallery.PrecisionSetter); ok {
-		resp["scan_precision"] = ps.Precision().String()
-	}
-	if as, ok := g.(gallery.ANNSetter); ok {
-		resp["ann_index"] = as.HasANNIndex()
-		resp["nprobe"] = as.ANNProbe()
-	}
-	if spec := defenseString(g); spec != "" {
-		resp["defense"] = spec
-	}
+	topo, _ := engineTopology(g)
+	maps.Copy(resp, topo)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -895,25 +894,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			resp["status"] = "degraded"
 		}
 	}
-	if sh, ok := s.atk.Gallery().(shardedEngine); ok {
-		resp["shards"] = sh.Shards()
-		if sh.LoadedShards() < sh.Shards() {
-			// Degraded, not down: surviving shards still serve, but
-			// operators monitoring /healthz see the partial failure.
-			resp["status"] = "degraded"
-			resp["loaded_shards"] = sh.LoadedShards()
-		}
+	topo, degraded := engineTopology(s.atk.Gallery())
+	if degraded {
+		// Degraded, not down: surviving shards still serve, but
+		// operators monitoring /healthz see the partial failure.
+		resp["status"] = "degraded"
+	} else {
+		// A healthy /healthz reports the shard count alone.
+		delete(topo, "loaded_shards")
 	}
-	if ps, ok := s.atk.Gallery().(gallery.PrecisionSetter); ok {
-		resp["scan_precision"] = ps.Precision().String()
-	}
-	if as, ok := s.atk.Gallery().(gallery.ANNSetter); ok {
-		resp["ann_index"] = as.HasANNIndex()
-		resp["nprobe"] = as.ANNProbe()
-	}
-	if spec := defenseString(s.atk.Gallery()); spec != "" {
-		resp["defense"] = spec
-	}
+	maps.Copy(resp, topo)
 	writeJSON(w, http.StatusOK, resp)
 }
 

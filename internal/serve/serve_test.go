@@ -188,13 +188,13 @@ func TestGalleryEndpoint(t *testing.T) {
 	}
 }
 
-// TestShardedStoreService runs the full service over a sharded,
-// quantized store: /v1/gallery and /healthz must report the topology,
+// TestShardedStoreService runs the full service over a sharded
+// store: /v1/gallery and /healthz must report the topology,
 // and identification answers must be bit-identical to the single-file
 // session the rest of this file exercises.
 func TestShardedStoreService(t *testing.T) {
 	single, atk, probes := testService(t, Config{})
-	store, err := shard.FromGallery(atk.Gallery().(*gallery.Gallery), 4, true)
+	store, err := shard.FromGallery(atk.Gallery().(*gallery.Gallery), 4, false)
 	if err != nil {
 		t.Fatalf("FromGallery: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestShardedStoreService(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &meta); err != nil {
 		t.Fatalf("gallery body: %v", err)
 	}
-	if meta["shards"].(float64) != 4 || meta["loaded_shards"].(float64) != 4 || meta["quantized"] != true {
+	if meta["shards"].(float64) != 4 || meta["loaded_shards"].(float64) != 4 {
 		t.Errorf("sharded gallery metadata = %v", meta)
 	}
 	w = get(t, h, "/healthz")
@@ -223,6 +223,17 @@ func TestShardedStoreService(t *testing.T) {
 	}
 	if health["status"] != "ok" || health["shards"].(float64) != 4 {
 		t.Errorf("sharded healthz = %v", health)
+	}
+	if _, has := health["loaded_shards"]; has {
+		t.Errorf("healthy /healthz reports loaded_shards: %v", health)
+	}
+	for _, gone := range []string{"quantized", "scan_precision"} {
+		if _, has := meta[gone]; has {
+			t.Errorf("/v1/gallery still reports removed field %q", gone)
+		}
+		if _, has := health[gone]; has {
+			t.Errorf("/healthz still reports removed field %q", gone)
+		}
 	}
 
 	for j := 0; j < 4; j++ {

@@ -15,10 +15,10 @@ import "brainprint/internal/replicate"
 
 // Replica is a read-only follower of a remote primary: a local live
 // gallery kept in sync by tailing the primary's write-ahead-log
-// stream. It implements GalleryEngine (plus the scan-precision and
-// IVF knobs), so it drops into NewAttacker and the HTTP service like
-// any local store; it carries no write surface, and a server fronting
-// it answers 405 to mutations.
+// stream. It implements GalleryEngine (plus the IVF knob), so it drops
+// into NewAttacker and the HTTP service like any local store; it
+// carries no write surface, and a server fronting it answers 405 to
+// mutations.
 type Replica = replicate.Replica
 
 // ReplicaOptions tunes a replica's tail loop: HTTP client, reconnect

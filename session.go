@@ -7,7 +7,6 @@ package brainprint
 // brainprint.go remain as thin compatibility wrappers over it.
 
 import (
-	"context"
 	"time"
 
 	"brainprint/internal/attacker"
@@ -91,13 +90,6 @@ func WithMutableGallery(m GalleryMutable) AttackerOption { return attacker.WithM
 // method (0 = none).
 func WithTimeout(d time.Duration) AttackerOption { return attacker.WithTimeout(d) }
 
-// WithScanPrecision selects the engine's candidate-scan precision.
-// Reduced precisions (ScanFloat32, ScanInt8) accelerate candidate
-// selection only — every returned score is the exact float64
-// expression, bit-identical to the default scan. Engines without the
-// knob (the single-file Gallery) accept only ScanFloat64.
-func WithScanPrecision(p ScanPrecision) AttackerOption { return attacker.WithScanPrecision(p) }
-
 // WithANN selects the engine's IVF cell fan-out: queries scan only the
 // nprobe index cells nearest each probe instead of every record —
 // sub-linear candidate selection at population scale. 0 (the default)
@@ -150,37 +142,8 @@ type GalleryEngine = gallery.Engine
 
 // GalleryStore is a horizontally sharded gallery: N shard files (each a
 // standard gallery file) described by a checksummed manifest, queried
-// with a deterministic fan-out planner and an optional int8 quantized
-// scan that rescores its top candidates exactly. See DESIGN.md §6.
+// with a deterministic fan-out planner. See DESIGN.md §6.
 type GalleryStore = shard.Store
-
-// ScanPrecision selects how an engine's candidate scan arithmetic runs:
-// exact float64 (the default), float32 with exact rescoring, or int8
-// quantized with exact rescoring. Whatever the setting, every returned
-// score is the exact float64 expression — reduced precisions steer
-// candidate selection only. See DESIGN.md §8.
-type ScanPrecision = gallery.ScanPrecision
-
-// Scan precisions accepted by WithScanPrecision and
-// (*GalleryStore).SetPrecision.
-const (
-	// ScanFloat64 is the exact scan — the default.
-	ScanFloat64 = gallery.ScanFloat64
-	// ScanFloat32 scans in float32 and rescores candidates exactly.
-	ScanFloat32 = gallery.ScanFloat32
-	// ScanInt8 scans int8-quantized vectors and rescores exactly;
-	// requires a store built or opened with quantization parameters.
-	ScanInt8 = gallery.ScanInt8
-)
-
-// ParseScanPrecision parses a ScanPrecision from its string form —
-// "float64"/"f64"/"exact" (or empty), "float32"/"f32", and
-// "int8"/"quantized" — as accepted by the CLI's -scan flags.
-func ParseScanPrecision(s string) (ScanPrecision, error) { return gallery.ParseScanPrecision(s) }
-
-// PrecisionSetter is the optional engine surface for selecting scan
-// precision at runtime; *GalleryStore and the live engine implement it.
-type PrecisionSetter = gallery.PrecisionSetter
 
 // GalleryANNSetter is the optional engine surface for the IVF
 // approximate-scan knob; *GalleryStore and the live engine implement
@@ -231,9 +194,6 @@ var (
 	ErrGalleryManifestMagic = shard.ErrManifestMagic
 	// ErrGalleryManifestVersion: unsupported manifest format version.
 	ErrGalleryManifestVersion = shard.ErrManifestVersion
-	// ErrGalleryNoQuantization: SetQuantized(true) on a store without
-	// quantization parameters.
-	ErrGalleryNoQuantization = shard.ErrNoQuantization
 	// ErrGalleryNoANNIndex: enabling the ANN scan on an engine whose
 	// database carries no index sidecar.
 	ErrGalleryNoANNIndex = shard.ErrNoANNIndex
@@ -247,12 +207,10 @@ var (
 )
 
 // NewGalleryStore splits an in-memory gallery into a sharded store,
-// routing each subject by the stable RouteGalleryID hash. With quantize
-// set, int8 scalar-quantization parameters are derived from the
-// enrolled population and the quantized scan path is enabled. Persist
-// with (*GalleryStore).WriteFiles; reopen with OpenGalleryStore.
-func NewGalleryStore(g *Gallery, shards int, quantize bool) (*GalleryStore, error) {
-	return shard.FromGallery(g, shards, quantize)
+// routing each subject by the stable RouteGalleryID hash. Persist with
+// (*GalleryStore).WriteFiles; reopen with OpenGalleryStore.
+func NewGalleryStore(g *Gallery, shards int) (*GalleryStore, error) {
+	return shard.FromGallery(g, shards, false)
 }
 
 // OpenGalleryStore loads a sharded store from a manifest path — or
@@ -265,14 +223,3 @@ func OpenGalleryStore(path string) (*GalleryStore, error) { return shard.Open(pa
 // RouteGalleryID returns the shard a subject ID routes to — part of
 // the on-disk contract, stable across versions and platforms.
 func RouteGalleryID(id string, shards int) int { return shard.RouteID(id, shards) }
-
-// runExperimentCompat backs the deprecated RunFigureX/RunTableX/
-// RunDefense wrappers: a throwaway session around the legacy positional
-// arguments, run under context.Background().
-func runExperimentCompat(name string, cfg AttackConfig, in ExperimentInput) (ExperimentResult, error) {
-	a, err := NewAttacker(nil, WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return a.RunExperiment(context.Background(), name, in)
-}

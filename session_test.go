@@ -202,8 +202,8 @@ func TestFacadeTypedGalleryErrors(t *testing.T) {
 	}
 }
 
-// TestFacadeCancellation: the deprecated wrappers still work, and the
-// new API is the cancellable path.
+// TestFacadeCancellation: a cancelled context aborts the session's
+// identification calls.
 func TestFacadeCancellation(t *testing.T) {
 	g, anon, _ := sessionFixture(t)
 	atk, err := brainprint.NewAttacker(g)
