@@ -327,16 +327,13 @@ func (a *Attacker) rankedFromDense(sim *linalg.Matrix, k int) [][]gallery.Candid
 	if k > n {
 		k = n
 	}
-	outranks := func(x, y gallery.Candidate) bool {
-		return x.Score > y.Score || (x.Score == y.Score && x.Index < y.Index)
-	}
 	out := make([][]gallery.Candidate, m)
 	for j := 0; j < m; j++ {
-		top := make([]gallery.Candidate, 0, k)
+		r := gallery.NewRanker(k, gallery.BetterByIndex)
 		for i := 0; i < n; i++ {
-			top = gallery.RankInsert(top, gallery.Candidate{Index: i, ID: a.gallery.ID(i), Score: sim.At(i, j)}, k, outranks)
+			r.Offer(gallery.Candidate{Index: i, ID: a.gallery.ID(i), Score: sim.At(i, j)})
 		}
-		out[j] = top
+		out[j] = r.Ranked()
 	}
 	return out
 }

@@ -8,7 +8,8 @@
 // materializes the full known×anonymous similarity matrix; this package
 // stores z-scored fingerprints in a versioned, checksummed binary file
 // (codec.go) and answers ranked top-k queries with a blocked parallel
-// sweep (query.go) instead of a dense O(n²) matrix.
+// sweep (scan.go, the one exact-scan driver the sharded and live engines
+// call too) instead of a dense O(n²) matrix.
 //
 // Scores are bit-identical to match.SimilarityMatrix: enrollment
 // z-scores each fingerprint through the same stats.ZScore code path

@@ -52,7 +52,7 @@ func TestEnrollAndSelfQuery(t *testing.T) {
 		if top[0].Score < 0.999999 {
 			t.Errorf("probe %d: self-correlation %g", j, top[0].Score)
 		}
-		if better(top[1], top[0]) || better(top[2], top[1]) {
+		if BetterByIndex(top[1], top[0]) || BetterByIndex(top[2], top[1]) {
 			t.Errorf("probe %d: candidates out of rank order: %+v", j, top)
 		}
 	}

@@ -12,15 +12,16 @@ import (
 // three places — the immutable base store, a memtable frozen by an
 // in-flight compaction, and the active memtable — but queries see one
 // flat enumeration. The base (usually the overwhelming share of the
-// records) is scanned through the sharded store's blocked kernels via
-// TopKZMasked/QueryAllZMasked, masking tombstoned records with the
-// dead-mask rebuild() maintains; the overlay is swept with the scalar
-// exact expression; and the two rankings merge by tournament under the
-// same (score descending, subject ID ascending) strict total order the
-// sharded engine uses. Every record is scored with the identical
-// linalg.Dot(fp, zp)/features expression whichever source holds it, so
-// determinism holds by the same argument (DESIGN.md §6–8): the total
-// order makes the merged top-k unique regardless of chunking,
+// records) goes through the sharded store's QueryAllZMasked — the exact
+// driver every engine shares, or the IVF sweep — masking tombstoned
+// records with the dead-mask rebuild() maintains; the overlay is swept
+// with the scalar exact expression; and the two rankings merge by
+// tournament under the same (score descending, subject ID ascending)
+// strict total order the sharded engine uses. A single probe is a batch
+// of one through the same queryZ. Every record is scored with the
+// identical linalg.Dot(fp, zp)/features expression whichever source
+// holds it, so determinism holds by the same argument (DESIGN.md §6):
+// the total order makes the merged top-k unique regardless of chunking,
 // parallelism, or how many records have been compacted — which is what
 // pins a live gallery's answers bit-identical to a cold
 // offline-enrolled gallery of the same records.
@@ -58,7 +59,11 @@ func (e *Engine) TopKCtx(ctx context.Context, probe []float64, k, parallelism in
 	if err != nil {
 		return nil, err
 	}
-	return e.topK(ctx, zp, k, parallelism)
+	lists, err := e.queryZ(ctx, [][]float64{zp}, k, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return lists[0], nil
 }
 
 // QueryAll answers a batch of probes — the columns of a features×probes
@@ -83,15 +88,35 @@ func (e *Engine) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, para
 	if err != nil {
 		return nil, err
 	}
+	return e.queryZ(ctx, zcols, k, parallelism)
+}
+
+// DenseSimilarityCtx materializes the full engine×probes similarity
+// matrix, rows in live enumeration order — the exact fallback the
+// Hungarian assignment path consumes. The row sweep aborts between
+// chunks once ctx is cancelled.
+func (e *Engine) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return gallery.DenseSimilarity(ctx, probes, len(e.ids), e.features, e.fidx, e.fingerprint, parallelism)
+}
+
+// queryZ is the merged sweep over z-scored, gallery-space probes: the
+// masked base scan for the whole batch, then per probe the scalar
+// overlay sweep and a tournament merge of the two. Base candidates come
+// back carrying base-store indices; they are remapped to live
+// enumeration indices before the merge. Called with the read lock held.
+func (e *Engine) queryZ(ctx context.Context, zcols [][]float64, k, parallelism int) ([][]gallery.Candidate, error) {
 	var baseLists [][]gallery.Candidate
 	if e.base != nil && e.baseVisible > 0 {
+		var err error
 		baseLists, err = e.base.QueryAllZMasked(ctx, zcols, min(k, e.baseVisible), parallelism, e.baseSkip)
 		if err != nil {
 			return nil, err
 		}
 	}
 	out := make([][]gallery.Candidate, len(zcols))
-	err = parallel.ForCtx(ctx, parallelism, len(zcols), 1, func(lo, hi int) error {
+	err := parallel.ForCtx(ctx, parallelism, len(zcols), 1, func(lo, hi int) error {
 		for j := lo; j < hi; j++ {
 			overlay := e.overlayTopK(zcols[j], k)
 			if baseLists == nil {
@@ -110,39 +135,6 @@ func (e *Engine) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, para
 		return nil, err
 	}
 	return out, nil
-}
-
-// DenseSimilarityCtx materializes the full engine×probes similarity
-// matrix, rows in live enumeration order — the exact fallback the
-// Hungarian assignment path consumes. The row sweep aborts between
-// chunks once ctx is cancelled.
-func (e *Engine) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return gallery.DenseSimilarity(ctx, probes, len(e.ids), e.features, e.fidx, e.fingerprint, parallelism)
-}
-
-// topK is the merged sweep with a z-scored, gallery-space probe: the
-// masked base scan (blocked kernels) plus
-// the scalar overlay sweep, tournament-merged. Base candidates come
-// back carrying base-store indices; they are remapped to live
-// enumeration indices before the merge. Called with the read lock held.
-func (e *Engine) topK(ctx context.Context, zp []float64, k, parallelism int) ([]gallery.Candidate, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	overlay := e.overlayTopK(zp, k)
-	if e.base == nil || e.baseVisible == 0 {
-		return overlay, nil
-	}
-	base, err := e.base.TopKZMasked(ctx, zp, min(k, e.baseVisible), parallelism, e.baseSkip)
-	if err != nil {
-		return nil, err
-	}
-	for i := range base {
-		base[i].Index = e.byID[base[i].ID]
-	}
-	return gallery.RankMergeLists([][]gallery.Candidate{base, overlay}, k, gallery.BetterByID), nil
 }
 
 // overlayTopK ranks the overlay — the frozen memtable's survivors and

@@ -128,6 +128,15 @@ func DenseSimilarity(ctx context.Context, probes *linalg.Matrix, n, features int
 	return out, nil
 }
 
+// BetterByIndex reports whether a outranks b: higher score first, ties
+// broken toward the lower canonical index. It is the single-file
+// gallery's ranking order and the one the dense assignment path ranks
+// under; a strict total order, so top-k results are identical at any
+// parallelism and any chunking.
+func BetterByIndex(a, b Candidate) bool {
+	return a.Score > b.Score || (a.Score == b.Score && a.Index < b.Index)
+}
+
 // BetterByID reports whether a outranks b: higher score first, ties
 // broken by the lexicographically smaller subject ID. Unlike the
 // single-file gallery's index tiebreak, the ID tiebreak is invariant

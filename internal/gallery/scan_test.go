@@ -1,0 +1,62 @@
+package gallery
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// TestSelectRunsIndependentOfRunCount drives the selection driver with
+// a synthetic unit body — each unit offers a few candidates with coarse
+// (tie-heavy) scores to every probe — and requires the same ranking as
+// sorting all candidates, whether the units form one run or many.
+func TestSelectRunsIndependentOfRunCount(t *testing.T) {
+	const units, perUnit, probes, k = 23, 7, 3, 10
+	rng := rand.New(rand.NewSource(17))
+	scores := make([][]float64, probes) // [probe][candidate]
+	for p := range scores {
+		scores[p] = make([]float64, units*perUnit)
+		for i := range scores[p] {
+			scores[p][i] = float64(rng.Intn(6))
+		}
+	}
+	scan := func(lo, hi int, rankers []Ranker) error {
+		for i := lo * perUnit; i < hi*perUnit; i++ {
+			for p := range rankers {
+				rankers[p].Offer(Candidate{Index: i, Score: scores[p][i]})
+			}
+		}
+		return nil
+	}
+	for _, par := range []int{1, 2, 3, 8, 64} {
+		got, err := SelectRuns(context.Background(), units, probes, k, par, BetterByIndex, scan)
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		for p := range scores {
+			want := make([]Candidate, len(scores[p]))
+			for i, sc := range scores[p] {
+				want[i] = Candidate{Index: i, Score: sc}
+			}
+			sort.Slice(want, func(i, j int) bool { return BetterByIndex(want[i], want[j]) })
+			for r := 0; r < k; r++ {
+				if got[p][r] != want[r] {
+					t.Fatalf("par=%d probe %d rank %d: %+v, want %+v", par, p, r, got[p][r], want[r])
+				}
+			}
+		}
+	}
+
+	boom := errors.New("boom")
+	if _, err := SelectRuns(context.Background(), units, probes, k, 3, BetterByIndex,
+		func(lo, hi int, _ []Ranker) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("failing run: err = %v, want boom", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := SelectRuns(ctx, units, probes, k, 3, BetterByIndex, scan); err != context.Canceled {
+		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}

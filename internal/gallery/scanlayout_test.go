@@ -89,7 +89,7 @@ func TestBlockedCacheInvalidation(t *testing.T) {
 // under both tiebreak orders and across offer-order permutations.
 func TestRankerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	byIndex := better
+	byIndex := BetterByIndex
 	byID := func(a, b Candidate) bool {
 		return a.Score > b.Score || (a.Score == b.Score && a.ID < b.ID)
 	}
@@ -143,19 +143,19 @@ func TestRankMergeListsDeterministic(t *testing.T) {
 				all = append(all, c)
 				lists[li] = append(lists[li], c)
 			}
-			sort.Slice(lists[li], func(a, b int) bool { return better(lists[li][a], lists[li][b]) })
+			sort.Slice(lists[li], func(a, b int) bool { return BetterByIndex(lists[li][a], lists[li][b]) })
 		}
 		want := append([]Candidate(nil), all...)
-		sort.Slice(want, func(i, j int) bool { return better(want[i], want[j]) })
+		sort.Slice(want, func(i, j int) bool { return BetterByIndex(want[i], want[j]) })
 		if len(want) > k {
 			want = want[:k]
 		}
-		got := RankMergeLists(lists, k, better)
+		got := RankMergeLists(lists, k, BetterByIndex)
 		perm := make([][]Candidate, nlists)
 		for i, p := range rng.Perm(nlists) {
 			perm[i] = lists[p]
 		}
-		gotPerm := RankMergeLists(perm, k, better)
+		gotPerm := RankMergeLists(perm, k, BetterByIndex)
 		if len(got) != len(want) || len(gotPerm) != len(want) {
 			t.Fatalf("trial %d: lengths %d/%d, want %d", trial, len(got), len(gotPerm), len(want))
 		}

@@ -156,46 +156,40 @@ func (s *Store) annMatches(x *ivf.Index) bool {
 	return true
 }
 
-// topKANN is the IVF sweep for one z-scored probe: rank the cells,
-// scan the probed posting lists per shard, and merge per-shard rankings
-// by tournament (one shared ranker in the serial path, carrying the
-// selection threshold across shards).
+// topKANN is the IVF sweep for one z-scored probe: rank the cells, then
+// scan the probed posting lists shard by shard through the selection
+// driver every scan shares (units = shards), so a run's ranker carries
+// the selection threshold across its shards and per-run rankings merge
+// by tournament.
 func (s *Store) topKANN(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
 	cells := s.ann.RankCells(zp, s.nprobe)
 	inv := 1 / float64(s.features)
-	if serialScan(parallelism) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := gallery.NewRanker(k, gallery.BetterByID)
-		for si := range s.galleries {
-			s.scanANNShard(si, cells, zp, inv, r, skip)
-		}
-		return r.Ranked(), nil
-	}
-	partials := make([][]gallery.Candidate, len(s.galleries))
-	err := parallel.ForCtx(ctx, parallelism, len(s.galleries), 1, func(lo, hi int) error {
-		for si := lo; si < hi; si++ {
-			r := gallery.NewRanker(k, gallery.BetterByID)
-			s.scanANNShard(si, cells, zp, inv, r, skip)
-			partials[si] = r.Ranked()
-		}
-		return nil
-	})
+	lists, err := gallery.SelectRuns(ctx, len(s.galleries), 1, k, parallelism, gallery.BetterByID,
+		func(lo, hi int, rankers []gallery.Ranker) error {
+			for si := lo; si < hi; si++ {
+				s.scanANNShard(si, cells, zp, inv, &rankers[0], skip)
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	return gallery.RankMergeLists(partials, k, gallery.BetterByID), nil
+	return lists[0], nil
 }
 
 // queryAllANN is the IVF batch path: probes fan out one per worker
 // with a serial inner sweep — posting-list scans are too sparse for
-// the record-striped batch kernels to pay off.
+// the record-striped batch kernels to pay off. A batch of one has no
+// probes to fan out, so its workers go to the shards instead.
 func (s *Store) queryAllANN(ctx context.Context, zcols [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
+	inner := 1
+	if len(zcols) == 1 {
+		inner = parallelism
+	}
 	out := make([][]gallery.Candidate, len(zcols))
 	err := parallel.ForCtx(ctx, parallelism, len(zcols), 1, func(lo, hi int) error {
 		for j := lo; j < hi; j++ {
-			top, err := s.topKANN(ctx, zcols[j], k, 1, skip)
+			top, err := s.topKANN(ctx, zcols[j], k, inner, skip)
 			if err != nil {
 				return err
 			}

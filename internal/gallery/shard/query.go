@@ -8,13 +8,13 @@ import (
 )
 
 // The public query surface. Probes are validated, projected, and
-// z-scored by the shared gallery helpers; the scan itself — per-shard
-// unit planning, blocked kernels, bounded-heap selection, and the
-// tournament merge — lives in scan.go. Per-unit partial rankings merge
-// under gallery.BetterByID (score descending, subject ID ascending), a
-// strict total order, which makes the result independent of chunking,
-// worker count, and shard placement; see the package comment for the
-// full determinism argument.
+// z-scored by the shared gallery helpers, then dispatched by scan.go to
+// the shared exact-scan driver (gallery.ScanUnits) or the IVF sweep
+// (ann.go); a single probe is a batch of one. Both rank under
+// gallery.BetterByID (score descending, subject ID ascending), a strict
+// total order, which makes the result independent of chunking, worker
+// count, and shard placement; see the package comment for the full
+// determinism argument.
 
 // TopK ranks the k enrolled subjects most correlated with the probe,
 // best first, using the default worker count. The probe may be a
@@ -27,7 +27,7 @@ func (s *Store) TopK(probe []float64, k int) ([]gallery.Candidate, error) {
 
 // TopKCtx is TopK under a context and with an explicit parallelism knob
 // (0 = all cores, 1 = serial, n = n workers): the sweep aborts between
-// chunks once ctx is cancelled and returns ctx.Err(). Results are
+// scan units once ctx is cancelled and returns ctx.Err(). Results are
 // identical at any setting and any shard count. Scores are bit-identical
 // to the single-file gallery's TopK (and hence match.SimilarityMatrix);
 // the ranking itself matches the single-file gallery's whenever scores
@@ -43,7 +43,11 @@ func (s *Store) TopKCtx(ctx context.Context, probe []float64, k, parallelism int
 	if err != nil {
 		return nil, err
 	}
-	return s.TopKZMasked(ctx, zp, k, parallelism, nil)
+	lists, err := s.QueryAllZMasked(ctx, [][]float64{zp}, k, parallelism, nil)
+	if err != nil {
+		return nil, err
+	}
+	return lists[0], nil
 }
 
 // QueryAll answers a batch of probes — the columns of a features×probes

@@ -4,8 +4,9 @@
 // routed by a stable hash of the subject ID, describes the set in a
 // checksummed manifest (manifest.go), and answers the same TopK /
 // QueryAll / DenseSimilarityCtx queries as a single-file gallery by
-// fanning out across shards and merging per-shard rankings
-// deterministically (query.go).
+// handing its per-shard scan plan to the exact-scan driver every engine
+// shares (gallery.ScanUnits; scan.go holds the plan and the exact/IVF
+// dispatch, query.go the public methods).
 //
 // The paper's attack is a gallery problem, and linkage attacks only
 // become dangerous at population scale: a million-subject gallery
@@ -65,7 +66,7 @@ type Store struct {
 
 	// units is the fixed scan plan over the loaded shards (scan.go),
 	// computed once at construction.
-	units []scanUnit
+	units []gallery.Unit
 
 	// ann is the loaded IVF coarse index, nil when none; nprobe is the
 	// active cell fan-out (0 = exact scan). See ann.go.
@@ -204,7 +205,7 @@ func newStore(features int, index []int, galleries []*gallery.Gallery, meta []Me
 			g.Blocked()
 		}
 	}
-	s.units = planUnits(galleries, features)
+	s.units = planUnits(galleries, s.bases)
 	return s
 }
 
