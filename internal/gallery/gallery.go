@@ -7,9 +7,12 @@
 // codebase recomputes fingerprints from raw series on every run and
 // materializes the full known×anonymous similarity matrix; this package
 // stores z-scored fingerprints in a versioned, checksummed binary file
-// (codec.go) and answers ranked top-k queries with a blocked parallel
-// sweep (scan.go, the one exact-scan driver the sharded and live engines
-// call too) instead of a dense O(n²) matrix.
+// (codec.go) and answers ranked top-k queries with a parallel streaming
+// sweep over those same stored rows (scan.go, the one exact-scan driver
+// the sharded and live engines call too; scanlayout.go, its kernels)
+// instead of a dense O(n²) matrix. The rows are the only in-memory image
+// of the records: scans, the IVF gather, the dense path and the codec
+// all read them in place.
 //
 // Scores are bit-identical to match.SimilarityMatrix: enrollment
 // z-scores each fingerprint through the same stats.ZScore code path
@@ -22,7 +25,6 @@ package gallery
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"brainprint/internal/linalg"
@@ -146,10 +148,6 @@ type Gallery struct {
 	ids          []string
 	byID         map[string]int
 	vecs         []float64 // len = len(ids)*features, subject-major, z-scored
-
-	// scan caches the blocked scan layout over the current records;
-	// Blocked rebuilds it whenever the record count has moved on.
-	scan atomic.Pointer[Blocked]
 }
 
 // New returns an empty gallery whose fingerprints have the given number
@@ -206,28 +204,18 @@ func (g *Gallery) fingerprint(i int) []float64 {
 
 // Fingerprint returns the stored z-scored fingerprint of subject i,
 // aliased into the gallery's backing array — the caller must not mutate
-// it. It is the raw material the sharded store's IVF gather and dense
-// rows read, exported so the shard engine can score records without
-// copying the gallery.
+// it. It is the same row the streaming kernels read through Blocked,
+// exported so the sharded store's IVF gather and dense rows can score
+// records without copying the gallery.
 func (g *Gallery) Fingerprint(i int) []float64 { return g.fingerprint(i) }
 
-// Blocked returns the scan-optimized blocked layout over the gallery's
-// current records, building and caching it on first use. The cache is
-// keyed on the record count, so a gallery that has enrolled more
-// subjects since the last call rebuilds transparently; engines that
-// want the build paid at load/compaction time (the sharded store, the
-// live engine) call Blocked eagerly at construction. Concurrent callers
-// may race to build the first layout — every result is valid and one
-// winner is cached — but Blocked must not race a concurrent Enroll
-// (the Gallery's existing no-concurrent-mutation rule).
-func (g *Gallery) Blocked() *Blocked {
-	if bk := g.scan.Load(); bk != nil && bk.Len() == len(g.ids) {
-		return bk
-	}
-	bk := NewBlocked(len(g.ids), g.features, g.fingerprint)
-	g.scan.Store(bk)
-	return bk
-}
+// Blocked returns the streaming kernels' view over the gallery's current
+// records: a zero-copy alias of the stored rows, free to take. The view
+// covers the records enrolled when it was taken; a later Enroll is seen
+// by the next call (and, because Enroll appends, never disturbs the rows
+// an earlier view reads). Like every query it must not race a concurrent
+// Enroll.
+func (g *Gallery) Blocked() *Blocked { return NewBlocked(g.features, g.vecs) }
 
 // EnrollNormalized adds one subject whose fingerprint is already in
 // gallery space and already z-scored, storing it verbatim without

@@ -95,7 +95,7 @@ type Index struct {
 	halfNorm  []float64 // ‖c‖²/2 per cell, derived
 	counts    []int     // records per shard, as trained
 	postings  [][][]uint32
-	bk        *gallery.Blocked // centroid scan layout, derived
+	bk        *gallery.Blocked // streaming-kernel view over centroids (no copy), derived
 }
 
 // Features returns the fingerprint dimensionality the index was
@@ -180,18 +180,25 @@ func Build(ctx context.Context, cfg Config, features int, counts []int, fp func(
 	return x, nil
 }
 
-// derive rebuilds the cached centroid scan layout and half squared
-// norms from the centroid matrix (after Build or Decode).
+// derive rebuilds the cached half squared norms and the kernel view
+// from the centroid matrix (after Build or Decode). Centroids score
+// through the same streaming kernel as gallery records, read in place.
 func (x *Index) derive() {
-	x.bk = gallery.NewBlocked(x.cells, x.features, x.Centroid)
-	x.halfNorm = make([]float64, x.cells)
-	for c := 0; c < x.cells; c++ {
+	x.bk = gallery.NewBlocked(x.features, x.centroids)
+	x.halfNorm = halfNorms(x.features, x.centroids)
+}
+
+// halfNorms returns ‖c‖²/2 for every row of a flat centroid matrix.
+func halfNorms(features int, centroids []float64) []float64 {
+	half := make([]float64, len(centroids)/features)
+	for c := range half {
 		var n2 float64
-		for _, v := range x.Centroid(c) {
+		for _, v := range centroids[c*features : (c+1)*features] {
 			n2 += v * v
 		}
-		x.halfNorm[c] = n2 / 2
+		half[c] = n2 / 2
 	}
+	return half
 }
 
 // sampleRecords draws the deterministic training sample: all records
@@ -251,22 +258,13 @@ func lloyd(ctx context.Context, cfg Config, features, cells int, samples []float
 	for i := range assign {
 		assign[i] = -1
 	}
+	bk := gallery.NewBlocked(features, centroids) // a view: sees every update below
 	for iter := 0; iter < maxLloydIters; iter++ {
-		bk := gallery.NewBlocked(cells, features, func(c int) []float64 {
-			return centroids[c*features : (c+1)*features]
-		})
-		half := make([]float64, cells)
-		for c := 0; c < cells; c++ {
-			var n2 float64
-			for _, v := range centroids[c*features : (c+1)*features] {
-				n2 += v * v
-			}
-			half[c] = n2 / 2
-		}
+		half := halfNorms(features, centroids)
 		acc, err := parallel.ReduceCtx(ctx, cfg.Parallelism, n, trainGrain, partial{},
 			func(lo, hi int) partial {
 				p := partial{sum: make([]float64, cells*features), count: make([]int64, cells)}
-				scores := make([]float64, lanesUp(cells))
+				scores := make([]float64, cells)
 				for i := lo; i < hi; i++ {
 					v := sample(i)
 					c := int32(nearestCell(bk, half, v, scores))
@@ -318,7 +316,7 @@ func lloyd(ctx context.Context, cfg Config, features, cells int, samples []float
 }
 
 // assignAll runs the full assignment pass: every record of every shard
-// scores against all centroids through the blocked kernel and joins
+// scores against all centroids through the streaming kernel and joins
 // its nearest cell's posting list (ascending local order by
 // construction).
 func (x *Index) assignAll(ctx context.Context, parallelism int, fp func(si, li int) []float64) error {
@@ -326,7 +324,7 @@ func (x *Index) assignAll(ctx context.Context, parallelism int, fp func(si, li i
 	for si, count := range x.counts {
 		cellOf := make([]int32, count)
 		err := parallel.ForCtx(ctx, parallelism, count, assignGrain, func(lo, hi int) error {
-			scores := make([]float64, lanesUp(x.cells))
+			scores := make([]float64, x.cells)
 			for li := lo; li < hi; li++ {
 				cellOf[li] = int32(nearestCell(x.bk, x.halfNorm, fp(si, li), scores))
 			}
@@ -353,14 +351,12 @@ func (x *Index) assignAll(ctx context.Context, parallelism int, fp func(si, li i
 
 // nearestCell returns the cell whose centroid maximizes
 // v·c − ‖c‖²/2, ties toward the lower cell id. scores is caller
-// scratch of at least lanesUp(cells) float64s.
+// scratch of at least one float64 per cell.
 func nearestCell(bk *gallery.Blocked, halfNorm []float64, v []float64, scores []float64) int {
-	d := scores[:lanesUp(len(halfNorm))]
-	clear(d)
-	bk.DotsF64(0, len(halfNorm), v, d)
-	best, bestScore := 0, d[0]-halfNorm[0]
+	bk.DotsF64(0, len(halfNorm), v, scores)
+	best, bestScore := 0, scores[0]-halfNorm[0]
 	for c := 1; c < len(halfNorm); c++ {
-		if s := d[c] - halfNorm[c]; s > bestScore {
+		if s := scores[c] - halfNorm[c]; s > bestScore {
 			best, bestScore = c, s
 		}
 	}
@@ -375,7 +371,7 @@ func nearestCell(bk *gallery.Blocked, halfNorm []float64, v []float64, scores []
 // the full record set, making the IVF scan bit-identical to exact.
 func (x *Index) RankCells(zp []float64, nprobe int) []int {
 	nprobe = min(nprobe, x.cells)
-	d := make([]float64, lanesUp(x.cells))
+	d := make([]float64, x.cells)
 	x.bk.DotsF64(0, x.cells, zp, d)
 	for c := 0; c < x.cells; c++ {
 		d[c] -= x.halfNorm[c]
@@ -425,9 +421,4 @@ func (x *Index) validate() error {
 		}
 	}
 	return nil
-}
-
-// lanesUp rounds a record count up to whole scan-lane blocks.
-func lanesUp(n int) int {
-	return (n + gallery.ScanLanes - 1) / gallery.ScanLanes * gallery.ScanLanes
 }

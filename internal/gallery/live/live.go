@@ -11,8 +11,9 @@
 //   - Mutations commit to a CRC-framed write-ahead log (wal.go) with an
 //     fsync before they become visible to queries, then apply to an
 //     in-memory memtable overlay.
-//   - Queries sweep the immutable base store and the overlay in one
-//     pass under the same (score descending, subject ID ascending)
+//   - Queries sweep the immutable base store and the overlay through
+//     the same exact-scan driver (a memtable is a gallery, scannable as
+//     it stands) under the same (score descending, subject ID ascending)
 //     strict total order as the sharded engine, with bit-identical
 //     scores: a live gallery answers exactly like a cold gallery
 //     offline-enrolled with the same records.
@@ -139,12 +140,16 @@ type Engine struct {
 	// enroll, rebuilt on delete and swap. baseSkip is the dead-mask the
 	// masked base scan consumes (nil when every base record is visible);
 	// baseVisible counts base survivors — the live index where the
-	// overlay's records start.
+	// overlay's records start. overlaySkip is the overlay scan's
+	// dead-mask, indexed frozen records first, then the memtable's: it
+	// marks frozen records tombstoned during the freeze window and is nil
+	// whenever there are none.
 	ids         []string
 	locs        []loc
 	byID        map[string]int
 	baseSkip    []bool
 	baseVisible int
+	overlaySkip []bool
 
 	// nprobe is the ANN cell fan-out applied to the base store (0 =
 	// exact scan), carried across compactions: each fresh base is
@@ -520,6 +525,9 @@ func (e *Engine) applyEnroll(id string, z []float64) error {
 	e.ids = append(e.ids, id)
 	e.locs = append(e.locs, loc{src: srcMem, idx: e.mem.Len() - 1})
 	e.byID[id] = len(e.ids) - 1
+	if e.overlaySkip != nil {
+		e.overlaySkip = append(e.overlaySkip, false)
+	}
 	return nil
 }
 
@@ -596,9 +604,14 @@ func (e *Engine) rebuild() {
 		}
 		e.baseVisible = len(e.ids)
 	}
+	e.overlaySkip = nil
 	if e.frozen != nil {
 		for i, id := range e.frozen.IDs() {
 			if e.dead[id] {
+				if e.overlaySkip == nil {
+					e.overlaySkip = make([]bool, e.frozen.Len()+e.mem.Len())
+				}
+				e.overlaySkip[i] = true
 				continue
 			}
 			add(id, loc{src: srcFrozen, idx: i})

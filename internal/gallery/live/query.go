@@ -5,7 +5,6 @@ import (
 
 	"brainprint/internal/gallery"
 	"brainprint/internal/linalg"
-	"brainprint/internal/parallel"
 )
 
 // The merged query sweep. A live engine's visible records live in up to
@@ -14,16 +13,18 @@ import (
 // flat enumeration. The base (usually the overwhelming share of the
 // records) goes through the sharded store's QueryAllZMasked — the exact
 // driver every engine shares, or the IVF sweep — masking tombstoned
-// records with the dead-mask rebuild() maintains; the overlay is swept
-// with the scalar exact expression; and the two rankings merge by
-// tournament under the same (score descending, subject ID ascending)
-// strict total order the sharded engine uses. A single probe is a batch
-// of one through the same queryZ. Every record is scored with the
-// identical linalg.Dot(fp, zp)/features expression whichever source
-// holds it, so determinism holds by the same argument (DESIGN.md §6):
-// the total order makes the merged top-k unique regardless of chunking,
-// parallelism, or how many records have been compacted — which is what
-// pins a live gallery's answers bit-identical to a cold
+// records with the dead-mask rebuild() maintains; the overlay goes
+// through that same exact driver directly — a memtable is a Gallery, so
+// its rows are scannable as they stand, and the frozen memtable's
+// tombstones travel as the driver's skip mask; and the two rankings
+// merge by tournament under the same (score descending, subject ID
+// ascending) strict total order the sharded engine uses. A single probe
+// is a batch of one through the same queryZ. Every record is scored
+// with the identical linalg.Dot(fp, zp)/features expression whichever
+// source holds it, so determinism holds by the same argument (DESIGN.md
+// §6): the total order makes the merged top-k unique regardless of
+// chunking, parallelism, or how many records have been compacted —
+// which is what pins a live gallery's answers bit-identical to a cold
 // offline-enrolled gallery of the same records.
 //
 // Every query holds the engine's read lock for its duration: queries
@@ -102,10 +103,11 @@ func (e *Engine) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, 
 }
 
 // queryZ is the merged sweep over z-scored, gallery-space probes: the
-// masked base scan for the whole batch, then per probe the scalar
-// overlay sweep and a tournament merge of the two. Base candidates come
-// back carrying base-store indices; they are remapped to live
-// enumeration indices before the merge. Called with the read lock held.
+// masked base scan and the overlay scan — frozen then active memtable,
+// as units of the same exact driver — each for the whole batch, then per
+// probe a tournament merge of the two. Candidates come back carrying
+// base-store and overlay-local indices; the merged list is remapped to
+// live enumeration indices. Called with the read lock held.
 func (e *Engine) queryZ(ctx context.Context, zcols [][]float64, k, parallelism int) ([][]gallery.Candidate, error) {
 	var baseLists [][]gallery.Candidate
 	if e.base != nil && e.baseVisible > 0 {
@@ -115,50 +117,24 @@ func (e *Engine) queryZ(ctx context.Context, zcols [][]float64, k, parallelism i
 			return nil, err
 		}
 	}
-	out := make([][]gallery.Candidate, len(zcols))
-	err := parallel.ForCtx(ctx, parallelism, len(zcols), 1, func(lo, hi int) error {
-		for j := lo; j < hi; j++ {
-			overlay := e.overlayTopK(zcols[j], k)
-			if baseLists == nil {
-				out[j] = overlay
-				continue
-			}
-			bl := baseLists[j]
-			for i := range bl {
-				bl[i].Index = e.byID[bl[i].ID]
-			}
-			out[j] = gallery.RankMergeLists([][]gallery.Candidate{bl, overlay}, k, gallery.BetterByID)
-		}
-		return nil
-	})
+	var units []gallery.Unit
+	frozen := 0
+	if e.frozen != nil {
+		units = e.frozen.AppendUnits(units, 0)
+		frozen = e.frozen.Len()
+	}
+	units = e.mem.AppendUnits(units, frozen)
+	out, err := gallery.ScanUnits(ctx, units, zcols, k, parallelism, gallery.BetterByID, e.overlaySkip)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// overlayTopK ranks the overlay — the frozen memtable's survivors and
-// the active memtable — against a z-scored probe with the scalar exact
-// expression, each candidate carrying its live enumeration index. The
-// overlay is bounded by compaction, so the scalar sweep stays cheap.
-// Called with the read lock held.
-func (e *Engine) overlayTopK(zp []float64, k int) []gallery.Candidate {
-	inv := 1 / float64(e.features)
-	r := gallery.NewRanker(k, gallery.BetterByID)
-	li := e.baseVisible
-	if e.frozen != nil {
-		for i, n := 0, e.frozen.Len(); i < n; i++ {
-			id := e.frozen.ID(i)
-			if e.dead[id] {
-				continue
-			}
-			r.Offer(gallery.Candidate{Index: li, ID: id, Score: linalg.Dot(e.frozen.Fingerprint(i), zp) * inv})
-			li++
+	for j := range out {
+		if baseLists != nil {
+			out[j] = gallery.RankMergeLists([][]gallery.Candidate{baseLists[j], out[j]}, k, gallery.BetterByID)
+		}
+		for i := range out[j] {
+			out[j][i].Index = e.byID[out[j][i].ID]
 		}
 	}
-	for i, n := 0, e.mem.Len(); i < n; i++ {
-		r.Offer(gallery.Candidate{Index: li, ID: e.mem.ID(i), Score: linalg.Dot(e.mem.Fingerprint(i), zp) * inv})
-		li++
-	}
-	return r.Ranked()
+	return out, nil
 }

@@ -8,11 +8,12 @@ import (
 
 // The exact-scan driver. Every engine's exact sweep — the single-file
 // Gallery over its own records, the sharded store over every shard,
-// the live engine over its masked base — is the same three steps:
+// the live engine over its masked base and over its memtable overlay —
+// is the same three steps:
 //
-//	units      each gallery is cut into contiguous lane-aligned record
-//	           ranges of roughly 256k multiply-adds (AppendUnits); the
-//	           plan depends only on record counts and dimensionality.
+//	units      each gallery is cut into contiguous record ranges of
+//	           roughly 256k multiply-adds (AppendUnits); the plan
+//	           depends only on record counts and dimensionality.
 //	runs       the unit list is cut into contiguous runs that workers
 //	           claim dynamically. A run owns one ranker per probe and
 //	           one dot buffer for all of its units, so the selection
@@ -40,21 +41,20 @@ const runsPerWorker = 4
 // Unit is one contiguous range of a gallery's enrollment index space —
 // the unit of work of an exact scan.
 type Unit struct {
-	// G is the gallery whose blocked layout the unit streams.
+	// G is the gallery whose rows the unit streams.
 	G *Gallery
 	// Base is the index a candidate from G's record 0 carries: 0 for a
 	// gallery scanned alone, the shard's first global index in a store.
 	Base int
-	// Lo and Hi bound the records [Lo, Hi) in G's local index space; Lo
-	// sits on a lane-block boundary.
+	// Lo and Hi bound the records [Lo, Hi) in G's local index space.
 	Lo, Hi int
 }
 
 // AppendUnits appends the scan units covering every record of g, in
-// index order, each of roughly 256k multiply-adds rounded to whole lane
-// blocks so a unit never splits a blocked-layout lane group.
+// index order, each of roughly 256k multiply-adds. A gallery with no
+// records appends nothing.
 func (g *Gallery) AppendUnits(units []Unit, base int) []Unit {
-	grain := alignLanes(1 + (1<<18)/g.features)
+	grain := 1 + (1<<18)/g.features
 	for lo := 0; lo < g.Len(); lo += grain {
 		units = append(units, Unit{G: g, Base: base, Lo: lo, Hi: min(lo+grain, g.Len())})
 	}
@@ -64,10 +64,11 @@ func (g *Gallery) AppendUnits(units []Unit, base int) []Unit {
 // ScanUnits is the exact sweep: it ranks, for each z-scored
 // gallery-space probe, the top k records of the unit list under the
 // strict total order outranks, excluding every record whose candidate
-// index i has skip[i] true (skip nil = no exclusions). units must be
-// non-empty and k at most the number of unmasked records. Every score
-// is linalg.Dot(fingerprint, probe)·(1/features) bit for bit — the
-// blocked kernel preserves per-record accumulation order — so results
+// index i has skip[i] true (skip nil = no exclusions). k must be
+// positive; a list is shorter than k only when fewer unmasked records
+// exist, and empty for an empty unit list. Every score is
+// linalg.Dot(fingerprint, probe)·(1/features) bit for bit — the
+// streaming kernel preserves per-record accumulation order — so results
 // match DenseSimilarity and match.SimilarityMatrix. The sweep aborts
 // between units once ctx is cancelled and returns ctx.Err().
 func ScanUnits(ctx context.Context, units []Unit, zps [][]float64, k, parallelism int, outranks func(a, b Candidate) bool, skip []bool) ([][]Candidate, error) {
@@ -89,10 +90,14 @@ func ScanUnits(ctx context.Context, units []Unit, zps [][]float64, k, parallelis
 // per-probe rankers of capacity k under outranks, has scan offer the
 // run's candidates to them, and tournament-merges the per-run rankings
 // into one best-first list per probe. With one worker (or one unit)
-// there is exactly one run and no merge. units must be positive. scan
-// owns [lo, hi) exclusively; runs may execute concurrently. A cancelled
-// ctx stops further runs and returns ctx.Err().
+// there is exactly one run and no merge; with no units there is no run
+// and every list is empty. scan owns [lo, hi) exclusively; runs may
+// execute concurrently. A cancelled ctx stops further runs and returns
+// ctx.Err().
 func SelectRuns(ctx context.Context, units, probes, k, parallelism int, outranks func(a, b Candidate) bool, scan func(lo, hi int, rankers []Ranker) error) ([][]Candidate, error) {
+	if units == 0 {
+		return make([][]Candidate, probes), nil
+	}
 	per := units
 	if w := min(parallel.Workers(parallelism), units); w > 1 {
 		per = (units + runsPerWorker*w - 1) / (runsPerWorker * w)
@@ -130,8 +135,8 @@ func SelectRuns(ctx context.Context, units, probes, k, parallelism int, outranks
 	return out, nil
 }
 
-// scan scores the unit against every probe through the probe-tiled
-// blocked kernel, offering threshold-passers to the per-probe rankers.
+// scan scores the unit against every probe through the probe-paired
+// streaming kernel, offering threshold-passers to the per-probe rankers.
 // outs (len(zps) slice headers) and buf are the run's scratch: buf is
 // grown to hold this unit's stripe for every probe and returned for the
 // next unit. Subject IDs are materialized only for candidates that pass
@@ -140,7 +145,7 @@ func (u Unit) scan(zps [][]float64, rankers []Ranker, outs [][]float64, buf []fl
 	g := u.G
 	bk := g.Blocked()
 	inv := 1 / float64(g.features)
-	stripe := min(scanStripe, alignLanes(u.Hi-u.Lo))
+	stripe := min(scanStripe, u.Hi-u.Lo)
 	if len(buf) < len(zps)*stripe {
 		buf = make([]float64, len(zps)*stripe)
 	}
@@ -149,10 +154,6 @@ func (u Unit) scan(zps [][]float64, rankers []Ranker, outs [][]float64, buf []fl
 	}
 	for slo := u.Lo; slo < u.Hi; slo += stripe {
 		shi := min(slo+stripe, u.Hi)
-		nd := alignLanes(shi - slo)
-		for p := range outs {
-			clear(outs[p][:nd])
-		}
 		bk.DotsF64Batch(slo, shi, zps, outs)
 		for p := range rankers {
 			r := &rankers[p]

@@ -54,6 +54,20 @@ func TestSelectRunsIndependentOfRunCount(t *testing.T) {
 		func(lo, hi int, _ []Ranker) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("failing run: err = %v, want boom", err)
 	}
+	// Zero units (a live engine with an empty overlay): no run, one empty
+	// list per probe.
+	for _, par := range []int{1, 3} {
+		got, err := SelectRuns(context.Background(), 0, probes, k, par, BetterByIndex,
+			func(lo, hi int, _ []Ranker) error { return boom })
+		if err != nil || len(got) != probes {
+			t.Fatalf("zero units par=%d: %d lists, err %v; want %d empty lists", par, len(got), err, probes)
+		}
+		for p := range got {
+			if len(got[p]) != 0 {
+				t.Fatalf("zero units par=%d probe %d: %+v, want empty", par, p, got[p])
+			}
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := SelectRuns(ctx, units, probes, k, 3, BetterByIndex, scan); err != context.Canceled {

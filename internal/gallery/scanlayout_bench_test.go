@@ -35,7 +35,7 @@ func BenchmarkBlockedKernels(b *testing.B) {
 	})
 	b.Run("f64x1", func(b *testing.B) {
 		b.SetBytes(flops)
-		out := make([]float64, alignLanes(subjects))
+		out := make([]float64, subjects)
 		for i := 0; i < b.N; i++ {
 			clear(out)
 			bk.DotsF64(0, subjects, zps[0], out)
@@ -45,7 +45,7 @@ func BenchmarkBlockedKernels(b *testing.B) {
 		b.SetBytes(4 * flops)
 		outs := make([][]float64, 4)
 		for p := range outs {
-			outs[p] = make([]float64, alignLanes(subjects))
+			outs[p] = make([]float64, subjects)
 		}
 		for i := 0; i < b.N; i++ {
 			for p := range outs {

@@ -8,79 +8,93 @@ import (
 	"brainprint/internal/linalg"
 )
 
-// TestBlockedDotsBitIdenticalToScalar pins the blocked kernels to the
-// scalar reference on an awkward shape: a record count that is not a
-// multiple of the lane width (exercising zero padding) and a feature
-// count wider than one tile (exercising the tile-major layout and the
-// partial-sum carry across tiles).
+// TestBlockedDotsBitIdenticalToScalar pins the streaming kernels to the
+// scalar reference bit for bit over every edge the 4-row × 2-probe tile
+// has: record counts that leave a row tail of every length, an odd
+// feature count (the unroll tail) and a wide one, range starts at any
+// offset, and probe batches that end on a pair and on an odd probe.
 func TestBlockedDotsBitIdenticalToScalar(t *testing.T) {
-	const features, subjects, probes = scanTileF + 173, 53, 5
-	known := randomGroup(91, features, subjects)
-	g := New(features)
-	if err := g.EnrollMatrix(subjectIDs(subjects), known); err != nil {
-		t.Fatal(err)
-	}
-	bk := g.Blocked()
-	if bk.Len() != subjects {
-		t.Fatalf("Blocked.Len() = %d, want %d", bk.Len(), subjects)
-	}
-	zps := make([][]float64, probes)
-	for p := range zps {
-		zps[p] = g.fingerprint((p * 11) % subjects)
-	}
-
-	// Single-probe kernel, over a sub-range starting mid-layout.
-	for _, lo := range []int{0, 4, 48} {
-		out := make([]float64, alignLanes(subjects-lo))
-		bk.DotsF64(lo, subjects, zps[0], out)
-		for i := lo; i < subjects; i++ {
-			want := linalg.Dot(g.fingerprint(i), zps[0])
-			if out[i-lo] != want {
-				t.Fatalf("DotsF64(lo=%d) record %d = %v, want %v", lo, i, out[i-lo], want)
-			}
+	for _, tc := range []struct{ features, subjects int }{
+		{100, 1}, {100, 2}, {100, 3}, {100, 53}, {7, 53}, {512 + 173, 53},
+	} {
+		g := New(tc.features)
+		if err := g.EnrollMatrix(subjectIDs(tc.subjects), randomGroup(91, tc.features, tc.subjects)); err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Batched kernel: every probe bit-identical to the scalar reference
-	// (and hence to the single-probe kernel).
-	outs := make([][]float64, probes)
-	for p := range outs {
-		outs[p] = make([]float64, alignLanes(subjects))
-	}
-	bk.DotsF64Batch(0, subjects, zps, outs)
-	for p := range zps {
-		for i := 0; i < subjects; i++ {
-			want := linalg.Dot(g.fingerprint(i), zps[p])
-			if outs[p][i] != want {
-				t.Fatalf("DotsF64Batch probe %d record %d = %v, want %v", p, i, outs[p][i], want)
+		bk := g.Blocked()
+		if bk.Len() != tc.subjects {
+			t.Fatalf("Blocked.Len() = %d, want %d", bk.Len(), tc.subjects)
+		}
+		for _, probes := range []int{1, 2, 5} {
+			zps := make([][]float64, probes)
+			for p := range zps {
+				zps[p] = g.fingerprint((p * 11) % tc.subjects)
+			}
+			for _, lo := range []int{0, 1, 5, 48} {
+				if lo >= tc.subjects {
+					continue
+				}
+				// Kernels overwrite: stale values in out must not leak.
+				outs := make([][]float64, probes)
+				for p := range outs {
+					outs[p] = make([]float64, tc.subjects-lo)
+					for i := range outs[p] {
+						outs[p][i] = 1e9
+					}
+				}
+				bk.DotsF64Batch(lo, tc.subjects, zps, outs)
+				single := make([]float64, tc.subjects-lo)
+				bk.DotsF64(lo, tc.subjects, zps[0], single)
+				for i := lo; i < tc.subjects; i++ {
+					for p := range zps {
+						if want := linalg.Dot(g.fingerprint(i), zps[p]); outs[p][i-lo] != want {
+							t.Fatalf("%d×%d DotsF64Batch(lo=%d, %d probes) probe %d record %d = %v, want %v",
+								tc.subjects, tc.features, lo, probes, p, i, outs[p][i-lo], want)
+						}
+					}
+					if want := linalg.Dot(g.fingerprint(i), zps[0]); single[i-lo] != want {
+						t.Fatalf("%d×%d DotsF64(lo=%d) record %d = %v, want %v",
+							tc.subjects, tc.features, lo, i, single[i-lo], want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestBlockedCacheInvalidation checks that the cached layout tracks
-// enrollment: a gallery that grows after a Blocked call rebuilds the
-// layout instead of scanning a stale record count.
-func TestBlockedCacheInvalidation(t *testing.T) {
+// TestBlockedAliasesGalleryRecords pins the one-image rule: the view's
+// backing array is the gallery's own, a view taken after an Enroll sees
+// the new record, and a view taken before an Enroll that reallocates
+// the records still scores its old rows correctly.
+func TestBlockedAliasesGalleryRecords(t *testing.T) {
 	g := New(8)
 	if err := g.Enroll("a", []float64{1, 2, 3, 4, 5, 6, 7, 9}); err != nil {
 		t.Fatal(err)
 	}
 	first := g.Blocked()
-	if first.Len() != 1 {
-		t.Fatalf("Blocked.Len() = %d, want 1", first.Len())
+	if first.Len() != 1 || &first.rows[0] != &g.vecs[0] {
+		t.Fatalf("view of %d records does not alias the gallery's backing array", first.Len())
 	}
+	a := append([]float64(nil), g.fingerprint(0)...)
+	// cap(vecs) is 8 after one append, so the second Enroll reallocates.
 	if err := g.Enroll("b", []float64{2, 1, 4, 3, 6, 5, 9, 7}); err != nil {
 		t.Fatal(err)
 	}
 	second := g.Blocked()
-	if second.Len() != 2 {
-		t.Fatalf("Blocked.Len() after enroll = %d, want 2", second.Len())
+	if second.Len() != 2 || &second.rows[0] != &g.vecs[0] {
+		t.Fatalf("view after enroll: %d records, aliasing %v", second.Len(), &second.rows[0] == &g.vecs[0])
 	}
-	out := make([]float64, alignLanes(2))
+	if &first.rows[0] == &g.vecs[0] {
+		t.Fatal("second Enroll did not reallocate; the stale-view case is not exercised")
+	}
+	out := make([]float64, 2)
 	second.DotsF64(0, 2, g.fingerprint(1), out)
 	if want := linalg.Dot(g.fingerprint(1), g.fingerprint(1)); out[1] != want {
-		t.Fatalf("rebuilt layout scores %v, want %v", out[1], want)
+		t.Fatalf("view after enroll scores %v, want %v", out[1], want)
+	}
+	first.DotsF64(0, 1, a, out)
+	if want := linalg.Dot(a, a); first.Len() != 1 || out[0] != want {
+		t.Fatalf("stale view: %d records, score %v, want 1 record scoring %v", first.Len(), out[0], want)
 	}
 }
 

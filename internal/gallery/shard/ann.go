@@ -204,17 +204,14 @@ func (s *Store) queryAllANN(ctx context.Context, zcols [][]float64, k, paralleli
 }
 
 // scanANNShard scans one shard's probed posting lists, scoring
-// candidates against the gallery's contiguous per-record fingerprints
-// with the exact expression, so these scores are final. The blocked
-// layout is deliberately avoided here: its record-striped lanes put
-// consecutive features of one record a stride apart, which is ideal
-// for full sweeps but wastes most of every streamed cache line when
-// visiting the scattered subset of records a posting list selects.
-// Candidates are gathered eight at a time into linalg.Dot8 so the
-// dependency chains (and the eight records' cache-miss streams)
-// overlap; each score is still bit-identical to a lone linalg.Dot,
-// and offer order is exactly the posting order, so results match the
-// unbatched loop bit for bit.
+// candidates against the same stored rows the exact sweep streams, with
+// the exact expression, so these scores are final. A posting list
+// selects a scattered subset of records, so the access pattern is a
+// gather rather than a stream: candidates go eight at a time into
+// linalg.Dot8 so the dependency chains (and the eight records'
+// cache-miss streams) overlap; each score is still bit-identical to a
+// lone linalg.Dot, and offer order is exactly the posting order, so
+// results match the unbatched loop bit for bit.
 func (s *Store) scanANNShard(si int, cells []int, zp []float64, inv float64, r *gallery.Ranker, skip []bool) {
 	g := s.galleries[si]
 	if g == nil {

@@ -17,7 +17,7 @@ import (
 //	           normalization every run — what the experiment drivers do)
 //	single     single-file gallery top-k (the exact-scan driver over one
 //	           gallery)
-//	sharded    8-shard store, exact blocked scan (the same driver over
+//	sharded    8-shard store, exact streaming scan (the same driver over
 //	           eight)
 //	ivf        8-shard store, IVF coarse index at the default nprobe,
 //	           exact scan within the probed cells
@@ -118,7 +118,7 @@ func BenchmarkShardTopK(b *testing.B) {
 // BenchmarkShardTopK1M is the million-subject regime — the tentpole
 // scale where the exact scan's linear cost becomes the bottleneck and
 // the IVF coarse index must win by ≥5× (the CI ivf speedup gate holds
-// that line). Two contenders run here: the exact 8-shard blocked scan
+// that line). Two contenders run here: the exact 8-shard streaming scan
 // as the reference and the IVF scan at the default nprobe (16 of 512
 // trained cells, ~3% of records actually scored). A separate
 // function so filtered runs of BenchmarkShardTopK skip the ~minute of

@@ -7,11 +7,11 @@ import (
 )
 
 // The scan plan and the exact/IVF dispatch. Each loaded shard is cut
-// into contiguous, lane-aligned scan units at construction time
+// into contiguous scan units at construction time
 // (gallery.AppendUnits); the exact sweep hands that fixed plan to the
 // driver every engine shares (gallery.ScanUnits: units → runs →
-// tournament merge), which scans each unit through its shard's blocked
-// layout with zero per-record bookkeeping and ranks under the
+// tournament merge), which streams each unit's rows straight from its
+// shard gallery with zero per-record bookkeeping and ranks under the
 // (score desc, ID asc) strict total order. The result is the unique
 // global top-k whatever the unit boundaries, worker count, or shard
 // count.
@@ -34,10 +34,10 @@ func planUnits(galleries []*gallery.Gallery, bases []int) []gallery.Unit {
 // global index gi with skip[gi] true. skip must be nil (no exclusions)
 // or have length Len(). It is the scan behind TopKCtx (a batch of one)
 // and QueryAllCtx, exported for the live engine, which scans its
-// immutable base store through the blocked kernels while masking
+// immutable base store through the streaming kernels while masking
 // tombstoned records. With an index loaded and nprobe > 0 only the
 // probed cells are scanned (ann.go); otherwise every unit streams once
-// for the whole batch through the probe-tiled kernels. k is the
+// for the whole batch through the probe-paired kernels. k is the
 // caller's responsibility to clamp (at most the number of unmasked
 // records).
 func (s *Store) QueryAllZMasked(ctx context.Context, zcols [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {

@@ -6,7 +6,10 @@
 // QueryAll / DenseSimilarityCtx queries as a single-file gallery by
 // handing its per-shard scan plan to the exact-scan driver every engine
 // shares (gallery.ScanUnits; scan.go holds the plan and the exact/IVF
-// dispatch, query.go the public methods).
+// dispatch, query.go the public methods). A store holds each record
+// once, in its shard gallery: the exact stream and the IVF gather both
+// read those rows in place, and construction builds nothing per shard
+// beyond the ID enumeration and the unit plan.
 //
 // The paper's attack is a gallery problem, and linkage attacks only
 // become dangerous at population scale: a million-subject gallery
@@ -200,9 +203,6 @@ func newStore(features int, index []int, galleries []*gallery.Gallery, meta []Me
 	for _, g := range galleries {
 		if g != nil {
 			s.allIDs = append(s.allIDs, g.IDs()...)
-			// Pay the blocked-layout build at load time, not on the
-			// first query.
-			g.Blocked()
 		}
 	}
 	s.units = planUnits(galleries, s.bases)

@@ -23,10 +23,10 @@ func Dot(x, y []float64) float64 {
 // ascending feature order — exactly Dot's reduction — so every result
 // is bit-identical to the corresponding Dot call; the four chains are
 // merely independent, letting their FP latencies and cache misses
-// overlap. This is the gather kernel for scans that visit a scattered
-// subset of records (the IVF posting-list scan), where the
-// record-striped blocked layout would waste most of every cache line.
-// It panics if any length differs.
+// overlap. The exact scan's one-probe kernel calls it over four
+// consecutive gallery rows; an IVF posting-list scan calls it (and Dot8)
+// over a gathered, scattered subset of the same rows. It panics if any
+// length differs.
 func Dot4(a, b, c, d, y []float64) (s0, s1, s2, s3 float64) {
 	if len(a) != len(y) || len(b) != len(y) || len(c) != len(y) || len(d) != len(y) {
 		panic(fmt.Sprintf("linalg: Dot4 length mismatch %d/%d/%d/%d vs %d",
@@ -43,7 +43,7 @@ func Dot4(a, b, c, d, y []float64) (s0, s1, s2, s3 float64) {
 }
 
 // Dot8 is Dot4 twice as wide: the inner products of y with each of
-// eight gathered records, eight independent accumulator chains, each
+// eight records, eight independent accumulator chains, each
 // bit-identical to the corresponding lone Dot. Wider than the
 // latency-hiding sweet spot for L1-resident data, but the IVF scan's
 // candidates are cache-cold gathers, where eight in-flight miss
