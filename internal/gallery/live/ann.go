@@ -12,8 +12,8 @@ import (
 
 // The live engine's ANN surface. The coarse index belongs to the
 // immutable base store — the overwhelming share of a compacted
-// engine's records — and the overlay (frozen + active memtable, which
-// compaction keeps small) is always swept exactly, so enabling the
+// engine's records — and the overlay (the memtable, which compaction
+// keeps small) is always swept exactly, so enabling the
 // index never costs overlay recall. Open picks up the current
 // generation's sidecar automatically (shard.Open loads it beside the
 // manifest); BuildANN trains one online without blocking queries; and

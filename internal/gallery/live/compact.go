@@ -1,6 +1,8 @@
 package live
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -12,26 +14,27 @@ import (
 	"brainprint/internal/gallery/shard"
 )
 
-// Snapshot compaction. A compaction folds everything the engine holds —
-// base survivors plus the memtable, minus tombstones — into a fresh
-// sharded base store for generation g+1, then switches CURRENT to it.
-// The expensive parts (copying records into the snapshot is a straight
-// memcpy; writing and checksumming the shard files dominates) run off
-// the engine lock; the lock is held only to freeze the memtable at the
-// start and to swap generations at the end, so queries and mutations
-// keep flowing throughout.
+// Snapshot compaction: cut, build, swap. A compaction folds everything
+// the engine holds at the cut — base survivors plus the memtable, minus
+// tombstones — into a fresh sharded base store for generation g+1, then
+// switches CURRENT to it. The cut copies the visible records (a
+// straight memcpy) under the read lock, beside running queries; the
+// build (writing and checksumming the shard files dominates) takes no
+// lock at all; only the swap takes the write lock.
 //
-// Correctness across the concurrent window: at freeze time the active
-// memtable becomes the frozen memtable (still queryable, now immutable)
-// and tombstones accrued so far move to deadBase (already folded into
-// the snapshot, still filtering the OLD base until the swap). Mutations
-// during the compaction land in a fresh memtable and the current dead
-// set, and keep appending to the OLD generation's log — so a crash at
-// any point before the switch recovers the old generation with nothing
-// lost. At swap time the new generation's log is seeded with exactly
-// the post-freeze state (tombstone deletes in sorted order, then
-// memtable enrolls in enrollment order), synced, and only then does
-// CURRENT flip.
+// The engine has no compaction state. Between cut and swap it is in its
+// ordinary steady state — mutations land in the memtable and the
+// tombstone set and append to the OLD generation's log exactly as at
+// any other time — so a crash, a failure or a Close at any point before
+// CURRENT flips leaves the old generation with nothing lost and nothing
+// to unwind. The swap carries the old log's committed bytes past the
+// cut into the new segment verbatim, syncs them, writes the sidecar
+// (baseSeq' = baseSeq + records folded at the cut), flips CURRENT, and
+// replaces the view with the one the new base plus a replay of that
+// tail yields — the same applyRecord replay Open runs, so the in-memory
+// state after a switch is what a restart would recover, and every
+// position past baseSeq' of the new log is byte-for-byte the history
+// the old log told.
 
 // maybeKickCompaction schedules a background compaction when the log
 // has grown past the configured threshold. Called with the write lock
@@ -58,7 +61,10 @@ func (e *Engine) maybeKickCompaction() {
 // immutable base store under a generation switch, then removes the
 // previous generation's files. Concurrent queries and mutations
 // proceed throughout; concurrent Compact calls serialize. Compacting an
-// empty engine (everything deleted) leaves a baseless generation.
+// empty engine (everything deleted) leaves a baseless generation. A
+// failed compaction leaves the engine as it was; files it wrote for the
+// next generation are overwritten by the next attempt or swept at the
+// next Open.
 func (e *Engine) Compact() error {
 	e.compactMu.Lock()
 	defer e.compactMu.Unlock()
@@ -66,27 +72,53 @@ func (e *Engine) Compact() error {
 	defer e.compactingNow.Store(false)
 
 	start := time.Now()
+	c, err := e.cutSnapshot()
+	if err != nil {
+		return err
+	}
+	next, err := e.buildGeneration(c)
+	if err != nil {
+		return err
+	}
+	if err := e.swapGeneration(c, next); err != nil {
+		return err
+	}
+	e.compactions.Add(1)
+	e.lastCompact.Store(time.Since(start).Microseconds())
+	return nil
+}
 
-	// Phase 1 (write lock): freeze the memtable and fold a snapshot.
-	e.mu.Lock()
+// compactCut is what a compaction remembers of the instant it cut its
+// snapshot.
+type compactCut struct {
+	gen  int              // the generation being built
+	snap *gallery.Gallery // the records visible at the cut
+	// records and bytes locate the cut in the old generation's log: how
+	// many committed records the snapshot folds, and the offset just
+	// past them.
+	records int
+	bytes   int64
+	// annSeed is the training seed of the index the base carried at the
+	// cut (annRebuild false for none): its successor is re-indexed with
+	// the same seed, so the knob survives the generation switch.
+	annRebuild bool
+	annSeed    int64
+}
+
+// cutSnapshot is compaction's first step: under the read lock it
+// copies the visible records and notes where the log stood.
+func (e *Engine) cutSnapshot() (compactCut, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
+		return compactCut{}, ErrClosed
 	}
-	if e.frozen != nil {
-		e.mu.Unlock()
-		return fmt.Errorf("live: internal error: frozen memtable outside a compaction")
-	}
-	newGen := e.gen + 1
-	// Capture the ANN state under the lock: a base that carries an
-	// index gets its successor re-indexed with the same training seed,
-	// so the knob survives the generation switch.
-	var annSeed int64
-	annRebuild := false
+	c := compactCut{gen: e.gen + 1, records: e.walRecords, bytes: e.walBytes}
 	if e.base != nil && e.base.ANNIndex() != nil {
-		annRebuild, annSeed = true, e.base.ANNIndex().Seed()
+		c.annRebuild, c.annSeed = true, e.base.ANNIndex().Seed()
 	}
-	snap, err := snapshotGallery(e.mem.Features(), e.featureIndexCopy(), func(yield func(string, []float64) error) error {
+	var err error
+	c.snap, err = snapshotGallery(e.features, e.fidx, func(yield func(string, []float64) error) error {
 		for i, id := range e.ids {
 			if err := yield(id, e.fingerprint(i)); err != nil {
 				return err
@@ -94,224 +126,113 @@ func (e *Engine) Compact() error {
 		}
 		return nil
 	})
-	if err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	e.frozen = e.mem
-	if idx := e.featureIndexCopy(); idx != nil {
-		e.mem = gallery.WithFeatureIndex(idx)
-	} else {
-		e.mem = gallery.New(e.frozen.Features())
-	}
-	e.deadBase, e.dead = e.dead, map[string]bool{}
-	e.rebuild()
-	e.mu.Unlock()
+	return c, err
+}
 
-	// Phase 2 (no lock): build and persist the new generation's base.
-	// A defended engine folds the snapshot through its anonymization
-	// pipeline first and stamps the descriptor into the fresh manifest,
-	// so the defense survives the generation switch (and any replica
-	// bootstrapped from these files). See DESIGN.md §12 for what
-	// re-application means for each transform kind.
-	var newBase *shard.Store
-	if snap.Len() > 0 {
-		if snap, err = defense.Apply(snap, e.opts.Defense, 0); err != nil {
-			e.abortFreeze()
-			return err
-		}
-		newBase, err = shard.FromGallery(snap, e.opts.Shards, false)
+// buildGeneration is compaction's second step, off the lock: it builds
+// and persists generation c.gen's base and returns the view a fresh
+// generation over it starts from (baseless when the snapshot is
+// empty). A defended engine folds the snapshot through its
+// anonymization pipeline first and stamps the descriptor into the fresh
+// manifest, so the defense survives the generation switch (and any
+// replica bootstrapped from these files). See DESIGN.md §12 for what
+// re-application means for each transform kind.
+func (e *Engine) buildGeneration(c compactCut) (*view, error) {
+	var base *shard.Store
+	if c.snap.Len() > 0 {
+		snap, err := defense.Apply(c.snap, e.opts.Defense, 0)
 		if err != nil {
-			e.abortFreeze()
-			return err
+			return nil, err
 		}
-		newBase.SetDefense(e.opts.Defense)
-		if err := newBase.WriteFiles(filepath.Join(e.dir, genName(newGen, "bpm"))); err != nil {
-			e.abortFreeze()
-			return err
+		if base, err = shard.FromGallery(snap, e.opts.Shards, false); err != nil {
+			return nil, err
 		}
-		if annRebuild {
-			if err := newBase.BuildANN(context.Background(), 0, annSeed, 0); err != nil {
-				e.abortFreeze()
-				return err
+		base.SetDefense(e.opts.Defense)
+		manifest := filepath.Join(e.dir, genName(c.gen, "bpm"))
+		if err := base.WriteFiles(manifest); err != nil {
+			return nil, err
+		}
+		if c.annRebuild {
+			if err := base.BuildANN(context.Background(), 0, c.annSeed, 0); err != nil {
+				return nil, err
 			}
-			if err := newBase.SaveANN(filepath.Join(e.dir, genName(newGen, "bpm"))); err != nil {
-				e.abortFreeze()
-				return err
+			if err := base.SaveANN(manifest); err != nil {
+				return nil, err
 			}
 		}
 	}
+	return newView(e.features, e.fidx, base), nil
+}
 
-	// Phase 3 (write lock): seed the new log with the post-freeze
-	// mutations, flip CURRENT, and swap the in-memory state.
+// swapGeneration is compaction's last step, under the write lock. Every
+// step that can fail runs before CURRENT flips and touches only next
+// and generation c.gen's files; after the flip there is nothing left
+// to fail.
+func (e *Engine) swapGeneration(c compactCut, next *view) error {
 	e.mu.Lock()
 	if e.closed {
-		// Close won the race during the unlocked build: the old log is
-		// already released, so unwind in memory and leave generation
-		// newGen's files as orphans for the next Open to sweep.
+		// Close won the race during the unlocked build; generation
+		// c.gen's files stay behind as orphans for the next Open to sweep.
 		e.mu.Unlock()
-		e.abortFreeze()
 		return ErrClosed
 	}
-	seeded, err := e.seedWAL(newGen)
-	if err != nil {
-		e.mu.Unlock()
-		e.abortFreeze()
-		return err
-	}
-	// The seeded log is a reordered, collapsed retelling of history (see
-	// replication.go): the new generation starts after sequence
-	// oldSeq - records and its seeded prefix replays up to oldSeq, so
-	// sequence numbers carry across the switch unchanged.
-	oldSeq := e.baseSeq + int64(e.walRecords)
-	newBaseSeq := oldSeq - int64(seeded.records)
-	if err := writeSeqFile(e.dir, newGen, newBaseSeq, oldSeq); err != nil {
-		seeded.w.close()
-		e.mu.Unlock()
-		e.abortFreeze()
-		return err
-	}
-	if err := writeCurrent(e.dir, newGen); err != nil {
-		seeded.w.close()
-		e.mu.Unlock()
-		e.abortFreeze()
-		return err
-	}
-	oldGen := e.gen
-	oldWAL := e.wal
-	e.gen = newGen
-	e.base = newBase
-	if e.nprobe > 0 {
-		if newBase != nil {
-			// An active fan-out implies the old base carried an index,
-			// so the fresh base was re-indexed above; re-applying
-			// cannot fail.
-			if err := newBase.SetANNProbe(e.nprobe); err != nil {
-				panic(fmt.Sprintf("live: re-applying ANN fan-out after compaction: %v", err))
-			}
-		} else {
-			// Everything was deleted: a baseless generation has no
-			// index, so the knob resets to exact.
-			e.nprobe = 0
-		}
-	}
-	e.frozen = nil
-	e.deadBase = map[string]bool{}
-	e.wal = seeded.w
-	e.walRecords = seeded.records
-	e.walBytes = seeded.bytes
-	e.walStart = seeded.start
-	e.walOff = seeded.ends
-	e.baseSeq = newBaseSeq
-	e.seedSeq = oldSeq
-	e.bump() // generation switched: wake stream waiters pinned to oldGen
-	e.rebuild()
+	oldGen, oldWAL := e.gen, e.wal
+	err := e.switchTo(c, next)
 	e.mu.Unlock()
-
+	if err != nil {
+		return err
+	}
 	oldWAL.close()
 	removeGeneration(e.dir, oldGen)
-	e.compactions.Add(1)
-	e.lastCompact.Store(time.Since(start).Microseconds())
 	return nil
 }
 
-// abortFreeze unwinds a failed compaction, restoring exactly the state
-// a crash-and-replay of the old generation's log would produce: frozen
-// records not deleted during the window fold back in front of the
-// active memtable (a frozen record deleted — and possibly re-enrolled —
-// during the window must NOT resurrect), the already-folded tombstones
-// rejoin the live set, and the tombstone set is pruned back to its
-// invariant (only IDs present in the base — entries for dropped frozen
-// records would otherwise poison the next compaction's seeded log with
-// deletes of never-enrolled subjects).
-func (e *Engine) abortFreeze() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var merged *gallery.Gallery
-	if e.fidx != nil {
-		merged = gallery.WithFeatureIndex(e.fidx)
-	} else {
-		merged = gallery.New(e.features)
+// switchTo does swapGeneration's work. Called with the write lock held.
+func (e *Engine) switchTo(c compactCut, next *view) error {
+	// The mutations committed since the cut: read off the open segment,
+	// replayed onto the fresh view exactly as Open would replay them.
+	tail := make([]byte, e.walBytes-c.bytes)
+	if _, err := e.wal.f.ReadAt(tail, c.bytes); err != nil {
+		return fmt.Errorf("live: reading the write-ahead log past the compaction cut: %w", err)
 	}
-	for i, id := range e.frozen.IDs() {
-		if e.dead[id] {
-			continue
-		}
-		if err := merged.EnrollNormalized(id, e.frozen.Fingerprint(i)); err != nil {
-			panic(fmt.Sprintf("live: unwinding failed compaction: %v", err))
-		}
+	// Both segments carry the same header, so the tail keeps its offsets.
+	hdr := e.walHeader()
+	replayed, err := replayWAL(bufio.NewReader(bytes.NewReader(tail)), hdr, e.walStart, e.walStart+int64(len(tail)), next.applyRecord)
+	if err == nil && replayed.records != e.walRecords-c.records {
+		err = fmt.Errorf("%w: %d of %d records past the compaction cut replayed", ErrWALCorrupt, replayed.records, e.walRecords-c.records)
 	}
-	for i, id := range e.mem.IDs() {
-		if err := merged.EnrollNormalized(id, e.mem.Fingerprint(i)); err != nil {
-			panic(fmt.Sprintf("live: unwinding failed compaction: %v", err))
-		}
-	}
-	e.mem = merged
-	e.frozen = nil
-	for id := range e.deadBase {
-		e.dead[id] = true
-	}
-	e.deadBase = map[string]bool{}
-	if e.base != nil {
-		for id := range e.dead {
-			if e.base.Index(id) < 0 {
-				delete(e.dead, id)
-			}
-		}
-	} else {
-		e.dead = map[string]bool{}
-	}
-	e.rebuild()
-}
-
-// seededWAL is the outcome of seeding a fresh generation's log segment.
-type seededWAL struct {
-	w       *walWriter
-	start   int64   // offset just past the segment header
-	bytes   int64   // total committed segment length
-	records int     // seeded record count
-	ends    []int64 // offset just past each seeded record
-}
-
-// seedWAL writes generation gen's log segment containing the current
-// post-freeze overlay — tombstone deletes in sorted order, then
-// memtable enrolls in enrollment order — and syncs it, so the segment
-// replays to exactly the state the swap leaves in memory. The writer's
-// rollback offset is advanced past the seeded batch: truncating to the
-// header on a later failed append would otherwise cut the seed away.
-// Called with the write lock held.
-func (e *Engine) seedWAL(gen int) (seededWAL, error) {
-	w, n, err := createWAL(filepath.Join(e.dir, genName(gen, "bpw")),
-		walHeader{features: e.mem.Features(), featureIndex: e.featureIndexCopy()}, !e.opts.NoSync)
 	if err != nil {
-		return seededWAL{}, err
+		return err
 	}
-	out := seededWAL{w: w, start: n}
-	var batch []byte
-	add := func(frame []byte) {
-		batch = append(batch, frame...)
-		out.records++
-		out.ends = append(out.ends, n+int64(len(batch)))
+	// The ANN fan-out carries over; a baseless generation has no index,
+	// so there the knob resets to exact. The fresh base was re-indexed
+	// iff the old one carried an index at the cut, so this fails only
+	// when an index was attached and switched on since.
+	nprobe := e.nprobe
+	if next.base == nil {
+		nprobe = 0
+	} else if err := next.base.SetANNProbe(nprobe); err != nil {
+		return fmt.Errorf("live: re-applying the ANN fan-out to generation %d: %w", c.gen, err)
 	}
-	for _, id := range sortedKeys(e.dead) {
-		add(encodeWALRecord(walKindDelete, id, nil))
+	// Durable, in order: the new segment with the tail, the sidecar
+	// numbering it, and only then the pointer that makes them current.
+	w, _, err := createWAL(filepath.Join(e.dir, genName(c.gen, "bpw")), hdr, tail, !e.opts.NoSync)
+	if err != nil {
+		return err
 	}
-	for i, id := range e.mem.IDs() {
-		add(encodeWALRecord(walKindEnroll, id, e.mem.Fingerprint(i)))
+	newBaseSeq := e.baseSeq + int64(c.records)
+	if err = writeSeqFile(e.dir, c.gen, newBaseSeq); err == nil {
+		err = writeCurrent(e.dir, c.gen)
 	}
-	if len(batch) > 0 {
-		if _, err := w.f.Write(batch); err != nil {
-			w.close()
-			return seededWAL{}, err
-		}
-	}
-	if err := w.f.Sync(); err != nil {
+	if err != nil {
 		w.close()
-		return seededWAL{}, err
+		return err
 	}
-	w.off = n + int64(len(batch))
-	out.bytes = w.off
-	return out, nil
+	e.gen, e.view, e.nprobe, e.wal = c.gen, *next, nprobe, w
+	e.adoptLog(replayed)
+	e.baseSeq, e.retoldSeq = newBaseSeq, 0
+	e.bump() // generation switched: wake stream waiters pinned to the old one
+	return nil
 }
 
 // removeGeneration deletes a superseded generation's manifest, shard
@@ -334,12 +255,7 @@ func removeGeneration(dir string, gen int) {
 // renormalization) that keeps every stored bit across compactions and
 // migrations.
 func snapshotGallery(features int, featureIndex []int, iterate func(yield func(string, []float64) error) error) (*gallery.Gallery, error) {
-	var snap *gallery.Gallery
-	if featureIndex != nil {
-		snap = gallery.WithFeatureIndex(featureIndex)
-	} else {
-		snap = gallery.New(features)
-	}
+	snap := newMemtable(features, featureIndex)
 	err := iterate(func(id string, vec []float64) error {
 		return snap.EnrollNormalized(id, vec)
 	})

@@ -200,99 +200,6 @@ func assertEnginesAgreeAt(t *testing.T, phase string, cold *shard.Store, e *Engi
 	}
 }
 
-// TestFrozenWindowQueriesMatchCold queries while a memtable is frozen by
-// an in-flight compaction — the one state in which the overlay scan
-// carries a skip mask. During the window a frozen record is deleted,
-// another is deleted and re-enrolled with new bits, a base record is
-// deleted, and an exact duplicate of a frozen record is enrolled under
-// an ID that sorts first (a score tie across frozen and active
-// memtables). The engine must answer like a cold store of the visible
-// records at every parallelism: inside the window, after the compaction
-// is aborted, and after one completes. The freeze is simulated
-// white-box, as in TestAbortFreezeWindowMutations.
-func TestFrozenWindowQueriesMatchCold(t *testing.T) {
-	const features, cohort, k = 19, 48, 7
-	group := randomGroup(83, features, cohort)
-	ids := subjectIDs(cohort)
-	e, err := Create(filepath.Join(t.TempDir(), "live"), features, nil, Options{NoSync: true, Shards: 2})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	defer e.Close()
-
-	visible := map[string]int{} // id → the group column it was enrolled from
-	enroll := func(id string, col int) {
-		t.Helper()
-		if err := e.Enroll(id, group.Col(col)); err != nil {
-			t.Fatalf("Enroll(%q): %v", id, err)
-		}
-		visible[id] = col
-	}
-	del := func(id string) {
-		t.Helper()
-		if err := e.Delete(id); err != nil {
-			t.Fatalf("Delete(%q): %v", id, err)
-		}
-		delete(visible, id)
-	}
-	for j := 0; j < 30; j++ {
-		enroll(ids[j], j)
-	}
-	if err := e.Compact(); err != nil { // 0..29 into the base
-		t.Fatalf("Compact: %v", err)
-	}
-	for j := 30; j < 42; j++ { // the memtable the freeze captures
-		enroll(ids[j], j)
-	}
-	del(ids[3]) // pre-freeze base tombstone
-
-	e.mu.Lock()
-	e.frozen = e.mem
-	e.mem = gallery.New(features)
-	e.deadBase, e.dead = e.dead, map[string]bool{}
-	e.rebuild()
-	e.mu.Unlock()
-
-	del(ids[31])            // frozen record, first tombstone of the window
-	enroll(ids[42], 42)     // enrolls after the mask exists must extend it
-	del(ids[35])            // frozen record deleted …
-	enroll(ids[35], 43)     // … and re-enrolled with different bits
-	del(ids[7])             // base record
-	enroll("a-twin-38", 38) // same bits as frozen ids[38]; wins the tie by ID
-	if got := e.Stats().MemRecords; got != 12+3 {
-		t.Fatalf("window overlay holds %d records, want 12 frozen + 3 active", got)
-	}
-
-	cold := gallery.New(features)
-	for _, id := range append(append([]string(nil), ids...), "a-twin-38") {
-		if col, ok := visible[id]; ok {
-			if err := cold.Enroll(id, group.Col(col)); err != nil {
-				t.Fatalf("cold Enroll: %v", err)
-			}
-		}
-	}
-	coldStore, err := shard.FromGallery(cold, 2, false)
-	if err != nil {
-		t.Fatalf("cold FromGallery: %v", err)
-	}
-	if e.Len() != coldStore.Len() {
-		t.Fatalf("record sets diverged: live %d vs cold %d", e.Len(), coldStore.Len())
-	}
-	probes := noisyProbes(group, 84)
-	twin, err := e.TopKCtx(context.Background(), group.Col(38), 2, 1)
-	if err != nil || twin[0].ID != "a-twin-38" || twin[1].ID != ids[38] || twin[0].Score != twin[1].Score {
-		t.Fatalf("frozen/active twins not tied in ID order: %+v %v", twin, err)
-	}
-
-	assertEnginesAgreeAt(t, "frozen-window", coldStore, e, probes, k, 1, 0, 3)
-	e.abortFreeze()
-	assertEnginesAgreeAt(t, "after-abort", coldStore, e, probes, k, 1, 0, 3)
-	if err := e.Compact(); err != nil {
-		t.Fatalf("Compact after abort: %v", err)
-	}
-	assertEnginesAgreeAt(t, "after-compact", coldStore, e, probes, k, 1, 0, 3)
-}
-
 // TestEnrollsRacingQueries drives concurrent mutators and queriers
 // through one engine; under -race (the CI default) this pins the
 // locking discipline, and the final state must contain every enrolled

@@ -19,8 +19,8 @@
 //     offline-enrolled with the same records.
 //   - Snapshot compaction (compact.go) folds the log into fresh shard
 //     files under a generation switch (an atomic CURRENT rename), off
-//     the query path: only the memtable freeze and the final swap take
-//     the engine lock.
+//     the query path: the snapshot copy shares the read lock with
+//     queries and only the final swap takes the write lock.
 //   - Open replays the log, truncating a torn tail (a crash mid-append)
 //     and failing hard on interior corruption — see wal.go for the
 //     recovery rule and DESIGN.md §7 for why the distinction matters.
@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,21 +53,6 @@ import (
 	"brainprint/internal/gallery"
 	"brainprint/internal/gallery/shard"
 )
-
-// source identifies which store a live enumeration entry lives in.
-type source uint8
-
-const (
-	srcBase   source = iota // immutable base store (current generation)
-	srcFrozen               // memtable frozen by an in-flight compaction
-	srcMem                  // active memtable
-)
-
-// loc maps one live enumeration index to its backing record.
-type loc struct {
-	src source
-	idx int // base: global store index; frozen/mem: gallery enrollment index
-}
 
 // Options tunes a live engine at Create/Open time.
 type Options struct {
@@ -104,13 +88,57 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// view is the queryable state: the immutable base store, the memtable
+// overlay, the tombstones masking base records, and the flat
+// enumeration derived from the three. Open and the compaction swap
+// both build one by replaying a log segment through applyRecord onto a
+// fresh view over a base, so the state after a generation switch is by
+// construction the state a restart would recover.
+type view struct {
+	base *shard.Store     // nil before the first compaction of an empty-created directory
+	mem  *gallery.Gallery // never nil, carries the geometry
+	// dead holds the tombstones of base records deleted since the base
+	// was written; the next compaction folds them out.
+	dead map[string]bool
+
+	// The live enumeration: ids/byID cover exactly the visible records,
+	// base survivors in global store order and then the memtable in
+	// enrollment order. Maintained incrementally on enroll, rebuilt on
+	// delete. baseIdx[i] is the store index behind enumeration index
+	// i < len(baseIdx); index i past that is memtable record
+	// i-len(baseIdx). baseSkip is the dead-mask the masked base scan
+	// consumes (nil when every base record is visible).
+	ids      []string
+	byID     map[string]int
+	baseIdx  []int
+	baseSkip []bool
+}
+
+// newView returns the state a generation starts from: every record of
+// base (nil for none) visible, an empty memtable, no tombstones.
+func newView(features int, featureIndex []int, base *shard.Store) *view {
+	v := &view{base: base, mem: newMemtable(features, featureIndex), dead: map[string]bool{}}
+	v.rebuild()
+	return v
+}
+
+// newMemtable returns an empty gallery of the given geometry
+// (featureIndex nil for gallery-space fingerprints).
+func newMemtable(features int, featureIndex []int) *gallery.Gallery {
+	if featureIndex != nil {
+		return gallery.WithFeatureIndex(featureIndex)
+	}
+	return gallery.New(features)
+}
+
 // Engine is a live, mutable gallery over a directory: an immutable
 // sharded base store plus a write-ahead-logged memtable overlay. It
 // implements gallery.Mutable (and therefore gallery.Engine), so it
 // drops in wherever a read-only gallery serves today. All methods are
 // safe for concurrent use: queries share a read lock and run in
-// parallel, mutations serialize, and compaction runs in the background
-// touching the lock only to freeze the memtable and swap generations.
+// parallel, mutations serialize, and compaction runs in the background,
+// sharing the read lock to copy its snapshot and taking the write lock
+// only to swap generations.
 type Engine struct {
 	dir  string
 	opts Options
@@ -124,32 +152,7 @@ type Engine struct {
 	mu     sync.RWMutex
 	closed bool
 	gen    int
-	base   *shard.Store     // nil before the first compaction of an empty-created directory
-	frozen *gallery.Gallery // memtable frozen by the in-flight compaction, nil otherwise
-	mem    *gallery.Gallery // active memtable; never nil, carries the geometry
-	// dead holds tombstones not yet folded into a base: a query skips
-	// these base/frozen records, and the swap replays them into the
-	// fresh log. deadBase holds tombstones already folded into the
-	// in-flight compaction's snapshot — still needed to filter the OLD
-	// base until the swap, then dropped.
-	dead     map[string]bool
-	deadBase map[string]bool
-
-	// The live enumeration: ids/locs/byID cover exactly the visible
-	// records, in base, frozen, mem order. Maintained incrementally on
-	// enroll, rebuilt on delete and swap. baseSkip is the dead-mask the
-	// masked base scan consumes (nil when every base record is visible);
-	// baseVisible counts base survivors — the live index where the
-	// overlay's records start. overlaySkip is the overlay scan's
-	// dead-mask, indexed frozen records first, then the memtable's: it
-	// marks frozen records tombstoned during the freeze window and is nil
-	// whenever there are none.
-	ids         []string
-	locs        []loc
-	byID        map[string]int
-	baseSkip    []bool
-	baseVisible int
-	overlaySkip []bool
+	view
 
 	// nprobe is the ANN cell fan-out applied to the base store (0 =
 	// exact scan), carried across compactions: each fresh base is
@@ -164,17 +167,18 @@ type Engine struct {
 
 	// Replication bookkeeping (see replication.go). baseSeq is the
 	// global mutation sequence number the current generation's log
-	// starts after; seedSeq is the sequence the seeded prefix written at
-	// the last compaction replays up to (the earliest safe cross-
-	// generation resume point); walStart is the offset just past the log
-	// header; walOff[i] is the offset just past committed record i; and
-	// walCh is closed-and-replaced on every commit, generation switch,
-	// and Close, waking WaitWAL waiters.
-	baseSeq  int64
-	seedSeq  int64
-	walStart int64
-	walOff   []int64
-	walCh    chan struct{}
+	// starts after; walStart is the offset just past the log header;
+	// walOff[i] is the offset just past committed record i; and walCh is
+	// closed-and-replaced on every commit, generation switch, and Close,
+	// waking WaitWAL waiters. retoldSeq is non-zero only on a generation
+	// written before compaction carried the log tail over verbatim: the
+	// records up to it retell history in a collapsed order, so a
+	// follower of an older generation may not resume below it.
+	baseSeq   int64
+	retoldSeq int64
+	walStart  int64
+	walOff    []int64
+	walCh     chan struct{}
 
 	compactMu     sync.Mutex  // serializes compactions
 	compactKick   atomic.Bool // a background compaction is scheduled or running
@@ -208,28 +212,7 @@ func Create(dir string, features int, featureIndex []int, opts Options) (*Engine
 	if featureIndex != nil && len(featureIndex) != features {
 		return nil, fmt.Errorf("%w: feature index length %d != %d features", gallery.ErrDimMismatch, len(featureIndex), features)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if _, err := os.Stat(filepath.Join(dir, currentFile)); err == nil {
-		return nil, fmt.Errorf("live: %s already holds a live gallery", dir)
-	}
-	e := newEngine(dir, features, featureIndex, opts)
-	w, n, err := createWAL(filepath.Join(dir, genName(0, "bpw")), walHeader{features: features, featureIndex: e.featureIndexCopy()}, !e.opts.NoSync)
-	if err != nil {
-		return nil, err
-	}
-	e.wal, e.walBytes, e.walStart = w, n, n
-	if err := writeSeqFile(dir, 0, 0, 0); err != nil {
-		w.close()
-		return nil, err
-	}
-	if err := writeCurrent(dir, 0); err != nil {
-		w.close()
-		return nil, err
-	}
-	e.rebuild()
-	return e, nil
+	return createGeneration0(dir, features, featureIndex, opts, nil)
 }
 
 // CreateFromStore initializes a live gallery directory seeded with the
@@ -246,13 +229,12 @@ func CreateFromStore(dir string, src *shard.Store, opts Options) (*Engine, error
 	if opts.Shards <= 0 {
 		opts.Shards = src.Shards()
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+	// A defended source's pipeline carries over unless the caller gave
+	// one; either way the seed snapshot passes through it, exactly like
+	// a compaction's fold would.
+	if opts.Defense == nil {
+		opts.Defense = src.Defense()
 	}
-	if _, err := os.Stat(filepath.Join(dir, currentFile)); err == nil {
-		return nil, fmt.Errorf("live: %s already holds a live gallery", dir)
-	}
-	e := newEngine(dir, src.Features(), src.FeatureIndex(), opts)
 	snap, err := snapshotGallery(src.Features(), src.FeatureIndex(), func(yield func(string, []float64) error) error {
 		for gi, id := range src.IDs() {
 			if err := yield(id, src.Fingerprint(gi)); err != nil {
@@ -264,38 +246,40 @@ func CreateFromStore(dir string, src *shard.Store, opts Options) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	// A defended source's pipeline carries over unless the caller gave
-	// one; either way the seed snapshot passes through it, exactly like
-	// a compaction's fold would.
-	if e.opts.Defense == nil {
-		e.opts.Defense = src.Defense()
-	}
-	if snap, err = defense.Apply(snap, e.opts.Defense, 0); err != nil {
+	return createGeneration0(dir, src.Features(), src.FeatureIndex(), opts, snap)
+}
+
+// createGeneration0 claims dir and writes generation 0: the base built
+// from seed (nil for none) exactly as a compaction builds one from its
+// snapshot, an empty log, the sequence sidecar, and last the CURRENT
+// pointer.
+func createGeneration0(dir string, features int, featureIndex []int, opts Options, seed *gallery.Gallery) (*Engine, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	base, err := shard.FromGallery(snap, e.opts.Shards, false)
+	if _, err := os.Stat(filepath.Join(dir, currentFile)); err == nil {
+		return nil, fmt.Errorf("live: %s already holds a live gallery", dir)
+	}
+	e := newEngine(dir, features, featureIndex, opts, nil)
+	if seed != nil {
+		next, err := e.buildGeneration(compactCut{gen: 0, snap: seed})
+		if err != nil {
+			return nil, err
+		}
+		e.view = *next
+	}
+	w, n, err := createWAL(filepath.Join(dir, genName(0, "bpw")), e.walHeader(), nil, !e.opts.NoSync)
 	if err != nil {
 		return nil, err
 	}
-	base.SetDefense(e.opts.Defense)
-	if err := base.WriteFiles(filepath.Join(dir, genName(0, "bpm"))); err != nil {
-		return nil, err
+	if err = writeSeqFile(dir, 0, 0); err == nil {
+		err = writeCurrent(dir, 0)
 	}
-	e.base = base
-	w, n, err := createWAL(filepath.Join(dir, genName(0, "bpw")), walHeader{features: e.mem.Features(), featureIndex: e.featureIndexCopy()}, !e.opts.NoSync)
 	if err != nil {
+		w.close()
 		return nil, err
 	}
 	e.wal, e.walBytes, e.walStart = w, n, n
-	if err := writeSeqFile(dir, 0, 0, 0); err != nil {
-		w.close()
-		return nil, err
-	}
-	if err := writeCurrent(dir, 0); err != nil {
-		w.close()
-		return nil, err
-	}
-	e.rebuild()
 	return e, nil
 }
 
@@ -342,15 +326,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 			opts.Defense = base.Defense()
 		}
 	}
-	var e *Engine
-	apply := func(rec walRecord) error {
-		switch rec.kind {
-		case walKindEnroll:
-			return e.applyEnroll(rec.id, rec.vec)
-		default:
-			return e.applyDelete(rec.id)
-		}
-	}
 	walPath := filepath.Join(dir, genName(gen, "bpw"))
 	if base == nil {
 		// An empty-created directory: the log header is the only place
@@ -361,21 +336,17 @@ func Open(dir string, opts Options) (*Engine, error) {
 		}
 		features, featureIndex = h.features, h.featureIndex
 	}
-	e = newEngine(dir, features, featureIndex, opts)
+	// The base is enumerated before replay: deletes resolve against it.
+	e := newEngine(dir, features, featureIndex, opts, base)
 	e.gen = gen
-	e.base = base
-	e.rebuild() // enumerate the base before replay: deletes resolve against it
-	w, tail, err := openWAL(walPath, walHeader{features: features, featureIndex: e.featureIndexCopy()}, !e.opts.NoSync, apply)
+	w, tail, err := openWAL(walPath, e.walHeader(), !e.opts.NoSync, e.applyRecord)
 	if err != nil {
 		return nil, err
 	}
 	e.wal = w
-	e.walRecords = tail.records
-	e.walBytes = tail.goodEnd
-	e.walStart = tail.hdrEnd
-	e.walOff = tail.ends
+	e.adoptLog(tail)
 	e.tornBytes = tail.tornBytes
-	e.baseSeq, e.seedSeq = readSeqFile(dir, gen)
+	e.baseSeq, e.retoldSeq = readSeqFile(dir, gen)
 	e.sweepOrphans()
 	return e, nil
 }
@@ -397,29 +368,34 @@ func peekWALHeader(path string) (walHeader, error) {
 	return h, nil
 }
 
-// newEngine assembles the in-memory shell shared by Create and Open.
-func newEngine(dir string, features int, featureIndex []int, opts Options) *Engine {
-	var mem *gallery.Gallery
-	if featureIndex != nil {
-		mem = gallery.WithFeatureIndex(featureIndex)
-	} else {
-		mem = gallery.New(features)
-	}
+// newEngine assembles the in-memory shell shared by Create and Open:
+// the geometry and a fresh view over base.
+func newEngine(dir string, features int, featureIndex []int, opts Options, base *shard.Store) *Engine {
+	v := newView(features, featureIndex, base)
 	return &Engine{
 		dir:      dir,
 		opts:     opts.withDefaults(),
 		features: features,
-		fidx:     mem.FeatureIndex(),
-		mem:      mem,
-		dead:     map[string]bool{},
-		deadBase: map[string]bool{},
+		fidx:     v.mem.FeatureIndex(),
+		view:     *v,
 		walCh:    make(chan struct{}),
 	}
 }
 
-// featureIndexCopy returns the geometry's feature index (nil when the
-// engine stores gallery-space fingerprints).
-func (e *Engine) featureIndexCopy() []int { return e.fidx }
+// walHeader returns the geometry header every log segment of this
+// engine carries.
+func (e *Engine) walHeader() walHeader {
+	return walHeader{features: e.features, featureIndex: e.fidx}
+}
+
+// adoptLog points the replication offset table at a just-replayed
+// segment. Called with the write lock held (or during Open).
+func (e *Engine) adoptLog(tail replayTail) {
+	e.walRecords = tail.records
+	e.walBytes = tail.goodEnd
+	e.walStart = tail.hdrEnd
+	e.walOff = tail.ends
+}
 
 // Dir returns the live gallery's directory.
 func (e *Engine) Dir() string { return e.dir }
@@ -511,53 +487,53 @@ func (e *Engine) commit(frame []byte) error {
 	return nil
 }
 
-// applyEnroll makes a committed (or replayed) enrollment visible:
-// the normalized vector lands in the memtable and the enumeration
-// grows by one. Called with the write lock held (or during Open,
-// before the engine is shared).
-func (e *Engine) applyEnroll(id string, z []float64) error {
-	if _, dup := e.byID[id]; dup {
+// applyRecord makes one committed log record visible — the single
+// path by which a mutation reaches the view, whether it was just
+// committed, is replayed by Open, or is carried across a compaction
+// swap.
+func (v *view) applyRecord(rec walRecord) error {
+	if rec.kind == walKindEnroll {
+		return v.applyEnroll(rec.id, rec.vec)
+	}
+	return v.applyDelete(rec.id)
+}
+
+// applyEnroll lands a normalized vector in the memtable and grows the
+// enumeration by one. Called with the write lock held (or on a view
+// not yet shared).
+func (v *view) applyEnroll(id string, z []float64) error {
+	if _, dup := v.byID[id]; dup {
 		return fmt.Errorf("%w: %q", gallery.ErrDuplicateID, id)
 	}
-	if err := e.mem.EnrollNormalized(id, z); err != nil {
+	if err := v.mem.EnrollNormalized(id, z); err != nil {
 		return err
 	}
-	e.ids = append(e.ids, id)
-	e.locs = append(e.locs, loc{src: srcMem, idx: e.mem.Len() - 1})
-	e.byID[id] = len(e.ids) - 1
-	if e.overlaySkip != nil {
-		e.overlaySkip = append(e.overlaySkip, false)
-	}
+	v.byID[id] = len(v.ids)
+	v.ids = append(v.ids, id)
 	return nil
 }
 
-// applyDelete makes a committed (or replayed) deletion visible. A
-// memtable record is physically rebuilt away; a base or frozen record
-// is tombstoned until the next compaction folds it out. Called with the
-// write lock held (or during Open).
-func (e *Engine) applyDelete(id string) error {
-	li, ok := e.byID[id]
+// applyDelete removes a record from the enumeration: a memtable record
+// is physically rebuilt away, a base record is tombstoned until the
+// next compaction folds it out. Called like applyEnroll.
+func (v *view) applyDelete(id string) error {
+	li, ok := v.byID[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", gallery.ErrUnknownID, id)
 	}
-	if e.locs[li].src == srcMem {
-		e.mem = rebuildWithout(e.mem, id)
+	if li >= len(v.baseIdx) {
+		v.mem = rebuildWithout(v.mem, id)
 	} else {
-		e.dead[id] = true
+		v.dead[id] = true
 	}
-	e.rebuild()
+	v.rebuild()
 	return nil
 }
 
 // rebuildWithout copies a memtable minus one subject, preserving
 // enrollment order and every stored bit.
 func rebuildWithout(g *gallery.Gallery, drop string) *gallery.Gallery {
-	var out *gallery.Gallery
-	if idx := g.FeatureIndex(); idx != nil {
-		out = gallery.WithFeatureIndex(idx)
-	} else {
-		out = gallery.New(g.Features())
-	}
+	out := newMemtable(g.Features(), g.FeatureIndex())
 	for i, id := range g.IDs() {
 		if id == drop {
 			continue
@@ -571,69 +547,43 @@ func rebuildWithout(g *gallery.Gallery, drop string) *gallery.Gallery {
 	return out
 }
 
-// rebuild recomputes the live enumeration from the current sources:
-// base survivors in global order, then frozen survivors, then the
-// memtable. Called with the write lock held.
-func (e *Engine) rebuild() {
-	n := e.mem.Len()
-	if e.base != nil {
-		n += e.base.Len()
+// rebuild recomputes the enumeration: base survivors in global order,
+// then the memtable. Called like applyEnroll.
+func (v *view) rebuild() {
+	n := v.mem.Len()
+	if v.base != nil {
+		n += v.base.Len()
 	}
-	if e.frozen != nil {
-		n += e.frozen.Len()
-	}
-	e.ids = make([]string, 0, n)
-	e.locs = make([]loc, 0, n)
-	e.byID = make(map[string]int, n)
-	add := func(id string, l loc) {
-		e.byID[id] = len(e.ids)
-		e.ids = append(e.ids, id)
-		e.locs = append(e.locs, l)
-	}
-	e.baseSkip, e.baseVisible = nil, 0
-	if e.base != nil {
-		for gi, id := range e.base.IDs() {
-			if e.dead[id] || e.deadBase[id] {
-				if e.baseSkip == nil {
-					e.baseSkip = make([]bool, e.base.Len())
+	v.ids = make([]string, 0, n)
+	v.byID = make(map[string]int, n)
+	v.baseIdx, v.baseSkip = nil, nil
+	if v.base != nil {
+		v.baseIdx = make([]int, 0, v.base.Len())
+		for gi, id := range v.base.IDs() {
+			if v.dead[id] {
+				if v.baseSkip == nil {
+					v.baseSkip = make([]bool, v.base.Len())
 				}
-				e.baseSkip[gi] = true
+				v.baseSkip[gi] = true
 				continue
 			}
-			add(id, loc{src: srcBase, idx: gi})
-		}
-		e.baseVisible = len(e.ids)
-	}
-	e.overlaySkip = nil
-	if e.frozen != nil {
-		for i, id := range e.frozen.IDs() {
-			if e.dead[id] {
-				if e.overlaySkip == nil {
-					e.overlaySkip = make([]bool, e.frozen.Len()+e.mem.Len())
-				}
-				e.overlaySkip[i] = true
-				continue
-			}
-			add(id, loc{src: srcFrozen, idx: i})
+			v.baseIdx = append(v.baseIdx, gi)
+			v.ids = append(v.ids, id)
 		}
 	}
-	for i, id := range e.mem.IDs() {
-		add(id, loc{src: srcMem, idx: i})
+	v.ids = append(v.ids, v.mem.IDs()...)
+	for i, id := range v.ids {
+		v.byID[id] = i
 	}
 }
 
-// fingerprint returns the stored vector behind live enumeration index
-// i. Called with (at least) the read lock held.
-func (e *Engine) fingerprint(i int) []float64 {
-	l := e.locs[i]
-	switch l.src {
-	case srcBase:
-		return e.base.Fingerprint(l.idx)
-	case srcFrozen:
-		return e.frozen.Fingerprint(l.idx)
-	default:
-		return e.mem.Fingerprint(l.idx)
+// fingerprint returns the stored vector behind enumeration index i.
+// Called with (at least) the read lock held.
+func (v *view) fingerprint(i int) []float64 {
+	if i < len(v.baseIdx) {
+		return v.base.Fingerprint(v.baseIdx[i])
 	}
+	return v.mem.Fingerprint(i - len(v.baseIdx))
 }
 
 // ---- Engine surface: enumeration ----
@@ -706,7 +656,7 @@ func (e *Engine) Stats() gallery.MutableStats {
 		Seq:                 e.baseSeq + int64(e.walRecords),
 		BaseSeq:             e.baseSeq,
 		MemRecords:          e.mem.Len(),
-		Tombstones:          len(e.dead) + len(e.deadBase),
+		Tombstones:          len(e.dead),
 		WALRecords:          e.walRecords,
 		WALBytes:            e.walBytes,
 		Compactions:         e.compactions.Load(),
@@ -716,9 +666,6 @@ func (e *Engine) Stats() gallery.MutableStats {
 	}
 	if e.base != nil {
 		st.BaseRecords = e.base.Len()
-	}
-	if e.frozen != nil {
-		st.MemRecords += e.frozen.Len()
 	}
 	return st
 }
@@ -802,15 +749,4 @@ func (e *Engine) sweepOrphans() {
 		}
 		_ = os.Remove(filepath.Join(e.dir, name))
 	}
-}
-
-// sortedKeys returns a map's keys in ascending order, for deterministic
-// tombstone replay into a fresh log segment.
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -385,99 +385,6 @@ func TestFeatureIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAbortFreezeWindowMutations pins the failed-compaction unwind
-// against mutations that landed during the compaction window: records
-// deleted during the window must NOT resurrect (and a delete +
-// re-enroll must not panic the unwind), and the pruned tombstone set
-// must leave the engine able to compact and reopen cleanly afterwards.
-// The freeze is simulated white-box (the mirror of Compact's phase 1)
-// because a mid-phase-2 failure cannot be scheduled deterministically
-// from outside.
-func TestAbortFreezeWindowMutations(t *testing.T) {
-	const features = 8
-	dir := filepath.Join(t.TempDir(), "live")
-	e, err := Create(dir, features, nil, Options{NoSync: true})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	group := randomGroup(61, features, 8)
-	for j, id := range []string{"a", "b", "c"} {
-		if err := e.Enroll(id, group.Col(j)); err != nil {
-			t.Fatalf("Enroll: %v", err)
-		}
-	}
-	if err := e.Compact(); err != nil { // a, b, c into the base
-		t.Fatalf("Compact: %v", err)
-	}
-	if err := e.Enroll("d", group.Col(3)); err != nil { // overlay record
-		t.Fatalf("Enroll d: %v", err)
-	}
-	if err := e.Delete("a"); err != nil { // pre-freeze base tombstone
-		t.Fatalf("Delete a: %v", err)
-	}
-
-	// Simulate Compact's phase 1 freeze.
-	e.mu.Lock()
-	e.frozen = e.mem
-	e.mem = gallery.New(features)
-	e.deadBase, e.dead = e.dead, map[string]bool{}
-	e.rebuild()
-	e.mu.Unlock()
-
-	// Window mutations: delete+re-enroll a frozen record, delete a base
-	// record, enroll a fresh one.
-	if err := e.Delete("d"); err != nil {
-		t.Fatalf("window Delete d: %v", err)
-	}
-	if err := e.Enroll("d", group.Col(4)); err != nil {
-		t.Fatalf("window re-Enroll d: %v", err)
-	}
-	if err := e.Delete("b"); err != nil {
-		t.Fatalf("window Delete b: %v", err)
-	}
-	if err := e.Enroll("x", group.Col(5)); err != nil {
-		t.Fatalf("window Enroll x: %v", err)
-	}
-
-	e.abortFreeze()
-
-	want := map[string]bool{"c": true, "d": true, "x": true}
-	if e.Len() != len(want) {
-		t.Fatalf("after abort: Len=%d IDs=%v, want %v", e.Len(), e.IDs(), want)
-	}
-	for id := range want {
-		if e.Index(id) < 0 {
-			t.Fatalf("after abort: %q missing (IDs=%v)", id, e.IDs())
-		}
-	}
-	for _, gone := range []string{"a", "b"} {
-		if e.Index(gone) >= 0 {
-			t.Fatalf("after abort: deleted %q resurrected", gone)
-		}
-	}
-	// The re-enrolled d must carry the window's bits, not the frozen ones.
-	top, err := e.TopKCtx(context.Background(), group.Col(4), 1, 1)
-	if err != nil || top[0].ID != "d" {
-		t.Fatalf("re-enrolled d lost its window bits: %v %v", top, err)
-	}
-
-	// The engine must remain fully operational: compact and reopen.
-	wantRanked := snapshotRanked(t, e)
-	if err := e.Compact(); err != nil {
-		t.Fatalf("Compact after abort: %v", err)
-	}
-	assertSameRanked(t, wantRanked, snapshotRanked(t, e))
-	if err := e.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	re, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatalf("Open after abort+compact: %v", err)
-	}
-	defer re.Close()
-	assertSameRanked(t, wantRanked, snapshotRanked(t, re))
-}
-
 // TestReopenInheritsShardCount pins that Open without an explicit
 // shard option keeps the persisted base layout instead of silently
 // folding a multi-shard base into one shard at the next compaction.

@@ -7,24 +7,23 @@ import (
 	"brainprint/internal/linalg"
 )
 
-// The merged query sweep. A live engine's visible records live in up to
-// three places — the immutable base store, a memtable frozen by an
-// in-flight compaction, and the active memtable — but queries see one
-// flat enumeration. The base (usually the overwhelming share of the
+// The merged query sweep. A live engine's visible records live in two
+// places — the immutable base store and the memtable — but queries see
+// one flat enumeration. The base (usually the overwhelming share of the
 // records) goes through the sharded store's QueryAllZMasked — the exact
 // driver every engine shares, or the IVF sweep — masking tombstoned
-// records with the dead-mask rebuild() maintains; the overlay goes
-// through that same exact driver directly — a memtable is a Gallery, so
-// its rows are scannable as they stand, and the frozen memtable's
-// tombstones travel as the driver's skip mask; and the two rankings
-// merge by tournament under the same (score descending, subject ID
-// ascending) strict total order the sharded engine uses. A single probe
-// is a batch of one through the same queryZ. Every record is scored
-// with the identical linalg.Dot(fp, zp)/features expression whichever
-// source holds it, so determinism holds by the same argument (DESIGN.md
-// §6): the total order makes the merged top-k unique regardless of
-// chunking, parallelism, or how many records have been compacted —
-// which is what pins a live gallery's answers bit-identical to a cold
+// records with the dead-mask rebuild() maintains; the memtable goes
+// through that same exact driver directly — it is a Gallery, so its
+// rows are scannable as they stand, and a deleted memtable record is
+// physically gone, so it needs no mask; and the two rankings merge by
+// tournament under the same (score descending, subject ID ascending)
+// strict total order the sharded engine uses. A single probe is a batch
+// of one through the same queryZ. Every record is scored with the
+// identical linalg.Dot(fp, zp)/features expression whichever source
+// holds it, so determinism holds by the same argument (DESIGN.md §6):
+// the total order makes the merged top-k unique regardless of chunking,
+// parallelism, or how many records have been compacted — which is what
+// pins a live gallery's answers bit-identical to a cold
 // offline-enrolled gallery of the same records.
 //
 // Every query holds the engine's read lock for its duration: queries
@@ -103,28 +102,20 @@ func (e *Engine) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, 
 }
 
 // queryZ is the merged sweep over z-scored, gallery-space probes: the
-// masked base scan and the overlay scan — frozen then active memtable,
-// as units of the same exact driver — each for the whole batch, then per
-// probe a tournament merge of the two. Candidates come back carrying
-// base-store and overlay-local indices; the merged list is remapped to
+// masked base scan and the memtable scan, each for the whole batch, then
+// per probe a tournament merge of the two. Candidates come back carrying
+// base-store and memtable-local indices; the merged list is remapped to
 // live enumeration indices. Called with the read lock held.
 func (e *Engine) queryZ(ctx context.Context, zcols [][]float64, k, parallelism int) ([][]gallery.Candidate, error) {
 	var baseLists [][]gallery.Candidate
-	if e.base != nil && e.baseVisible > 0 {
+	if visible := len(e.baseIdx); visible > 0 {
 		var err error
-		baseLists, err = e.base.QueryAllZMasked(ctx, zcols, min(k, e.baseVisible), parallelism, e.baseSkip)
+		baseLists, err = e.base.QueryAllZMasked(ctx, zcols, min(k, visible), parallelism, e.baseSkip)
 		if err != nil {
 			return nil, err
 		}
 	}
-	var units []gallery.Unit
-	frozen := 0
-	if e.frozen != nil {
-		units = e.frozen.AppendUnits(units, 0)
-		frozen = e.frozen.Len()
-	}
-	units = e.mem.AppendUnits(units, frozen)
-	out, err := gallery.ScanUnits(ctx, units, zcols, k, parallelism, gallery.BetterByID, e.overlaySkip)
+	out, err := gallery.ScanUnits(ctx, e.mem.AppendUnits(nil, 0), zcols, k, parallelism, gallery.BetterByID, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -8,17 +8,16 @@ package live
 //	seq(record) = baseSeq(generation) + position in the generation's log
 //
 // baseSeq is persisted per generation in a tiny sidecar file
-// ("live.gNNNN.seq", text: "<baseSeq> <seedSeq>") written before the
-// generation becomes CURRENT. A compaction seeds the new generation's
-// log with a collapsed, reordered retelling of everything not yet in
-// the base (sorted tombstones, then memtable enrolls), so the switch
-// sets baseSeq' = seq_at_swap - seededRecords and seedSeq' =
-// seq_at_swap: sequence numbers keep counting across generations, but
-// the seeded prefix is NOT the byte-for-byte history the old
-// generation's log told. A replica may therefore resume a tail across
-// a generation switch only from seedSeq or later; anything earlier
-// must re-bootstrap from a snapshot (ErrSeqOutOfRange tells it so).
-// Within one generation any position in [baseSeq, seq] is resumable.
+// ("live.gNNNN.seq", text: "<baseSeq>") written before the generation
+// becomes CURRENT. A compaction folds the first c records of the old
+// log into the new base and carries the rest over byte for byte, so the
+// switch sets baseSeq' = baseSeq + c and nothing else moves: sequence
+// numbers keep counting across generations, and every position past
+// baseSeq' of the new log is the frame the old log held at that
+// position. Any position in [baseSeq, seq] is therefore resumable,
+// whichever generation the follower last tailed; anything earlier is
+// folded into the base and must re-bootstrap from a snapshot
+// (ErrSeqOutOfRange tells it so).
 
 import (
 	"context"
@@ -46,12 +45,11 @@ var ErrSeqOutOfRange = errors.New("live: requested sequence is outside the retai
 type ReplicationState struct {
 	// Generation is the current on-disk generation number.
 	Generation int
-	// BaseSeq is the sequence number the generation's log starts after.
+	// BaseSeq is the earliest position a follower may resume from: the
+	// sequence the compaction that wrote this generation cut its
+	// snapshot at, which is where the generation's log starts (on a
+	// generation whose log opens with a retelling, where that ends).
 	BaseSeq int64
-	// SeedSeq is the sequence the generation's seeded prefix replays up
-	// to — the earliest position a follower of an older generation may
-	// resume from.
-	SeedSeq int64
 	// Seq is the sequence number of the last committed mutation.
 	Seq int64
 	// WALName is the generation's log segment file name.
@@ -71,8 +69,7 @@ func (e *Engine) ReplicationState() ReplicationState {
 	defer e.mu.RUnlock()
 	return ReplicationState{
 		Generation: e.gen,
-		BaseSeq:    e.baseSeq,
-		SeedSeq:    e.seedSeq,
+		BaseSeq:    max(e.baseSeq, e.retoldSeq),
 		Seq:        e.baseSeq + int64(e.walRecords),
 		WALName:    genName(e.gen, "bpw"),
 		WALBytes:   e.walBytes,
@@ -169,25 +166,25 @@ func (e *Engine) OpenGenerationFile(name string) (io.ReadCloser, int64, error) {
 // sequence of the last frame included. An empty batch with upTo ==
 // afterSeq means the follower is caught up. ErrSeqOutOfRange means gen
 // is no longer current or afterSeq is outside [BaseSeq, Seq] — the
-// follower must re-negotiate (resume at SeedSeq or re-bootstrap).
+// follower must re-negotiate (resume on the current generation or
+// re-bootstrap). The read goes through the engine's open segment handle
+// under the read lock, so a generation switch can neither unlink the
+// file under it nor interleave with it.
 func (e *Engine) WALRange(gen int, afterSeq int64, maxBytes int) ([]byte, int64, error) {
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if e.closed {
-		e.mu.RUnlock()
 		return nil, 0, ErrClosed
 	}
 	if gen != e.gen {
-		e.mu.RUnlock()
 		return nil, 0, fmt.Errorf("%w: generation %d superseded by %d", ErrSeqOutOfRange, gen, e.gen)
 	}
 	seq := e.baseSeq + int64(e.walRecords)
 	if afterSeq < e.baseSeq || afterSeq > seq {
-		e.mu.RUnlock()
 		return nil, 0, fmt.Errorf("%w: after=%d, window [%d, %d]", ErrSeqOutOfRange, afterSeq, e.baseSeq, seq)
 	}
 	idx := int(afterSeq - e.baseSeq)
 	if idx == len(e.walOff) {
-		e.mu.RUnlock()
 		return nil, afterSeq, nil
 	}
 	startOff := e.walStart
@@ -201,25 +198,11 @@ func (e *Engine) WALRange(gen int, afterSeq int64, maxBytes int) ([]byte, int64,
 		}
 		end++
 	}
-	endOff := e.walOff[end-1]
-	upTo := e.baseSeq + int64(end)
-	path := filepath.Join(e.dir, genName(e.gen, "bpw"))
-	e.mu.RUnlock()
-
-	// Committed byte ranges are immutable (appends only ever extend the
-	// file, rollbacks only truncate uncommitted bytes), so the read can
-	// run unlocked on a fresh handle; an unlinked-but-open segment after
-	// a concurrent generation switch still reads fine.
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	buf := make([]byte, endOff-startOff)
-	if _, err := f.ReadAt(buf, startOff); err != nil {
+	buf := make([]byte, e.walOff[end-1]-startOff)
+	if _, err := e.wal.f.ReadAt(buf, startOff); err != nil {
 		return nil, 0, fmt.Errorf("live: reading write-ahead log range: %w", err)
 	}
-	return buf, upTo, nil
+	return buf, e.baseSeq + int64(end), nil
 }
 
 // WaitWAL blocks until the engine commits a mutation past afterSeq,
@@ -314,16 +297,15 @@ func WriteCurrentFile(dir string, gen int) error {
 // seqName renders a generation's sequence-sidecar file name.
 func seqName(gen int) string { return genName(gen, "seq") }
 
-// writeSeqFile persists a generation's sequence coordinates
-// ("<baseSeq> <seedSeq>", text) and syncs them, before the generation
-// becomes CURRENT.
-func writeSeqFile(dir string, gen int, baseSeq, seedSeq int64) error {
+// writeSeqFile persists a generation's sequence origin ("<baseSeq>",
+// text) and syncs it, before the generation becomes CURRENT.
+func writeSeqFile(dir string, gen int, baseSeq int64) error {
 	path := filepath.Join(dir, seqName(gen))
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(f, "%d %d\n", baseSeq, seedSeq); err != nil {
+	if _, err := fmt.Fprintf(f, "%d\n", baseSeq); err != nil {
 		f.Close()
 		return err
 	}
@@ -334,17 +316,23 @@ func writeSeqFile(dir string, gen int, baseSeq, seedSeq int64) error {
 	return f.Close()
 }
 
-// readSeqFile parses a generation's sequence coordinates. A missing or
+// readSeqFile parses a generation's sequence origin. A missing or
 // malformed sidecar — a directory written before sequence numbering
-// existed — degrades to (0, 0): the local log still replays correctly,
-// only the cross-restart sequence origin is forgotten.
-func readSeqFile(dir string, gen int) (baseSeq, seedSeq int64) {
+// existed — degrades to 0: the local log still replays correctly, only
+// the cross-restart sequence origin is forgotten. A second number is
+// the mark of a generation whose compaction retold the log tail instead
+// of copying it ("<baseSeq> <retoldSeq>", retoldSeq ≥ baseSeq): the
+// records up to retoldSeq are not the history older generations told.
+func readSeqFile(dir string, gen int) (baseSeq, retoldSeq int64) {
 	b, err := os.ReadFile(filepath.Join(dir, seqName(gen)))
 	if err != nil {
 		return 0, 0
 	}
-	if _, err := fmt.Sscanf(string(b), "%d %d", &baseSeq, &seedSeq); err != nil || baseSeq < 0 || seedSeq < baseSeq {
-		return 0, 0
+	switch n, _ := fmt.Sscanf(string(b), "%d %d", &baseSeq, &retoldSeq); {
+	case n == 1 && baseSeq >= 0:
+		return baseSeq, 0
+	case n == 2 && baseSeq >= 0 && retoldSeq >= baseSeq:
+		return baseSeq, retoldSeq
 	}
-	return baseSeq, seedSeq
+	return 0, 0
 }

@@ -1,7 +1,9 @@
 package live
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -48,7 +50,7 @@ func TestSeqMonotonicAcrossCompactionAndReopen(t *testing.T) {
 		t.Fatalf("post-compaction: BaseSeq=%d WALRecords=%d, want 9, 0", st.BaseSeq, st.WALRecords)
 	}
 	rs := e.ReplicationState()
-	if rs.SeedSeq != 9 || rs.BaseSeq != 9 || rs.Seq != 9 {
+	if rs.BaseSeq != 9 || rs.Seq != 9 {
 		t.Fatalf("ReplicationState after compaction: %+v", rs)
 	}
 	// Two more mutations, then reopen: the sidecar must restore the
@@ -105,6 +107,86 @@ func TestSeqLegacyDirectory(t *testing.T) {
 	}
 }
 
+// TestSeqLegacyRetoldSidecar pins the other legacy shape: a generation
+// written when compaction retold the log tail instead of copying it
+// carries a two-number sidecar, "<baseSeq> <retoldSeq>", and its first
+// retoldSeq-baseSeq records are not the history older generations told.
+// It must open at the same Seq and keep followers of older generations
+// from resuming below retoldSeq, until the next compaction writes the
+// one-number sidecar and the whole window is history again.
+func TestSeqLegacyRetoldSidecar(t *testing.T) {
+	const features = 8
+	dir := filepath.Join(t.TempDir(), "live")
+	e, err := Create(dir, features, nil, Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	group := randomGroup(4, features, 8)
+	ids := subjectIDs(8)
+	for j := 0; j < 5; j++ {
+		if err := e.Enroll(ids[j], group.Col(j)); err != nil {
+			t.Fatalf("Enroll: %v", err)
+		}
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	for j := 5; j < 8; j++ { // stand-ins for 2 retold records and 1 live one
+		if err := e.Enroll(ids[j], group.Col(j)); err != nil {
+			t.Fatalf("Enroll: %v", err)
+		}
+	}
+	want := snapshotRanked(t, e)
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := string(mustReadFile(t, filepath.Join(dir, seqName(1)))); got != "5\n" {
+		t.Fatalf("sidecar = %q, want the one-number form", got)
+	}
+	if err := os.WriteFile(filepath.Join(dir, seqName(1)), []byte("5 7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err = Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("Open with a two-number sidecar: %v", err)
+	}
+	defer e.Close()
+	assertSameRanked(t, want, snapshotRanked(t, e))
+	if st := e.Stats(); st.Seq != 8 || st.BaseSeq != 5 || st.WALRecords != 3 {
+		t.Fatalf("legacy open: %+v, want Seq 8, BaseSeq 5, 3 records", st)
+	}
+	if rs := e.ReplicationState(); rs.BaseSeq != 7 || rs.Seq != 8 {
+		t.Fatalf("legacy resume window [%d, %d], want [7, 8]", rs.BaseSeq, rs.Seq)
+	}
+	// Its own followers bootstrapped the whole log and tail any of it.
+	if _, upTo, err := e.WALRange(1, 5, 1<<20); err != nil || upTo != 8 {
+		t.Fatalf("same-generation WALRange over the retold prefix: upTo=%d err=%v", upTo, err)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if got := string(mustReadFile(t, filepath.Join(dir, seqName(2)))); got != "8\n" {
+		t.Fatalf("sidecar after compaction = %q, want \"8\\n\"", got)
+	}
+	if rs := e.ReplicationState(); rs.BaseSeq != 8 || rs.Seq != 8 {
+		t.Fatalf("post-compaction resume window [%d, %d], want [8, 8]", rs.BaseSeq, rs.Seq)
+	}
+}
+
+// applyFrames splits a WALRange batch back into frames and applies each
+// to a follower.
+func applyFrames(t *testing.T, follower *Engine, frames []byte) {
+	t.Helper()
+	for len(frames) > 0 {
+		frame := frames[:4+binary.LittleEndian.Uint32(frames)+4]
+		if err := follower.ApplyReplicated(frame); err != nil {
+			t.Fatalf("ApplyReplicated: %v", err)
+		}
+		frames = frames[len(frame):]
+	}
+}
+
 // TestWALRangeStreamsVerbatimFrames pins that WALRange hands out the
 // exact committed frame bytes, in batches bounded by maxBytes, and
 // that replaying them through ApplyReplicated reproduces the primary's
@@ -134,15 +216,7 @@ func TestWALRangeStreamsVerbatimFrames(t *testing.T) {
 		if upTo == cur {
 			t.Fatalf("WALRange made no progress at %d", cur)
 		}
-		// Split the batch back into frames and apply each.
-		for len(frames) > 0 {
-			payloadLen := int(uint32(frames[0]) | uint32(frames[1])<<8 | uint32(frames[2])<<16 | uint32(frames[3])<<24)
-			frame := frames[:4+payloadLen+4]
-			if err := replica.ApplyReplicated(frame); err != nil {
-				t.Fatalf("ApplyReplicated: %v", err)
-			}
-			frames = frames[len(frame):]
-		}
+		applyFrames(t, replica, frames)
 		cur = upTo
 	}
 	if got := replica.Stats().Seq; got != rs.Seq {
@@ -190,6 +264,75 @@ func TestWALRangeWindow(t *testing.T) {
 	}
 	if _, _, err := e.WALRange(1, 2, 1<<20); !errors.Is(err, ErrSeqOutOfRange) {
 		t.Fatalf("pre-window WALRange: %v, want ErrSeqOutOfRange", err)
+	}
+}
+
+// TestFollowerResumesAcrossSwitch pins what carrying the log tail over
+// verbatim buys replication: a follower one record past the cut when
+// the generation switches asks the NEW generation for the rest and gets
+// the very bytes the old one would have served, ending bit-identical to
+// the primary; a follower one record short of the cut is out of range.
+func TestFollowerResumesAcrossSwitch(t *testing.T) {
+	const features = 16
+	primary := createEngine(t, features, Options{})
+	follower := createEngine(t, features, Options{})
+	group := randomGroup(5, features, 14)
+	ids := subjectIDs(14)
+	for j := 0; j < 10; j++ {
+		if err := primary.Enroll(ids[j], group.Col(j)); err != nil {
+			t.Fatalf("Enroll: %v", err)
+		}
+	}
+	c, err := primary.cutSnapshot()
+	if err != nil {
+		t.Fatalf("cutSnapshot: %v", err)
+	}
+	cut := int64(c.records)
+	// The window: a folded record deleted and re-enrolled, fresh records.
+	if err := primary.Delete(ids[2]); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	for _, j := range []int{10, 2, 11, 12} {
+		if err := primary.Enroll(ids[j], group.Col(j+1)); err != nil {
+			t.Fatalf("Enroll: %v", err)
+		}
+	}
+	frames, upTo, err := primary.WALRange(0, 0, 1<<20)
+	if err != nil || upTo != cut+5 {
+		t.Fatalf("WALRange over generation 0: upTo=%d err=%v", upTo, err)
+	}
+	// Frames are equal-sized but for the delete, so cut+1 is easy to find.
+	enrollLen := 4 + (3 + len(ids[0]) + 8*features) + 4
+	split := int(cut)*enrollLen + (4 + 3 + len(ids[2]) + 4)
+	applyFrames(t, follower, frames[:split])
+	if got := follower.Stats().Seq; got != cut+1 {
+		t.Fatalf("follower at sequence %d, want cut+1 = %d", got, cut+1)
+	}
+
+	next, err := primary.buildGeneration(c)
+	if err != nil {
+		t.Fatalf("buildGeneration: %v", err)
+	}
+	if err := primary.swapGeneration(c, next); err != nil {
+		t.Fatalf("swapGeneration: %v", err)
+	}
+	if rs := primary.ReplicationState(); rs.Generation != 1 || rs.BaseSeq != cut || rs.Seq != cut+5 {
+		t.Fatalf("post-switch window: %+v, want generation 1 over [%d, %d]", rs, cut, cut+5)
+	}
+	rest, upTo, err := primary.WALRange(1, cut+1, 1<<20)
+	if err != nil || upTo != cut+5 {
+		t.Fatalf("WALRange(1, cut+1): upTo=%d err=%v", upTo, err)
+	}
+	if !bytes.Equal(rest, frames[split:]) {
+		t.Fatal("generation 1 serves different bytes past cut+1 than generation 0 did")
+	}
+	applyFrames(t, follower, rest)
+	if !reflect.DeepEqual(follower.IDs(), primary.IDs()) {
+		t.Fatalf("follower enumeration diverged:\n  primary:  %v\n  follower: %v", primary.IDs(), follower.IDs())
+	}
+	assertSameRanked(t, snapshotRanked(t, primary), snapshotRanked(t, follower))
+	if _, _, err := primary.WALRange(1, cut-1, 1<<20); !errors.Is(err, ErrSeqOutOfRange) {
+		t.Fatalf("WALRange below the cut: %v, want ErrSeqOutOfRange", err)
 	}
 }
 

@@ -285,17 +285,18 @@ type walWriter struct {
 	broken error // non-nil once a failed append could not be rolled back
 }
 
-// createWAL writes a fresh segment (header only) at path and returns an
-// appender positioned at its end. The header is synced before the
-// function returns so a generation switch never points at a headerless
-// segment.
-func createWAL(path string, h walHeader, syncOnCommit bool) (*walWriter, int64, error) {
+// createWAL writes a fresh segment at path — the header, then tail,
+// the committed frames a compaction swap carries over verbatim (nil for
+// an empty log) — and returns an appender positioned at its end plus
+// the header length. The segment is synced before the function returns,
+// so a generation switch never points at a headerless or short one.
+func createWAL(path string, h walHeader, tail []byte, syncOnCommit bool) (*walWriter, int64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, 0, err
 	}
 	hdr := encodeWALHeader(h)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(append(hdr, tail...)); err != nil {
 		f.Close()
 		return nil, 0, err
 	}
@@ -303,7 +304,7 @@ func createWAL(path string, h walHeader, syncOnCommit bool) (*walWriter, int64, 
 		f.Close()
 		return nil, 0, err
 	}
-	return &walWriter{f: f, sync: syncOnCommit, off: int64(len(hdr))}, int64(len(hdr)), nil
+	return &walWriter{f: f, sync: syncOnCommit, off: int64(len(hdr) + len(tail))}, int64(len(hdr)), nil
 }
 
 // openWAL opens an existing segment for replay and appending: the

@@ -167,7 +167,7 @@ func TestWALGeometryMismatchRejected(t *testing.T) {
 	e.Close()
 
 	// Overwrite generation 1's log with one declaring other dims.
-	w, _, err := createWAL(filepath.Join(dir, genName(1, "bpw")), walHeader{features: features + 1}, false)
+	w, _, err := createWAL(filepath.Join(dir, genName(1, "bpw")), walHeader{features: features + 1}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +197,12 @@ func TestCrashedCompactionOrphansSwept(t *testing.T) {
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphaned next-generation manifest not swept: %v", err)
 	}
+
+	// The latest possible crash: every file of the next generation —
+	// base, tail-bearing log, sidecar — is durable and only the CURRENT
+	// flip is missing. The old generation recovers with every mutation
+	// of the compaction window.
+	t.Run("all but CURRENT written", func(t *testing.T) { abandonCompaction(t, true) })
 }
 
 // TestWALWriterPoisonsAfterFailedRollback pins the partial-append
@@ -206,7 +212,7 @@ func TestCrashedCompactionOrphansSwept(t *testing.T) {
 // recoverable torn tail into unrecoverable interior corruption.
 func TestWALWriterPoisonsAfterFailedRollback(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.bpw")
-	w, _, err := createWAL(path, walHeader{features: 2}, false)
+	w, _, err := createWAL(path, walHeader{features: 2}, nil, false)
 	if err != nil {
 		t.Fatalf("createWAL: %v", err)
 	}

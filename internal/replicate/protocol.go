@@ -20,11 +20,12 @@
 //
 // The stream carries the verbatim frame bytes the primary committed —
 // the wal.go record codec reused unchanged, no second serialization.
-// Catch-up across a compaction is sequence-gated: a follower may cross
-// a generation switch only from the seeded prefix's end (State.SeedSeq)
-// or later, because the seeded log retells post-freeze history in a
-// collapsed, reordered form; anything earlier answers 410 and the
-// replica re-bootstraps from the newest generation. See
+// Catch-up across a compaction is sequence-gated: the new generation's
+// log is the old log's verbatim tail past the sequence the snapshot was
+// cut at (State.BaseSeq), so a follower at or past that position rides
+// through the generation switch; anything earlier is folded into the
+// base, answers 410, and the replica re-bootstraps from the newest
+// generation. See
 // docs/REPLICATION.md for the wire contract and failure matrix.
 package replicate
 
@@ -54,9 +55,6 @@ const (
 	// HeaderSeq carries the primary's head sequence number at the time
 	// the stream opened — the replica's staleness reference.
 	HeaderSeq = "X-Replicate-Seq"
-	// HeaderSeedSeq carries the earliest cross-generation resume
-	// position of the primary's current generation.
-	HeaderSeedSeq = "X-Replicate-Seed-Seq"
 )
 
 // Typed replication errors, matched with errors.Is.
@@ -79,11 +77,9 @@ var (
 type State struct {
 	// Generation is the primary's current generation number.
 	Generation int `json:"generation"`
-	// BaseSeq is the sequence the generation's log starts after.
+	// BaseSeq is the sequence the generation's log starts after — the
+	// earliest position a follower may resume streaming from.
 	BaseSeq int64 `json:"base_seq"`
-	// SeedSeq is the earliest position a follower of an older
-	// generation may resume streaming from.
-	SeedSeq int64 `json:"seed_seq"`
 	// Seq is the primary's head sequence number.
 	Seq int64 `json:"seq"`
 	// WALVersion is the log format version the frames use.

@@ -56,7 +56,6 @@ func (s *Source) State() (State, error) {
 	st := State{
 		Generation: rs.Generation,
 		BaseSeq:    rs.BaseSeq,
-		SeedSeq:    rs.SeedSeq,
 		Seq:        rs.Seq,
 		WALVersion: live.WALVersion,
 		Features:   rs.Features,
@@ -103,13 +102,16 @@ func (s *Source) ServeFile(w http.ResponseWriter, r *http.Request) {
 
 // ServeWAL answers GET /v1/replicate/wal?gen=G&after=S: a long-poll
 // stream of raw committed frames after sequence S of generation G. The
-// response headers carry the primary's generation, head sequence, and
-// seed sequence at open time; the body is frames only. The stream ends
+// response headers carry the primary's generation and head sequence at
+// open time; the body is frames only. The stream ends
 // cleanly when the poll window passes without new frames, when the
 // generation switches, when the engine closes, or when drain closes (a
-// graceful shutdown). A position the log no longer retains answers 409
+// graceful shutdown). Any position in [BaseSeq, Seq] is served,
+// whichever generation the follower last tailed: a compaction carries
+// the log past its cut over verbatim, so the current generation's log
+// continues every older one. A position outside the window answers 409
 // (same generation — the follower diverged) or 410 (older generation —
-// history compacted away); both tell the replica to re-bootstrap.
+// history folded into the base); both tell the replica to re-bootstrap.
 func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request, drain <-chan struct{}) {
 	gen, err := strconv.Atoi(r.URL.Query().Get("gen"))
 	if err != nil {
@@ -123,24 +125,16 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request, drain <-chan s
 	}
 	eng := s.eng() // one engine for the whole stream: a mid-stream swap ends it cleanly
 	rs := eng.ReplicationState()
-	switch {
-	case gen == rs.Generation:
-		if after < rs.BaseSeq || after > rs.Seq {
-			writeError(w, http.StatusConflict,
-				fmt.Sprintf("sequence %d outside generation %d window [%d, %d]", after, gen, rs.BaseSeq, rs.Seq))
-			return
+	if after < rs.BaseSeq || after > rs.Seq {
+		code := http.StatusConflict
+		if gen != rs.Generation {
+			code = http.StatusGone
 		}
-	default:
-		if after < rs.SeedSeq || after > rs.Seq {
-			writeError(w, http.StatusGone,
-				fmt.Sprintf("generation %d history is gone; resume needs sequence in [%d, %d]", gen, rs.SeedSeq, rs.Seq))
-			return
-		}
-		// The follower's position is at or past the seeded prefix: the
-		// current generation's log replays identically from here, so
-		// switch it over.
-		gen = rs.Generation
+		writeError(w, code,
+			fmt.Sprintf("sequence %d of generation %d is outside generation %d's window [%d, %d]", after, gen, rs.Generation, rs.BaseSeq, rs.Seq))
+		return
 	}
+	gen = rs.Generation
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -149,7 +143,6 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request, drain <-chan s
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(HeaderGeneration, strconv.Itoa(rs.Generation))
 	w.Header().Set(HeaderSeq, strconv.FormatInt(rs.Seq, 10))
-	w.Header().Set(HeaderSeedSeq, strconv.FormatInt(rs.SeedSeq, 10))
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
