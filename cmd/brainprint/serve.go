@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"brainprint"
+	"brainprint/internal/gallery"
 	"brainprint/internal/serve"
 )
 
@@ -165,8 +166,8 @@ func serveEngine(out io.Writer, db string, g brainprint.GalleryEngine, layout st
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Fprintf(out, "serving gallery %s (%d subjects, %d features, %s) on http://%s\n",
-		db, g.Len(), g.Features(), layout, srv.Addr())
+	fmt.Fprintf(out, "serving gallery %s (%d subjects, %d features, %s, %s scan kernel) on http://%s\n",
+		db, g.Len(), g.Features(), layout, gallery.ScanKernel(), srv.Addr())
 	endpoints := "endpoints: POST /v1/identify, POST /v1/identify/batch, POST /v1/identify/stream, GET /v1/gallery, GET /v1/metrics, GET /healthz"
 	if writable {
 		endpoints += ", POST /v1/enroll, DELETE /v1/subjects/{id}"

@@ -57,7 +57,7 @@ func TestServeBindFailure(t *testing.T) {
 		t.Fatal("runServe on an occupied port returned nil")
 	}
 	banner := out.String()
-	if !strings.Contains(banner, "serving gallery") || !strings.Contains(banner, "6 subjects") {
+	if !strings.Contains(banner, "serving gallery") || !strings.Contains(banner, "6 subjects") || !strings.Contains(banner, "scan kernel") {
 		t.Errorf("banner = %q", banner)
 	}
 	if !strings.Contains(banner, "POST /v1/identify") {

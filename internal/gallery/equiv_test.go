@@ -14,6 +14,10 @@ import (
 // rankings of match.SimilarityMatrix bit-identically — same candidate
 // order, same scores to the last bit — at any parallelism setting.
 func TestRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
+	eachKernel(t, testRoundTripTopKMatchesSimilarityMatrix)
+}
+
+func testRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
 	const features, subjects, probes = 37, 25, 25
 	known := randomGroup(11, features, subjects)
 	// Probes: noisy variants of the known columns plus fresh columns, so
@@ -111,7 +115,9 @@ func rankColumn(scores []float64) []int {
 
 // TestTopKPrefixStable checks that a small k returns exactly the prefix
 // of the full ranking — partial selection never reorders.
-func TestTopKPrefixStable(t *testing.T) {
+func TestTopKPrefixStable(t *testing.T) { eachKernel(t, testTopKPrefixStable) }
+
+func testTopKPrefixStable(t *testing.T) {
 	const features, subjects = 23, 40
 	known := randomGroup(21, features, subjects)
 	g := New(features)

@@ -2,6 +2,8 @@ package gallery
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -68,6 +70,67 @@ func FuzzDecodeGallery(f *testing.F) {
 		var buf bytes.Buffer
 		if err := g.Save(&buf); err != nil {
 			t.Fatalf("re-encoding a decoded gallery failed: %v", err)
+		}
+	})
+}
+
+// FuzzDotsPanel pins the assembly kernel to the pure-go bodies on
+// arbitrary float64 bit patterns — ±0, subnormals, ±Inf, NaN, values
+// whose products overflow or cancel — at fuzzed dimensions, ranges and
+// batch sizes: every score that is not NaN must match bit for bit, and
+// a NaN must be a NaN on both (payloads are not part of the contract).
+// raw is read as little-endian float64s, cycled to fill the rows and
+// then the probes.
+func FuzzDotsPanel(f *testing.F) {
+	le := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(uint8(99), uint8(52), uint8(5), uint8(15), le(1.5, -2.25, 1e-3, 3, -0.75, 1e3, 7))
+	f.Add(uint8(2), uint8(8), uint8(0), uint8(7), le(0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308, 1))
+	f.Add(uint8(6), uint8(11), uint8(3), uint8(16), le(math.Inf(1), 1, math.Inf(-1), 0, math.NaN(), -1, 2))
+	f.Add(uint8(30), uint8(4), uint8(1), uint8(2), le(math.MaxFloat64, -math.MaxFloat64, 1e-300, 1+1.0/(1<<30), -(1+1.0/(1<<29))))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), []byte{})
+
+	f.Fuzz(func(t *testing.T, features, records, lo, probes uint8, raw []byte) {
+		if !useAVX2 {
+			t.Skip("no assembly kernel on this machine")
+		}
+		nf, nr, np := 1+int(features)%128, 1+int(records)%64, 1+int(probes)%20
+		from := int(lo) % nr
+		next := 0
+		fill := func(n int) []float64 {
+			out := make([]float64, n)
+			for i := range out {
+				if len(raw) >= 8 {
+					out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[next%(len(raw)-7):]))
+					next += 8
+				}
+			}
+			return out
+		}
+		bk := NewBlocked(nf, fill(nr*nf))
+		zps := make([][]float64, np)
+		got, want := make([][]float64, np), make([][]float64, np)
+		for p := range zps {
+			zps[p] = fill(nf)
+			got[p], want[p] = make([]float64, nr-from), make([]float64, nr-from)
+		}
+		bk.DotsF64Batch(from, nr, zps, got)
+		useAVX2 = false
+		bk.DotsF64Batch(from, nr, zps, want)
+		useAVX2 = true
+		for p := range want {
+			for i, w := range want[p] {
+				g := got[p][i]
+				if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("%d×%d [%d,%d) %d probes: probe %d record %d = %v (%#x), go body %v (%#x)",
+						nr, nf, from, nr, np, p, from+i, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
 		}
 	})
 }

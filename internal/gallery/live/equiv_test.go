@@ -22,6 +22,10 @@ import (
 // as a cold store offline-enrolled with the same final records, at
 // serial AND all-cores parallelism.
 func TestLiveEquivalentToColdAfterMixedOpsAndCompaction(t *testing.T) {
+	eachKernel(t, testLiveEquivalentToColdAfterMixedOpsAndCompaction)
+}
+
+func testLiveEquivalentToColdAfterMixedOpsAndCompaction(t *testing.T) {
 	const features, cohort, k = 19, 90, 7
 	group := randomGroup(31, features, cohort)
 	ids := subjectIDs(cohort)

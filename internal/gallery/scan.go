@@ -33,6 +33,12 @@ import (
 // alongside the streamed records.
 const scanStripe = 256
 
+// inlineProbes is the largest batch whose dot-buffer slice headers a run
+// keeps in its frame (two kernel panels, 384 bytes): single-probe
+// queries and small batches then allocate only the dot buffer. A wider
+// batch allocates its headers once per run.
+const inlineProbes = 2 * panelLanes
+
 // runsPerWorker is how many runs each worker can expect to claim: a
 // few, so a descheduled worker delays the sweep by a fraction of its
 // share, while ranker sets and scratch stay per run, not per unit.
@@ -73,7 +79,14 @@ func (g *Gallery) AppendUnits(units []Unit, base int) []Unit {
 // between units once ctx is cancelled and returns ctx.Err().
 func ScanUnits(ctx context.Context, units []Unit, zps [][]float64, k, parallelism int, outranks func(a, b Candidate) bool, skip []bool) ([][]Candidate, error) {
 	return SelectRuns(ctx, len(units), len(zps), k, parallelism, outranks, func(lo, hi int, rankers []Ranker) error {
-		outs := make([][]float64, len(zps))
+		// The run's scratch: per-probe slice headers over one dot
+		// buffer. Headers for a batch of up to inlineProbes live in the
+		// run's frame, so buf is the run's only scratch allocation.
+		var hdr [inlineProbes][]float64
+		outs := hdr[:min(len(zps), inlineProbes)]
+		if len(zps) > inlineProbes {
+			outs = make([][]float64, len(zps))
+		}
 		var buf []float64
 		for _, u := range units[lo:hi] {
 			if err := ctx.Err(); err != nil {
@@ -135,8 +148,8 @@ func SelectRuns(ctx context.Context, units, probes, k, parallelism int, outranks
 	return out, nil
 }
 
-// scan scores the unit against every probe through the probe-paired
-// streaming kernel, offering threshold-passers to the per-probe rankers.
+// scan scores the unit against every probe through the batch streaming
+// kernel, offering threshold-passers to the per-probe rankers.
 // outs (len(zps) slice headers) and buf are the run's scratch: buf is
 // grown to hold this unit's stripe for every probe and returned for the
 // next unit. Subject IDs are materialized only for candidates that pass

@@ -74,3 +74,46 @@ func TestSelectRunsIndependentOfRunCount(t *testing.T) {
 		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
+
+// TestScanScratchAllocations pins the sweep's scratch: a run allocates
+// its dot buffer once and nothing per stripe — the kernel's packed
+// probe panel is pooled and the per-probe slice headers of a batch of
+// up to inlineProbes sit in the run's frame — on either kernel body.
+// The one-run totals are the parent commit's (before the panel kernel)
+// less the header slice.
+func TestScanScratchAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	eachKernel(t, func(t *testing.T) {
+		const features, subjects, k = 100, 6000, 5
+		g := New(features)
+		if err := g.EnrollMatrix(subjectIDs(subjects), randomGroup(5, features, subjects)); err != nil {
+			t.Fatal(err)
+		}
+		units := g.AppendUnits(nil, 0)
+		if len(units) < 2 {
+			t.Fatalf("%d units; the run must carry its scratch across several", len(units))
+		}
+		zps := make([][]float64, inlineProbes+1)
+		outs := make([][]float64, len(zps))
+		for p := range zps {
+			zps[p] = g.fingerprint(p * 7)
+			outs[p] = make([]float64, subjects)
+		}
+		for _, tc := range []struct{ probes, max int }{{1, 12}, {inlineProbes, 72}, {inlineProbes + 1, 77}} {
+			got := testing.AllocsPerRun(20, func() {
+				if _, err := ScanUnits(context.Background(), units, zps[:tc.probes], k, 1, BetterByIndex, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > float64(tc.max) {
+				t.Errorf("ScanUnits, %d probes, one run: %v allocations, want at most %d", tc.probes, got, tc.max)
+			}
+		}
+		bk := g.Blocked()
+		if got := testing.AllocsPerRun(20, func() { bk.DotsF64Batch(3, subjects, zps, outs) }); got != 0 {
+			t.Errorf("DotsF64Batch called directly: %v allocations per call, want 0", got)
+		}
+	})
+}

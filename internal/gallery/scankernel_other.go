@@ -1,0 +1,10 @@
+//go:build !amd64
+
+package gallery
+
+// useAVX2 is never set off amd64: every batch takes the pure-go bodies.
+var useAVX2 = false
+
+func dotsPanelAVX2(rows *float64, tiles, features int, panel *float64, dst *[panelLanes]*float64, n int) {
+	panic("gallery: no panel kernel on this architecture")
+}

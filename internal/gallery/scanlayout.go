@@ -1,28 +1,38 @@
 package gallery
 
-import "brainprint/internal/linalg"
+import (
+	"sync"
+
+	"brainprint/internal/linalg"
+)
 
 // This file is the streaming kernel behind every exact TopK sweep. It
 // reads the one in-memory image a gallery has — flat, subject-major,
 // z-scored rows — through a zero-copy view: there is no scan-side copy
 // of the records, no build step and nothing to invalidate. "Blocked"
 // means register-blocked, not memory-blocked: a pass scores ScanLanes
-// (4) consecutive rows against one probe (linalg.Dot4) or two
-// (dotsF64x2), i.e. four or eight independent accumulator chains whose
-// floating-point latencies overlap, with each loaded record value
-// shared by both probes of a pair. The independent chains and the probe
-// pair are what make the kernel fast — the sweep is compute-bound (74 %
-// of the scalar multiply-add ceiling, 12 % of stream bandwidth) — and
-// four sequential row streams are as easy on the prefetcher as one, so
-// neither a lane-interleaved copy nor feature tiling earns its keep
-// (flat rows were at least as fast at every width measured; DESIGN.md
-// §8 has the numbers).
+// (4) consecutive rows against one probe (linalg.Dot4), two
+// (dotsF64x2) or, where the CPU has AVX2, a panel of eight
+// (scankernel_amd64.s: the probes of a batch ride the vector lanes, so
+// each broadcast row value meets eight probes in two multiplies). The
+// sweep is compute-bound — the go bodies run at 82 % of the scalar
+// multiply-add ceiling and 12 % of stream bandwidth — so independent
+// accumulator chains and arithmetic per loaded value are what make a
+// kernel fast, and four sequential row streams are as easy on the
+// prefetcher as one: neither a lane-interleaved copy nor feature tiling
+// earns its keep (DESIGN.md §8 has the numbers).
 //
-// Bit-exactness: every chain accumulates one record's features strictly
-// in ascending order with the same acc += row[f]*probe[f] statement as
-// linalg.Dot, so each score is bit-identical to linalg.Dot(row, probe)
-// on every architecture (the equivalence tests pin this at every cohort
-// size, shard count, and parallelism).
+// Bit-exactness: every chain, scalar or vector lane, accumulates one
+// record's features strictly in ascending order as acc = acc +
+// row[f]*probe[f] from +0, with the multiply and the add rounded the
+// way the compiler rounds that statement in linalg.Dot — separately on
+// amd64 (which the assembly matches with VMULPD + VADDPD, never an
+// FMA), fused on arm64 (which has only the go bodies). So each score is
+// bit-identical to linalg.Dot(row, probe) of the same build, whichever
+// body computed it; scores may differ between an amd64 and an arm64
+// build, as linalg.Dot itself does. The equivalence tests pin this on
+// both bodies at every cohort size, shard count and parallelism, and CI
+// repeats them under GOAMD64=v3 to catch a toolchain that starts fusing.
 
 // ScanLanes is the row-tile width of the streaming kernels: they score
 // this many consecutive records per pass, one independent accumulator
@@ -66,20 +76,85 @@ func (bk *Blocked) DotsF64(lo, hi int, zp []float64, out []float64) {
 }
 
 // DotsF64Batch is DotsF64 over a batch of probes: outs[p][i-lo] receives
-// record i's dot product against zps[p]. Probes are processed in pairs,
-// so each loaded record value is scored against two probes — half the
-// loads of per-probe passes. Pairs (not quads): 8 accumulators plus the
-// row and probe values fit the 16 floating-point registers of amd64; a
-// wider tile spills and scans slower. Scores are bit-identical to
-// per-probe DotsF64 calls.
+// record i's dot product against zps[p], bit-identical to per-probe
+// DotsF64 calls. Where the assembly kernel is available, batches of
+// panelMinProbes or more go through it, eight probes per panel; the
+// row tail (< ScanLanes rows), a trailing one or two probes, and
+// everything on other machines take the pure-go bodies.
 func (bk *Blocked) DotsF64Batch(lo, hi int, zps [][]float64, outs [][]float64) {
+	n := 0 // probes the panels cover
+	if useAVX2 && hi-lo >= ScanLanes {
+		if n = len(zps); n%panelLanes < panelMinProbes {
+			n -= n % panelLanes
+		}
+	}
+	if n > 0 {
+		mid := hi - (hi-lo)%ScanLanes
+		bk.dotsPanels(lo, mid, zps[:n], outs[:n])
+		bk.dotsGo(mid, hi, zps[:n], outs[:n], mid-lo)
+	}
+	bk.dotsGo(lo, hi, zps[n:], outs[n:], 0)
+}
+
+// dotsGo is the pure-go batch body, writing record i's scores at
+// outs[p][off+i-lo]. Probes are processed in pairs, so each loaded
+// record value is scored against two probes — half the loads of
+// per-probe passes. Pairs (not quads): 8 accumulators plus the row and
+// probe values fit the 16 floating-point registers of amd64; a wider
+// tile spills and scans slower.
+func (bk *Blocked) dotsGo(lo, hi int, zps [][]float64, outs [][]float64, off int) {
 	p := 0
 	for ; p+2 <= len(zps); p += 2 {
-		bk.dotsF64x2(lo, hi, zps[p], zps[p+1], outs[p], outs[p+1])
+		bk.dotsF64x2(lo, hi, zps[p], zps[p+1], outs[p][off:], outs[p+1][off:])
 	}
 	if p < len(zps) {
-		bk.DotsF64(lo, hi, zps[p], outs[p])
+		bk.DotsF64(lo, hi, zps[p], outs[p][off:])
 	}
+}
+
+// panelLanes is the probe width of the assembly kernel: two 4-lane YMM
+// vectors per feature. panelMinProbes is the smallest batch (or batch
+// remainder) it beats the go bodies on — measured, DESIGN.md §8; one and
+// two probes are the go bodies' own tile shapes and stay there.
+const (
+	panelLanes     = 8
+	panelMinProbes = 3
+)
+
+// panelPool holds packed-panel scratch between calls, so a sweep packs
+// into the same few buffers stripe after stripe.
+var panelPool sync.Pool
+
+// dotsPanels scores rows [lo, hi), hi-lo a positive multiple of
+// ScanLanes, through the assembly kernel. Each group of up to eight
+// probes is packed feature-major (panel[f*8+p], unused lanes zero) so
+// one vector load fetches a feature of four probes; the kernel
+// broadcasts each row value across the lanes and stores lane p's scores
+// straight into outs[p].
+func (bk *Blocked) dotsPanels(lo, hi int, zps [][]float64, outs [][]float64) {
+	f := bk.features
+	sp, _ := panelPool.Get().(*[]float64)
+	if sp == nil || len(*sp) < panelLanes*f {
+		sp = new([]float64)
+		*sp = make([]float64, panelLanes*f)
+	}
+	panel := (*sp)[:panelLanes*f]
+	rows := bk.rows[lo*f : hi*f]
+	for p := 0; p < len(zps); p += panelLanes {
+		n := min(panelLanes, len(zps)-p)
+		if n < panelLanes {
+			clear(panel)
+		}
+		var dst [panelLanes]*float64
+		for l := 0; l < n; l++ {
+			for j, v := range zps[p+l][:f] {
+				panel[j*panelLanes+l] = v
+			}
+			dst[l] = &outs[p+l][:hi-lo][0]
+		}
+		dotsPanelAVX2(&rows[0], (hi-lo)/ScanLanes, f, &panel[0], &dst, n)
+	}
+	panelPool.Put(sp)
 }
 
 // dotsF64x2 is the 4-row × 2-probe kernel: eight independent
@@ -151,4 +226,13 @@ func (bk *Blocked) dotsF64x2(lo, hi int, zp0, zp1 []float64, o0, o1 []float64) {
 		o0[i-lo] = linalg.Dot(row, zp0)
 		o1[i-lo] = linalg.Dot(row, zp1)
 	}
+}
+
+// ScanKernel names the body batch scans run on this machine: "avx2" for
+// the probe-lane assembly kernel, "go" for the pure-go bodies.
+func ScanKernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
 }

@@ -9,8 +9,10 @@ import (
 // BenchmarkBlockedKernels pins the raw throughput of the blocked scan
 // kernels against the scalar linalg.Dot sweep they replaced, on a
 // cache-resident cohort — the numbers future kernel PRs should diff.
+// f64batch (4 probes) is half a panel where the assembly kernel runs,
+// f64batch16 two full ones: the serving tier's default batch.
 func BenchmarkBlockedKernels(b *testing.B) {
-	const features, subjects, probes = 100, 4096, 8
+	const features, subjects, probes = 100, 4096, 16
 	known := randomGroup(77, features, subjects)
 	g := New(features)
 	if err := g.EnrollMatrix(subjectIDs(subjects), known); err != nil {
@@ -41,17 +43,22 @@ func BenchmarkBlockedKernels(b *testing.B) {
 			bk.DotsF64(0, subjects, zps[0], out)
 		}
 	})
-	b.Run("f64batch", func(b *testing.B) {
-		b.SetBytes(4 * flops)
-		outs := make([][]float64, 4)
-		for p := range outs {
-			outs[p] = make([]float64, subjects)
-		}
-		for i := 0; i < b.N; i++ {
+	for _, lane := range []struct {
+		name   string
+		probes int
+	}{{"f64batch", 4}, {"f64batch16", 16}} {
+		b.Run(lane.name, func(b *testing.B) {
+			b.SetBytes(int64(lane.probes) * flops)
+			outs := make([][]float64, lane.probes)
 			for p := range outs {
-				clear(outs[p])
+				outs[p] = make([]float64, subjects)
 			}
-			bk.DotsF64Batch(0, subjects, zps[:4], outs)
-		}
-	})
+			for i := 0; i < b.N; i++ {
+				for p := range outs {
+					clear(outs[p])
+				}
+				bk.DotsF64Batch(0, subjects, zps[:lane.probes], outs)
+			}
+		})
+	}
 }

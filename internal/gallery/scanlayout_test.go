@@ -8,58 +8,93 @@ import (
 	"brainprint/internal/linalg"
 )
 
+// eachKernel runs body once per scan-kernel body this machine has: the
+// dispatch as detected and, where that is the assembly kernel, forced
+// to the pure-go bodies.
+func eachKernel(t *testing.T, body func(t *testing.T)) {
+	t.Run(ScanKernel(), body)
+	if useAVX2 {
+		useAVX2 = false
+		defer func() { useAVX2 = true }()
+		t.Run(ScanKernel(), body)
+	}
+}
+
 // TestBlockedDotsBitIdenticalToScalar pins the streaming kernels to the
-// scalar reference bit for bit over every edge the 4-row × 2-probe tile
-// has: record counts that leave a row tail of every length, an odd
-// feature count (the unroll tail) and a wide one, range starts at any
-// offset, and probe batches that end on a pair and on an odd probe.
+// scalar reference bit for bit over every edge their tiles have: record
+// counts that leave a row tail of every length (and fewer rows than one
+// tile), odd feature counts (the go unroll tail) down to one and a wide
+// one, range starts at any offset, and every probe batch from one to
+// two full panels plus one — below the panel crossover, partial panels,
+// and a panel followed by a one- or two-probe go remainder.
 func TestBlockedDotsBitIdenticalToScalar(t *testing.T) {
-	for _, tc := range []struct{ features, subjects int }{
-		{100, 1}, {100, 2}, {100, 3}, {100, 53}, {7, 53}, {512 + 173, 53},
-	} {
-		g := New(tc.features)
-		if err := g.EnrollMatrix(subjectIDs(tc.subjects), randomGroup(91, tc.features, tc.subjects)); err != nil {
-			t.Fatal(err)
-		}
-		bk := g.Blocked()
-		if bk.Len() != tc.subjects {
-			t.Fatalf("Blocked.Len() = %d, want %d", bk.Len(), tc.subjects)
-		}
-		for _, probes := range []int{1, 2, 5} {
-			zps := make([][]float64, probes)
-			for p := range zps {
-				zps[p] = g.fingerprint((p * 11) % tc.subjects)
+	eachKernel(t, testBlockedDotsBitIdenticalToScalar)
+}
+
+func testBlockedDotsBitIdenticalToScalar(t *testing.T) {
+	for _, features := range []int{1, 2, 3, 7, 100, 101, 512 + 173} {
+		for _, subjects := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 53} {
+			g := New(features)
+			if err := g.EnrollMatrix(subjectIDs(subjects), randomGroup(91, features, subjects)); err != nil {
+				t.Fatal(err)
 			}
-			for _, lo := range []int{0, 1, 5, 48} {
-				if lo >= tc.subjects {
-					continue
+			bk := g.Blocked()
+			if bk.Len() != subjects {
+				t.Fatalf("Blocked.Len() = %d, want %d", bk.Len(), subjects)
+			}
+			want := make([][]float64, 17) // [probe][record]
+			zps := make([][]float64, len(want))
+			for p := range zps {
+				zps[p] = g.fingerprint((p * 11) % subjects)
+				want[p] = make([]float64, subjects)
+				for i := range want[p] {
+					want[p][i] = linalg.Dot(g.fingerprint(i), zps[p])
 				}
-				// Kernels overwrite: stale values in out must not leak.
-				outs := make([][]float64, probes)
-				for p := range outs {
-					outs[p] = make([]float64, tc.subjects-lo)
-					for i := range outs[p] {
-						outs[p][i] = 1e9
+			}
+			for probes := 1; probes <= len(zps); probes++ {
+				for _, lo := range []int{0, 1, 5, 48} {
+					if lo >= subjects {
+						continue
 					}
-				}
-				bk.DotsF64Batch(lo, tc.subjects, zps, outs)
-				single := make([]float64, tc.subjects-lo)
-				bk.DotsF64(lo, tc.subjects, zps[0], single)
-				for i := lo; i < tc.subjects; i++ {
-					for p := range zps {
-						if want := linalg.Dot(g.fingerprint(i), zps[p]); outs[p][i-lo] != want {
-							t.Fatalf("%d×%d DotsF64Batch(lo=%d, %d probes) probe %d record %d = %v, want %v",
-								tc.subjects, tc.features, lo, probes, p, i, outs[p][i-lo], want)
+					// Kernels overwrite: stale values in out must not leak.
+					outs := make([][]float64, probes)
+					for p := range outs {
+						outs[p] = make([]float64, subjects-lo)
+						for i := range outs[p] {
+							outs[p][i] = 1e9
 						}
 					}
-					if want := linalg.Dot(g.fingerprint(i), zps[0]); single[i-lo] != want {
-						t.Fatalf("%d×%d DotsF64(lo=%d) record %d = %v, want %v",
-							tc.subjects, tc.features, lo, i, single[i-lo], want)
+					bk.DotsF64Batch(lo, subjects, zps[:probes], outs)
+					single := make([]float64, subjects-lo)
+					bk.DotsF64(lo, subjects, zps[0], single)
+					for i := lo; i < subjects; i++ {
+						for p := range outs {
+							if outs[p][i-lo] != want[p][i] {
+								t.Fatalf("%d×%d DotsF64Batch(lo=%d, %d probes) probe %d record %d = %v, want %v",
+									subjects, features, lo, probes, p, i, outs[p][i-lo], want[p][i])
+							}
+						}
+						if single[i-lo] != want[0][i] {
+							t.Fatalf("%d×%d DotsF64(lo=%d) record %d = %v, want %v",
+								subjects, features, lo, i, single[i-lo], want[0][i])
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestScanKernelNamed pins the name ScanKernel reports to the dispatch
+// it describes, on both bodies. CI's bench-json step reads the logged
+// line into the artifact's _env.
+func TestScanKernelNamed(t *testing.T) {
+	t.Logf("scan kernel: %s", ScanKernel())
+	eachKernel(t, func(t *testing.T) {
+		if k := ScanKernel(); (k != "avx2" && k != "go") || (k == "avx2") != useAVX2 {
+			t.Fatalf("ScanKernel() = %q with useAVX2 = %v", k, useAVX2)
+		}
+	})
 }
 
 // TestBlockedAliasesGalleryRecords pins the one-image rule: the view's

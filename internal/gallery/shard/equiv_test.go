@@ -32,6 +32,10 @@ func noisyProbes(known *linalg.Matrix, seed int64) *linalg.Matrix {
 // match.SimilarityMatrix by the gallery package's own equivalence
 // test).
 func TestShardedTopKBitIdenticalToSingleFile(t *testing.T) {
+	EachKernel(t, testShardedTopKBitIdenticalToSingleFile)
+}
+
+func testShardedTopKBitIdenticalToSingleFile(t *testing.T) {
 	const features, subjects, k = 23, 120, 9
 	known := randomGroup(21, features, subjects)
 	anon := noisyProbes(known, 22)
@@ -111,6 +115,10 @@ func TestShardedTopKBitIdenticalToSingleFile(t *testing.T) {
 // return the same ranking as every other, not just the same as the
 // reference.
 func TestShardedResultIndependentOfShardCount(t *testing.T) {
+	EachKernel(t, testShardedResultIndependentOfShardCount)
+}
+
+func testShardedResultIndependentOfShardCount(t *testing.T) {
 	const features, subjects, k = 17, 90, 12
 	g := buildGallery(t, 31, features, subjects)
 	probe := randomGroup(33, features, 1).Col(0)

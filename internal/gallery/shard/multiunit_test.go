@@ -169,6 +169,10 @@ func shardBounds(t *testing.T, ids []string, shards, grain int) (bases, counts [
 // (exact and IVF with every cell probed), and a live engine with an
 // overlay and tombstones.
 func TestScanCrossesUnitAndShardBoundaries(t *testing.T) {
+	shard.EachKernel(t, testScanCrossesUnitAndShardBoundaries)
+}
+
+func testScanCrossesUnitAndShardBoundaries(t *testing.T) {
 	ids, known, probes := muCohort()
 	g := gallery.New(muFeatures)
 	if err := g.EnrollMatrix(ids, known); err != nil {

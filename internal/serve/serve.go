@@ -790,6 +790,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"role":           s.Role(),
 		"promotions":     s.promotions.Load(),
 		"demotions":      s.demotions.Load(),
+		"scan_kernel":    gallery.ScanKernel(),
 		"endpoints":      endpoints,
 	}
 	if mutable != nil {

@@ -268,13 +268,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	postJSON(t, h, "/v1/identify", identifyRequest{Probe: []float64{1}}) // dim mismatch → error
 	w := get(t, h, "/v1/metrics")
 	var resp struct {
-		Endpoints map[string]struct {
+		ScanKernel string `json:"scan_kernel"`
+		Endpoints  map[string]struct {
 			Requests int64 `json:"requests"`
 			Errors   int64 `json:"errors"`
 		} `json:"endpoints"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("metrics body: %v", err)
+	}
+	if resp.ScanKernel != gallery.ScanKernel() {
+		t.Errorf("scan_kernel = %q, want %q", resp.ScanKernel, gallery.ScanKernel())
 	}
 	m := resp.Endpoints["identify"]
 	if m.Requests != 2 || m.Errors != 1 {
