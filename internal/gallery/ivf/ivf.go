@@ -131,8 +131,10 @@ func (x *Index) Centroid(c int) []float64 {
 // fingerprint at (shard, local index). Training samples min(total,
 // cells·48) records, runs Lloyd iterations to convergence (at most
 // 12), then assigns every record to its nearest cell in one full pass.
-// The result depends only on the records, cfg.Cells, and cfg.Seed —
-// never on cfg.Parallelism.
+// Both phases score eight records per pass through the gallery's batch
+// kernel (nearestCells), each score bit-identical to a lone
+// linalg.Dot. The result depends only on the records, cfg.Cells, and
+// cfg.Seed — never on cfg.Parallelism or the kernel body.
 func Build(ctx context.Context, cfg Config, features int, counts []int, fp func(si, li int) []float64) (*Index, error) {
 	if features <= 0 {
 		return nil, fmt.Errorf("ivf: features %d must be positive", features)
@@ -236,9 +238,11 @@ func sampleRecords(seed int64, features int, counts []int, cells int, fp func(si
 
 // lloyd runs deterministic k-means over the sample: seeded-permutation
 // initialization, then at most maxLloydIters assignment/update rounds,
-// stopping early once no sample changes cell. Assignment parallelizes
-// over samples with a fixed grain; per-cell sums fold in chunk order,
-// so centroids are bit-identical at any worker count.
+// stopping early once no sample changes cell. Each round parallelizes
+// over samples with a fixed grain: a chunk scores all its samples
+// first, then adds them to its per-cell sums in sample order, and the
+// chunks' sums fold in chunk order, so centroids are bit-identical at
+// any worker count.
 func lloyd(ctx context.Context, cfg Config, features, cells int, samples []float64) ([]float64, error) {
 	n := len(samples) / features
 	sample := func(i int) []float64 { return samples[i*features : (i+1)*features] }
@@ -264,16 +268,15 @@ func lloyd(ctx context.Context, cfg Config, features, cells int, samples []float
 		acc, err := parallel.ReduceCtx(ctx, cfg.Parallelism, n, trainGrain, partial{},
 			func(lo, hi int) partial {
 				p := partial{sum: make([]float64, cells*features), count: make([]int64, cells)}
-				scores := make([]float64, cells)
-				for i := lo; i < hi; i++ {
-					v := sample(i)
-					c := int32(nearestCell(bk, half, v, scores))
-					if assign[i] != c {
+				nearest := make([]int32, hi-lo)
+				nearestCells(bk, half, sample, lo, hi, nearest)
+				for i, c := range nearest { // record order fixes the sums' fold order
+					if assign[lo+i] != c {
 						p.moved++
 					}
-					assign[i] = c
+					assign[lo+i] = c
 					s := p.sum[int(c)*features : (int(c)+1)*features]
-					for j, x := range v {
+					for j, x := range sample(lo + i) {
 						s[j] += x
 					}
 					p.count[c]++
@@ -316,18 +319,16 @@ func lloyd(ctx context.Context, cfg Config, features, cells int, samples []float
 }
 
 // assignAll runs the full assignment pass: every record of every shard
-// scores against all centroids through the streaming kernel and joins
-// its nearest cell's posting list (ascending local order by
-// construction).
+// scores against all centroids, eight records per kernel pass
+// (nearestCells), and joins its nearest cell's posting list (ascending
+// local order by construction).
 func (x *Index) assignAll(ctx context.Context, parallelism int, fp func(si, li int) []float64) error {
 	x.postings = make([][][]uint32, len(x.counts))
 	for si, count := range x.counts {
 		cellOf := make([]int32, count)
+		rec := func(li int) []float64 { return fp(si, li) }
 		err := parallel.ForCtx(ctx, parallelism, count, assignGrain, func(lo, hi int) error {
-			scores := make([]float64, x.cells)
-			for li := lo; li < hi; li++ {
-				cellOf[li] = int32(nearestCell(x.bk, x.halfNorm, fp(si, li), scores))
-			}
+			nearestCells(x.bk, x.halfNorm, rec, lo, hi, cellOf[lo:hi])
 			return nil
 		})
 		if err != nil {
@@ -349,18 +350,39 @@ func (x *Index) assignAll(ctx context.Context, parallelism int, fp func(si, li i
 	return nil
 }
 
-// nearestCell returns the cell whose centroid maximizes
-// v·c − ‖c‖²/2, ties toward the lower cell id. scores is caller
-// scratch of at least one float64 per cell.
-func nearestCell(bk *gallery.Blocked, halfNorm []float64, v []float64, scores []float64) int {
-	bk.DotsF64(0, len(halfNorm), v, scores)
-	best, bestScore := 0, scores[0]-halfNorm[0]
-	for c := 1; c < len(halfNorm); c++ {
-		if s := scores[c] - halfNorm[c]; s > bestScore {
-			best, bestScore = c, s
+// cellBatch is how many records nearestCells scores per kernel call:
+// one probe panel, so each centroid row loaded meets eight records.
+const cellBatch = 8
+
+// nearestCells writes to out[i-lo], for every record rec(i) with i in
+// [lo, hi), the cell whose centroid maximizes v·c − ‖c‖²/2, ties toward
+// the lower cell id. Records are scored cellBatch at a time through
+// DotsF64Batch, the centroids as rows and the records as the probe
+// panel; each score is bit-identical to linalg.Dot(c, v) on either
+// kernel body, so every choice is the one a record-at-a-time pass makes.
+func nearestCells(bk *gallery.Blocked, halfNorm []float64, rec func(i int) []float64, lo, hi int, out []int32) {
+	cells := len(halfNorm)
+	buf := make([]float64, cellBatch*cells)
+	var vs, scores [cellBatch][]float64
+	for r := range scores {
+		scores[r] = buf[r*cells : (r+1)*cells]
+	}
+	for i := lo; i < hi; i += cellBatch {
+		n := min(cellBatch, hi-i)
+		for r := range n {
+			vs[r] = rec(i + r)
+		}
+		bk.DotsF64Batch(0, cells, vs[:n], scores[:n])
+		for r, s := range scores[:n] {
+			best, bestScore := 0, s[0]-halfNorm[0]
+			for c := 1; c < cells; c++ {
+				if v := s[c] - halfNorm[c]; v > bestScore {
+					best, bestScore = c, v
+				}
+			}
+			out[i-lo+r] = int32(best)
 		}
 	}
-	return best
 }
 
 // RankCells returns the ids of the nprobe cells whose centroids score
@@ -373,18 +395,22 @@ func (x *Index) RankCells(zp []float64, nprobe int) []int {
 	nprobe = min(nprobe, x.cells)
 	d := make([]float64, x.cells)
 	x.bk.DotsF64(0, x.cells, zp, d)
-	for c := 0; c < x.cells; c++ {
+	best := make([]int, 0, nprobe)
+	for c := range d {
 		d[c] -= x.halfNorm[c]
+		if len(best) < nprobe {
+			best = append(best, c)
+		} else if nprobe == 0 || !(d[c] > d[best[nprobe-1]]) {
+			continue // ties keep the lower id already held
+		}
+		// Insertion step: c displaces every strictly worse cell.
+		j := len(best) - 1
+		for ; j > 0 && d[best[j-1]] < d[c]; j-- {
+			best[j] = best[j-1]
+		}
+		best[j] = c
 	}
-	order := make([]int, x.cells)
-	for c := range order {
-		order[c] = c
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		return d[a] > d[b] || (d[a] == d[b] && a < b)
-	})
-	return order[:nprobe]
+	return best
 }
 
 // validate checks the structural invariants a decoded index must hold:

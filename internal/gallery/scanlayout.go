@@ -6,7 +6,8 @@ import (
 	"brainprint/internal/linalg"
 )
 
-// This file is the streaming kernel behind every exact TopK sweep. It
+// This file is the streaming kernel behind every exact TopK sweep and
+// IVF training (eight records per panel against the centroid rows). It
 // reads the one in-memory image a gallery has — flat, subject-major,
 // z-scored rows — through a zero-copy view: there is no scan-side copy
 // of the records, no build step and nothing to invalidate. "Blocked"

@@ -117,12 +117,13 @@ func BenchmarkShardTopK(b *testing.B) {
 
 // BenchmarkShardTopK1M is the million-subject regime — the tentpole
 // scale where the exact scan's linear cost becomes the bottleneck and
-// the IVF coarse index must win by ≥5× (the CI ivf speedup gate holds
+// the IVF coarse index must win by ≥2× (the CI ivf speedup gate holds
 // that line). Two contenders run here: the exact 8-shard streaming scan
 // as the reference and the IVF scan at the default nprobe (16 of 512
 // trained cells, ~3% of records actually scored). A separate
-// function so filtered runs of BenchmarkShardTopK skip the ~minute of
-// 1M enrollment + index training.
+// function so filtered runs of BenchmarkShardTopK skip its set-up: 1M
+// enrollment plus index training, the build alone ~5 s on the 2-core
+// Xeon (512 cells).
 func BenchmarkShardTopK1M(b *testing.B) {
 	const features, probes, k, subjects = 100, 16, 5, 1_000_000
 	known := randomGroup(subjects, features, subjects)
