@@ -74,13 +74,14 @@ func FuzzDecodeGallery(f *testing.F) {
 	})
 }
 
-// FuzzDotsPanel pins the assembly kernel to the pure-go bodies on
+// FuzzDotsPanel pins both assembly kernels to the pure-go bodies on
 // arbitrary float64 bit patterns — ±0, subnormals, ±Inf, NaN, values
 // whose products overflow or cancel — at fuzzed dimensions, ranges and
 // batch sizes: every score that is not NaN must match bit for bit, and
 // a NaN must be a NaN on both (payloads are not part of the contract).
 // raw is read as little-endian float64s, cycled to fill the rows and
-// then the probes.
+// then the probes; its bytes also pick the gather kernel's index list
+// (3·probes indices, repeats and any order) scored against probe 0.
 func FuzzDotsPanel(f *testing.F) {
 	le := func(vs ...float64) []byte {
 		var b []byte
@@ -123,13 +124,32 @@ func FuzzDotsPanel(f *testing.F) {
 		useAVX2 = false
 		bk.DotsF64Batch(from, nr, zps, want)
 		useAVX2 = true
+		same := func(g, w float64) bool {
+			return math.Float64bits(g) == math.Float64bits(w) || (math.IsNaN(g) && math.IsNaN(w))
+		}
 		for p := range want {
 			for i, w := range want[p] {
-				g := got[p][i]
-				if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				if g := got[p][i]; !same(g, w) {
 					t.Fatalf("%d×%d [%d,%d) %d probes: probe %d record %d = %v (%#x), go body %v (%#x)",
 						nr, nf, from, nr, np, p, from+i, g, math.Float64bits(g), w, math.Float64bits(w))
 				}
+			}
+		}
+		idx := make([]uint32, 3*np)
+		for j := range idx {
+			if len(raw) > 0 {
+				idx[j] = uint32(int(raw[j%len(raw)])+j*from) % uint32(nr)
+			}
+		}
+		gotAt, wantAt := make([]float64, len(idx)), make([]float64, len(idx))
+		bk.DotsAt(idx, zps[0], gotAt)
+		useAVX2 = false
+		bk.DotsAt(idx, zps[0], wantAt)
+		useAVX2 = true
+		for j, w := range wantAt {
+			if g := gotAt[j]; !same(g, w) {
+				t.Fatalf("%d×%d DotsAt %v: index %d (record %d) = %v (%#x), go body %v (%#x)",
+					nr, nf, idx, j, idx[j], g, math.Float64bits(g), w, math.Float64bits(w))
 			}
 		}
 	})

@@ -1,8 +1,8 @@
 package gallery
 
-// useAVX2 selects the probe-lane assembly kernel for batches it pays
-// on. Decided once from what the CPU and OS report; tests flip it to
-// run every equivalence matrix through both bodies.
+// useAVX2 selects the assembly kernels (the panel for batches it pays
+// on, every DotsAt gather). Decided once from what the CPU and OS
+// report; tests flip it to run every equivalence matrix through both.
 var useAVX2 = detectAVX2()
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
@@ -29,3 +29,6 @@ func xgetbv() (eax, edx uint32)
 
 //go:noescape
 func dotsPanelAVX2(rows *float64, tiles, features int, panel *float64, dst *[panelLanes]*float64, n int)
+
+//go:noescape
+func dotsAtAVX2(rows *[gatherLanes][]float64, features int, zp *float64, out *[gatherLanes]float64)

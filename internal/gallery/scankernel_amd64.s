@@ -92,6 +92,73 @@ next:
 	VZEROUPPER
 	RET
 
+// GATHER4 advances rows r0..r3's chains (lanes of acc) by features
+// f..f+3 (byte offset CX; probe values broadcast in Y12..Y15). Y0/Y1
+// get f,f+1 of rows r0,r2 / r1,r3 (Y2/Y3: f+2,f+3); the unpacks leave
+// feature f+j of all four rows in Y4+j. Multiply and add as in STEP.
+#define GATHER4(r0, r1, r2, r3, acc) \
+	VMOVUPD     (r0)(CX*1), X0; \
+	VINSERTF128 $1, (r2)(CX*1), Y0, Y0; \
+	VMOVUPD     (r1)(CX*1), X1; \
+	VINSERTF128 $1, (r3)(CX*1), Y1, Y1; \
+	VMOVUPD     16(r0)(CX*1), X2; \
+	VINSERTF128 $1, 16(r2)(CX*1), Y2, Y2; \
+	VMOVUPD     16(r1)(CX*1), X3; \
+	VINSERTF128 $1, 16(r3)(CX*1), Y3, Y3; \
+	VUNPCKLPD   Y1, Y0, Y4; \
+	VUNPCKHPD   Y1, Y0, Y5; \
+	VUNPCKLPD   Y3, Y2, Y6; \
+	VUNPCKHPD   Y3, Y2, Y7; \
+	VMULPD      Y12, Y4, Y4; \
+	VADDPD      Y4, acc, acc; \
+	VMULPD      Y13, Y5, Y5; \
+	VADDPD      Y5, acc, acc; \
+	VMULPD      Y14, Y6, Y6; \
+	VADDPD      Y6, acc, acc; \
+	VMULPD      Y15, Y7, Y7; \
+	VADDPD      Y7, acc, acc
+
+// func dotsAtAVX2(rows *[8][]float64, features int, zp *float64, out *[8]float64)
+//
+// out[t] is row t's acc = acc + row[f]*probe[f] chain from +0 over the
+// first features &^ 3 features (Y8: rows 0-3, Y9: rows 4-7).
+TEXT ·dotsAtAVX2(SB), NOSPLIT, $0-32
+	MOVQ   rows+0(FP), AX
+	MOVQ   0(AX), R8
+	MOVQ   24(AX), R9
+	MOVQ   48(AX), R10
+	MOVQ   72(AX), R11
+	MOVQ   96(AX), R12
+	MOVQ   120(AX), R13
+	MOVQ   144(AX), SI
+	MOVQ   168(AX), DX
+	MOVQ   features+8(FP), BX
+	MOVQ   zp+16(FP), DI
+	ANDQ   $-4, BX
+	SHLQ   $3, BX            // end of the 4-feature steps, in bytes
+	XORQ   CX, CX            // feature offset in bytes
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+
+step:
+	CMPQ         CX, BX
+	JGE          store
+	VBROADCASTSD (DI)(CX*1), Y12
+	VBROADCASTSD 8(DI)(CX*1), Y13
+	VBROADCASTSD 16(DI)(CX*1), Y14
+	VBROADCASTSD 24(DI)(CX*1), Y15
+	GATHER4(R8, R9, R10, R11, Y8)
+	GATHER4(R12, R13, SI, DX, Y9)
+	ADDQ $32, CX
+	JMP  step
+
+store:
+	MOVQ    out+24(FP), AX
+	VMOVUPD Y8, (AX)
+	VMOVUPD Y9, 32(AX)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

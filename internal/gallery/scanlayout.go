@@ -7,21 +7,22 @@ import (
 )
 
 // This file is the streaming kernel behind every exact TopK sweep and
-// IVF training (eight records per panel against the centroid rows). It
-// reads the one in-memory image a gallery has — flat, subject-major,
-// z-scored rows — through a zero-copy view: there is no scan-side copy
-// of the records, no build step and nothing to invalidate. "Blocked"
-// means register-blocked, not memory-blocked: a pass scores ScanLanes
-// (4) consecutive rows against one probe (linalg.Dot4), two
-// (dotsF64x2) or, where the CPU has AVX2, a panel of eight
-// (scankernel_amd64.s: the probes of a batch ride the vector lanes, so
-// each broadcast row value meets eight probes in two multiplies). The
-// sweep is compute-bound — the go bodies run at 82 % of the scalar
-// multiply-add ceiling and 12 % of stream bandwidth — so independent
-// accumulator chains and arithmetic per loaded value are what make a
-// kernel fast, and four sequential row streams are as easy on the
-// prefetcher as one: neither a lane-interleaved copy nor feature tiling
-// earns its keep (DESIGN.md §8 has the numbers).
+// IVF training (eight records per panel against the centroid rows), and
+// the gather behind every IVF query (DotsAt). Both read the one
+// in-memory image a gallery has — flat, subject-major, z-scored rows —
+// through a zero-copy view: there is no scan-side copy of the records,
+// no build step and nothing to invalidate. "Blocked" means
+// register-blocked, not memory-blocked: a pass scores ScanLanes (4)
+// consecutive rows against one probe (linalg.Dot4), two (dotsF64x2) or,
+// where the CPU has AVX2, a panel of eight (scankernel_amd64.s: the
+// probes of a batch ride the vector lanes, so each broadcast row value
+// meets eight probes in two multiplies). The sweep is compute-bound —
+// the go bodies run at 82 % of the scalar multiply-add ceiling and 12 %
+// of stream bandwidth — so independent accumulator chains and arithmetic
+// per loaded value are what make a kernel fast, and four sequential row
+// streams are as easy on the prefetcher as one: neither a
+// lane-interleaved copy nor feature tiling earns its keep (DESIGN.md §8
+// has the numbers).
 //
 // Bit-exactness: every chain, scalar or vector lane, accumulates one
 // record's features strictly in ascending order as acc = acc +
@@ -229,8 +230,42 @@ func (bk *Blocked) dotsF64x2(lo, hi int, zp0, zp1 []float64, o0, o1 []float64) {
 	}
 }
 
-// ScanKernel names the body batch scans run on this machine: "avx2" for
-// the probe-lane assembly kernel, "go" for the pure-go bodies.
+// gatherLanes is DotsAt's group: the records scored per kernel call.
+const gatherLanes = 8
+
+// DotsAt writes to out[t] the dot product of record idx[t] against the
+// probe, bit-identical to linalg.Dot(record idx[t], zp); indices may
+// repeat and come in any order. Records go eight at a time through the
+// row-lane assembly kernel where the CPU has AVX2 (the F mod 4 tail
+// features finish here), otherwise through linalg.Dot8; a partial last
+// group repeats its last record.
+func (bk *Blocked) DotsAt(idx []uint32, zp, out []float64) {
+	f := bk.features
+	zp, out = zp[:f], out[:len(idx)]
+	var r [gatherLanes][]float64
+	var s [gatherLanes]float64
+	for lo := 0; lo < len(idx); lo += gatherLanes {
+		n := min(gatherLanes, len(idx)-lo)
+		for t := range r {
+			i := int(idx[lo+min(t, n-1)])
+			r[t] = bk.rows[i*f : (i+1)*f]
+		}
+		if useAVX2 {
+			dotsAtAVX2(&r, f, &zp[0], &s)
+			for t := range n {
+				for j := f - f%4; j < f; j++ {
+					s[t] += r[t][j] * zp[j]
+				}
+			}
+		} else {
+			s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7] = linalg.Dot8(r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], zp)
+		}
+		copy(out[lo:lo+n], s[:n])
+	}
+}
+
+// ScanKernel names the body batch scans and gathers run on this
+// machine: "avx2" for the assembly kernels, "go" for the pure-go bodies.
 func ScanKernel() string {
 	if useAVX2 {
 		return "avx2"

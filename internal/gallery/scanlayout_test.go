@@ -1,6 +1,7 @@
 package gallery
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -80,6 +81,62 @@ func testBlockedDotsBitIdenticalToScalar(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestBlockedDotsAtBitIdenticalToScalar pins the gather kernel to the
+// scalar reference bit for bit: feature counts on both sides of every
+// 4-feature step boundary (and below one step), index lists from empty
+// through one, partial, full and several groups, with repeats, a
+// descending run and the last record, over rows whose values span
+// hundreds of binary orders of magnitude so any reassociation or fused
+// step changes low bits.
+func TestBlockedDotsAtBitIdenticalToScalar(t *testing.T) {
+	eachKernel(t, testBlockedDotsAtBitIdenticalToScalar)
+}
+
+func testBlockedDotsAtBitIdenticalToScalar(t *testing.T) {
+	const records = 53
+	rng := rand.New(rand.NewSource(92))
+	spread := func() float64 { return rng.NormFloat64() * math.Ldexp(1, rng.Intn(200)-100) }
+	for _, features := range []int{1, 2, 3, 4, 5, 7, 100, 101, 512 + 173} {
+		rows := make([]float64, records*features)
+		for i := range rows {
+			rows[i] = spread()
+		}
+		bk := NewBlocked(features, rows)
+		zp := make([]float64, features)
+		for i := range zp {
+			zp[i] = spread()
+		}
+		for _, n := range []int{0, 1, 7, 8, 9, 16, 63, 200} {
+			idx := make([]uint32, n)
+			for j := range idx {
+				switch {
+				case j == n-1:
+					idx[j] = records - 1
+				case j%5 == 3:
+					idx[j] = idx[j-1] // repeat
+				case j%11 < 4:
+					idx[j] = uint32(records - 2 - j%11) // descending run
+				default:
+					idx[j] = uint32(rng.Intn(records))
+				}
+			}
+			out := make([]float64, n+1)
+			out[n] = 1e9 // past the list: must stay untouched
+			bk.DotsAt(idx, zp, out[:n])
+			for p, i := range idx {
+				want := linalg.Dot(rows[int(i)*features:(int(i)+1)*features], zp)
+				if math.Float64bits(out[p]) != math.Float64bits(want) {
+					t.Fatalf("%d features, %d indices: DotsAt[%d] (record %d) = %v (%#x), want %v (%#x)",
+						features, n, p, i, out[p], math.Float64bits(out[p]), want, math.Float64bits(want))
+				}
+			}
+			if out[n] != 1e9 {
+				t.Fatalf("%d features, %d indices: DotsAt wrote past its list", features, n)
 			}
 		}
 	}

@@ -8,21 +8,21 @@ import (
 
 	"brainprint/internal/gallery"
 	"brainprint/internal/gallery/ivf"
-	"brainprint/internal/linalg"
-	"brainprint/internal/parallel"
 )
 
-// The IVF scan path. With an index loaded and nprobe > 0, a query
-// ranks the index cells against the probe and scans only the posting
-// lists of the best nprobe cells — sub-linear candidate selection —
-// while scoring stays exactly what the full sweep computes:
-// linalg.Dot over the contiguous per-record fingerprints. The index
-// therefore changes WHICH records can be returned (recall, measured by
-// the CI gate), never the score of any record that is returned. Because
-// each shard's posting lists partition its local index space,
-// nprobe ≥ Cells() scans every record exactly once and the result is
-// bit-identical to the exact sweep — the equivalence matrix pins this at
-// several shard counts and parallelism settings.
+// The IVF scan path. With an index loaded and nprobe > 0, a query ranks
+// the index cells against the probe and scans only the posting lists of
+// the best nprobe cells — sub-linear candidate selection — while scoring
+// stays exactly what the full sweep computes: linalg.Dot's chain over
+// the stored per-record fingerprints, gathered eight records at a time
+// (Blocked.DotsAt). A batch is scanned cell-major, so a cell several
+// probes chose is read once for all of them. The index therefore changes
+// WHICH records can be returned (recall, measured by the CI gate), never
+// the score of any record that is returned. Because each shard's posting
+// lists partition its local index space, nprobe ≥ Cells() scans every
+// record exactly once and the result is bit-identical to the exact sweep
+// — the equivalence matrix pins this at several shard counts and
+// parallelism settings.
 
 // ErrNoANNIndex is returned by SetANNProbe when enabling the ANN scan
 // on a store without a loaded index.
@@ -156,108 +156,88 @@ func (s *Store) annMatches(x *ivf.Index) bool {
 	return true
 }
 
-// topKANN is the IVF sweep for one z-scored probe: rank the cells, then
-// scan the probed posting lists shard by shard through the selection
-// driver every scan shares (units = shards), so a run's ranker carries
-// the selection threshold across its shards and per-run rankings merge
-// by tournament.
-func (s *Store) topKANN(ctx context.Context, zp []float64, k, parallelism int, skip []bool) ([]gallery.Candidate, error) {
-	cells := s.ann.RankCells(zp, s.nprobe)
+// queryAllANN is the IVF sweep for a batch of z-scored probes, run
+// cell-major: the probes' cell rankings are inverted into one cell →
+// probes map, and the selection driver every scan shares runs over
+// (shard, cell) units with one ranker per probe. A probed unit's
+// posting list is gathered once per probe that chose the cell, so the
+// later probes find its rows in cache. Each probe still scores exactly
+// its own cells' records with linalg.Dot's chain, so under the strict
+// total order its answer is the per-probe sweep's. A batch of one
+// takes the same path, its workers splitting cells.
+func (s *Store) queryAllANN(ctx context.Context, zcols [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
+	cells := s.ann.Cells()
+	ranked := make([][]int, len(zcols))
+	at := make([]int, cells+1) // cell c's probes are who[at[c]:at[c+1]]
+	for j, zp := range zcols {
+		ranked[j] = s.ann.RankCells(zp, s.nprobe)
+		for _, c := range ranked[j] {
+			at[c+1]++
+		}
+	}
+	for c := range cells {
+		at[c+1] += at[c]
+	}
+	who := make([]int32, at[cells])
+	for j, cs := range ranked {
+		for _, c := range cs {
+			who[at[c]] = int32(j)
+			at[c]++
+		}
+	}
+	copy(at[1:], at[:cells]) // each at[c] advanced to its end
+	at[0] = 0
 	inv := 1 / float64(s.features)
-	lists, err := gallery.SelectRuns(ctx, len(s.galleries), 1, k, parallelism, gallery.BetterByID,
+	return gallery.SelectRuns(ctx, len(s.galleries)*cells, len(zcols), k, parallelism, gallery.BetterByID,
 		func(lo, hi int, rankers []gallery.Ranker) error {
-			for si := lo; si < hi; si++ {
-				s.scanANNShard(si, cells, zp, inv, &rankers[0], skip)
+			// Units are shard-major: one view per shard the run crosses.
+			var bk *gallery.Blocked
+			cur := -1
+			var kept []uint32
+			var dots []float64
+			for u := lo; u < hi; u++ {
+				si, c := u/cells, u%cells
+				if at[c] == at[c+1] {
+					continue // no probe chose this cell
+				}
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				g, base := s.galleries[si], s.bases[si]
+				if si != cur {
+					bk, cur = g.Blocked(), si
+				}
+				idx := s.ann.Postings(si, c)
+				if skip != nil {
+					kept = kept[:0]
+					for _, li := range idx {
+						if !skip[base+int(li)] {
+							kept = append(kept, li)
+						}
+					}
+					idx = kept
+				}
+				if len(dots) < len(idx) {
+					dots = make([]float64, len(idx))
+				}
+				for _, j := range who[at[c]:at[c+1]] {
+					bk.DotsAt(idx, zcols[j], dots)
+					r := &rankers[j]
+					thr, full := r.Threshold()
+					for t, li := range idx {
+						sc := dots[t] * inv
+						if full && sc < thr.Score {
+							continue
+						}
+						cand := gallery.Candidate{Index: base + int(li), ID: g.ID(int(li)), Score: sc}
+						if full && !gallery.BetterByID(cand, thr) {
+							continue
+						}
+						r.Offer(cand)
+						thr, full = r.Threshold()
+					}
+				}
 			}
 			return nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	return lists[0], nil
-}
-
-// queryAllANN is the IVF batch path: probes fan out one per worker
-// with a serial inner sweep — posting-list scans are too sparse for
-// the record-striped batch kernels to pay off. A batch of one has no
-// probes to fan out, so its workers go to the shards instead.
-func (s *Store) queryAllANN(ctx context.Context, zcols [][]float64, k, parallelism int, skip []bool) ([][]gallery.Candidate, error) {
-	inner := 1
-	if len(zcols) == 1 {
-		inner = parallelism
-	}
-	out := make([][]gallery.Candidate, len(zcols))
-	err := parallel.ForCtx(ctx, parallelism, len(zcols), 1, func(lo, hi int) error {
-		for j := lo; j < hi; j++ {
-			top, err := s.topKANN(ctx, zcols[j], k, inner, skip)
-			if err != nil {
-				return err
-			}
-			out[j] = top
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// scanANNShard scans one shard's probed posting lists, scoring
-// candidates against the same stored rows the exact sweep streams, with
-// the exact expression, so these scores are final. A posting list
-// selects a scattered subset of records, so the access pattern is a
-// gather rather than a stream: candidates go eight at a time into
-// linalg.Dot8 so the dependency chains (and the eight records'
-// cache-miss streams) overlap; each score is still bit-identical to a
-// lone linalg.Dot, and offer order is exactly the posting order, so
-// results match the unbatched loop bit for bit.
-func (s *Store) scanANNShard(si int, cells []int, zp []float64, inv float64, r *gallery.Ranker, skip []bool) {
-	g := s.galleries[si]
-	if g == nil {
-		return
-	}
-	base := s.bases[si]
-	thr, full := r.Threshold()
-	var idx [8]int
-	var dots [8]float64
-	n := 0
-	flush := func() {
-		for t := 0; t < n; t++ {
-			i, sc := idx[t], dots[t]*inv
-			if full && sc < thr.Score {
-				continue
-			}
-			cand := gallery.Candidate{Index: base + i, ID: g.ID(i), Score: sc}
-			if full && !gallery.BetterByID(cand, thr) {
-				continue
-			}
-			r.Offer(cand)
-			thr, full = r.Threshold()
-		}
-		n = 0
-	}
-	for _, c := range cells {
-		for _, li := range s.ann.Postings(si, c) {
-			i := int(li)
-			if skip != nil && skip[base+i] {
-				continue
-			}
-			idx[n] = i
-			n++
-			if n < len(idx) {
-				continue
-			}
-			dots[0], dots[1], dots[2], dots[3], dots[4], dots[5], dots[6], dots[7] = linalg.Dot8(
-				g.Fingerprint(idx[0]), g.Fingerprint(idx[1]),
-				g.Fingerprint(idx[2]), g.Fingerprint(idx[3]),
-				g.Fingerprint(idx[4]), g.Fingerprint(idx[5]),
-				g.Fingerprint(idx[6]), g.Fingerprint(idx[7]), zp)
-			flush()
-		}
-	}
-	for t := 0; t < n; t++ {
-		dots[t] = linalg.Dot(g.Fingerprint(idx[t]), zp)
-	}
-	flush()
 }

@@ -315,7 +315,8 @@ func clusteredCohort(seed int64, features, subjects, nClusters int, spread float
 }
 
 // recallAt returns the mean fraction of exact top-k subjects the IVF
-// top-k recovered, over all probes.
+// top-k recovered, over all probes. An IVF list shorter than k (its
+// probed cells held fewer records) counts its missing ranks as misses.
 func recallAt(exact, approx [][]gallery.Candidate, k int) float64 {
 	sum := 0.0
 	for j := range exact {
@@ -324,7 +325,7 @@ func recallAt(exact, approx [][]gallery.Candidate, k int) float64 {
 			want[c.ID] = true
 		}
 		hit := 0
-		for _, c := range approx[j][:k] {
+		for _, c := range approx[j][:min(k, len(approx[j]))] {
 			if want[c.ID] {
 				hit++
 			}

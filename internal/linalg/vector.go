@@ -24,9 +24,7 @@ func Dot(x, y []float64) float64 {
 // is bit-identical to the corresponding Dot call; the four chains are
 // merely independent, letting their FP latencies and cache misses
 // overlap. The exact scan's one-probe kernel calls it over four
-// consecutive gallery rows; an IVF posting-list scan calls it (and Dot8)
-// over a gathered, scattered subset of the same rows. It panics if any
-// length differs.
+// consecutive gallery rows. It panics if any length differs.
 func Dot4(a, b, c, d, y []float64) (s0, s1, s2, s3 float64) {
 	if len(a) != len(y) || len(b) != len(y) || len(c) != len(y) || len(d) != len(y) {
 		panic(fmt.Sprintf("linalg: Dot4 length mismatch %d/%d/%d/%d vs %d",
@@ -45,9 +43,10 @@ func Dot4(a, b, c, d, y []float64) (s0, s1, s2, s3 float64) {
 // Dot8 is Dot4 twice as wide: the inner products of y with each of
 // eight records, eight independent accumulator chains, each
 // bit-identical to the corresponding lone Dot. Wider than the
-// latency-hiding sweet spot for L1-resident data, but the IVF scan's
-// candidates are cache-cold gathers, where eight in-flight miss
-// streams beat four. It panics if any length differs.
+// latency-hiding sweet spot for L1-resident data, but gathered records
+// are cache-cold, where eight in-flight miss streams beat four: it is
+// the pure-go body of the IVF scan's gather (gallery's Blocked.DotsAt).
+// It panics if any length differs.
 func Dot8(a, b, c, d, e, f, g, h, y []float64) (s0, s1, s2, s3, s4, s5, s6, s7 float64) {
 	n := len(y)
 	if len(a) != n || len(b) != n || len(c) != n || len(d) != n ||
