@@ -192,17 +192,18 @@ func GroupMatrixADHDCtx(ctx context.Context, scans []*ADHDScan, opt ConnectomeOp
 
 // ---- Persistent fingerprint gallery ----
 
-// Gallery is a persistent fingerprint database with a ranked top-k
-// query engine: enroll the de-anonymized subjects once (Enroll,
-// EnrollMatrix), save the z-scored fingerprints to disk (Save,
-// WriteFile), and attack anonymous probes incrementally (TopK,
-// QueryAll) without recomputing fingerprints or materializing the full
-// known×anonymous similarity matrix. Scores are bit-identical to
-// SimilarityMatrix; DenseSimilarity is the exact dense fallback.
+// Gallery is a persistent fingerprint database: enroll the
+// de-anonymized subjects once (Enroll, EnrollMatrix) and save the
+// z-scored fingerprints to disk (Save, WriteFile). It is storage only;
+// attack anonymous probes through a GalleryStore over it
+// (NewGalleryStore(g, 1), or OpenGalleryStore on the file), whose ranked
+// top-k queries (TopK, QueryAll) never recompute fingerprints or
+// materialize the full known×anonymous similarity matrix. Scores are
+// bit-identical to SimilarityMatrix.
 type Gallery = gallery.Gallery
 
 // GalleryCandidate is one ranked identification hypothesis returned by
-// Gallery.TopK/QueryAll.
+// a GalleryEngine's TopK/QueryAll.
 type GalleryCandidate = gallery.Candidate
 
 // GalleryFormatVersion is the gallery file format version this build

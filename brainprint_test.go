@@ -346,7 +346,7 @@ func TestFacadeGalleryFlow(t *testing.T) {
 	}
 
 	// The anonymous session: raw probes, projected through the stored
-	// feature index inside the gallery.
+	// feature index by the store that serves the gallery file.
 	anonScans, err := c.ScansFor(brainprint.Rest2, brainprint.RL)
 	if err != nil {
 		t.Fatalf("ScansFor anon: %v", err)
@@ -355,7 +355,11 @@ func TestFacadeGalleryFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GroupMatrix anon: %v", err)
 	}
-	ranked, err := reopened.QueryAll(anon, 3)
+	store, err := brainprint.OpenGalleryStore(path)
+	if err != nil {
+		t.Fatalf("OpenGalleryStore: %v", err)
+	}
+	ranked, err := store.QueryAll(anon, 3)
 	if err != nil {
 		t.Fatalf("QueryAll: %v", err)
 	}

@@ -18,15 +18,20 @@ import (
 )
 
 // ExampleNewGallery enrolls three fingerprints and runs one ranked
-// query — the enroll-once, query-many core of the attack.
+// query — the enroll-once, query-many core of the attack. The gallery
+// stores; a store built over it answers queries.
 func ExampleNewGallery() {
 	g := brainprint.NewGallery(4)
 	_ = g.Enroll("alice", []float64{5, 1, 1, 1})
 	_ = g.Enroll("bob", []float64{1, 5, 1, 1})
 	_ = g.Enroll("carol", []float64{1, 1, 5, 1})
+	store, err := brainprint.NewGalleryStore(g, 1)
+	if err != nil {
+		panic(err)
+	}
 
 	// A noisy observation of bob re-identifies bob.
-	top, err := g.TopK([]float64{1.2, 4.8, 0.9, 1.1}, 2)
+	top, err := store.TopK([]float64{1.2, 4.8, 0.9, 1.1}, 2)
 	if err != nil {
 		panic(err)
 	}
@@ -39,13 +44,18 @@ func ExampleNewGallery() {
 }
 
 // ExampleNewAttacker builds an identification session over an enrolled
-// gallery and serves a probe under a context.
+// gallery, served as a one-shard store, and answers a probe under a
+// context.
 func ExampleNewAttacker() {
 	g := brainprint.NewGallery(4)
 	_ = g.Enroll("alice", []float64{5, 1, 1, 1})
 	_ = g.Enroll("bob", []float64{1, 5, 1, 1})
+	store, err := brainprint.NewGalleryStore(g, 1)
+	if err != nil {
+		panic(err)
+	}
 
-	atk, err := brainprint.NewAttacker(g, brainprint.WithTopK(1), brainprint.WithParallelism(1))
+	atk, err := brainprint.NewAttacker(store, brainprint.WithTopK(1), brainprint.WithParallelism(1))
 	if err != nil {
 		panic(err)
 	}
@@ -63,8 +73,9 @@ func ExampleAttacker_IdentifyBatch() {
 	g := brainprint.NewGallery(4)
 	_ = g.Enroll("alice", []float64{5, 1, 1, 1})
 	_ = g.Enroll("bob", []float64{1, 5, 1, 1})
+	store, _ := brainprint.NewGalleryStore(g, 1)
 
-	atk, _ := brainprint.NewAttacker(g)
+	atk, _ := brainprint.NewAttacker(store)
 	probes := brainprint.NewMatrix(4, 2)
 	probes.SetCol(0, []float64{1.1, 5.2, 0.9, 1.0}) // bob-like
 	probes.SetCol(1, []float64{4.9, 0.8, 1.1, 1.2}) // alice-like

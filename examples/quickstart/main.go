@@ -58,9 +58,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The session: owns the gallery and the configuration. WithTopK(3)
+	// The gallery is storage; a store answers the queries. One shard
+	// keeps the gallery's enrollment order as the canonical index order.
+	store, err := brainprint.NewGalleryStore(gallery, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// The session: owns the engine and the configuration. WithTopK(3)
 	// keeps the three best hypotheses per probe.
-	attacker, err := brainprint.NewAttacker(gallery,
+	attacker, err := brainprint.NewAttacker(store,
 		brainprint.WithConfig(cfg),
 		brainprint.WithTopK(3))
 	if err != nil {

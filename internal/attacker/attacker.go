@@ -43,10 +43,10 @@ var ErrNoGallery = errors.New("attacker: session has no enrolled gallery")
 
 // Attacker is a long-lived identification session: an enrolled gallery
 // engine plus the attack configuration, shared by every query it
-// serves. The engine may be a single-file gallery or a sharded store
-// (internal/gallery/shard) — the session is written against
-// gallery.Engine and never cares which. The zero value is not usable;
-// construct with New. An Attacker is safe for concurrent use once
+// serves. The engine may be a sharded store (internal/gallery/shard; a
+// single-file gallery is served as a one-shard store), a live engine or
+// a replica — the session is written against gallery.Engine and never
+// cares which. The zero value is not usable; construct with New. An Attacker is safe for concurrent use once
 // constructed — all state is read-only after New.
 type Attacker struct {
 	gallery    gallery.Engine
@@ -185,10 +185,11 @@ func (a *Attacker) applyANN() error {
 	return as.SetANNProbe(a.nprobe)
 }
 
-// New builds a session over an enrolled gallery engine — a single-file
-// *gallery.Gallery or a sharded *shard.Store. g may be nil for an
-// experiment-only session (RunExperiment and TaskPredict work;
-// identification methods return ErrNoGallery).
+// New builds a session over an enrolled gallery engine — a *shard.Store
+// (shard.Wrap serves a single-file *gallery.Gallery as one shard), a
+// live engine or a replica. g may be nil for an experiment-only session
+// (RunExperiment and TaskPredict work; identification methods return
+// ErrNoGallery).
 func New(g gallery.Engine, opts ...Option) (*Attacker, error) {
 	if isNilEngine(g) {
 		g = nil
@@ -205,7 +206,7 @@ func New(g gallery.Engine, opts ...Option) (*Attacker, error) {
 	return a, nil
 }
 
-// isNilEngine detects a typed-nil engine (a nil *gallery.Gallery passed
+// isNilEngine detects a typed-nil engine (a nil *shard.Store passed
 // through the interface parameter), which would otherwise dodge the
 // ErrNoGallery guard and panic inside a query.
 func isNilEngine(g gallery.Engine) bool {
@@ -266,8 +267,8 @@ func (a *Attacker) IdentifyTopK(ctx context.Context, probe []float64, k int) ([]
 // BatchResult is the outcome of one batch identification.
 type BatchResult struct {
 	// Ranked holds, per probe column, the topK candidates best first.
-	// Scores are bit-identical to Gallery.QueryAll and to the rows of
-	// match.SimilarityMatrix at any parallelism setting.
+	// Scores are bit-identical to the engine's QueryAll and to the rows
+	// of match.SimilarityMatrix at any parallelism setting.
 	Ranked [][]gallery.Candidate
 	// Assignment is the optimal one-to-one probe→subject matching
 	// (Assignment[j] = enrolled index assigned to probe j); nil unless
@@ -320,8 +321,9 @@ func (a *Attacker) IdentifyBatchTopK(ctx context.Context, probes *linalg.Matrix,
 }
 
 // rankedFromDense extracts the per-probe top-k from a gallery×probes
-// similarity matrix with the query engine's exact ranking order (score
-// descending, ties toward the lower canonical index).
+// similarity matrix under the order every engine ranks by
+// (gallery.BetterByID: score descending, ties toward the smaller ID), so
+// the assignment path returns the same ranking as the plain query.
 func (a *Attacker) rankedFromDense(sim *linalg.Matrix, k int) [][]gallery.Candidate {
 	n, m := sim.Dims()
 	if k > n {
@@ -329,7 +331,7 @@ func (a *Attacker) rankedFromDense(sim *linalg.Matrix, k int) [][]gallery.Candid
 	}
 	out := make([][]gallery.Candidate, m)
 	for j := 0; j < m; j++ {
-		r := gallery.NewRanker(k, gallery.BetterByIndex)
+		r := gallery.NewRanker(k, gallery.BetterByID)
 		for i := 0; i < n; i++ {
 			r.Offer(gallery.Candidate{Index: i, ID: a.gallery.ID(i), Score: sim.At(i, j)})
 		}
@@ -387,7 +389,7 @@ func (a *Attacker) IdentifyStream(ctx context.Context, probes <-chan Probe) <-ch
 						r.Err = ErrNoGallery
 					} else {
 						// The outer fan-out owns the cores; each probe
-						// sweeps serially, like Gallery.QueryAll.
+						// sweeps serially.
 						r.Candidates, r.Err = a.gallery.TopKCtx(ctx, p.Vector, a.topK, 1)
 					}
 					select {

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"brainprint/internal/core"
 	"brainprint/internal/gallery"
+	"brainprint/internal/gallery/shard"
 	"brainprint/internal/linalg"
 	"brainprint/internal/match"
 	"brainprint/internal/synth"
@@ -64,7 +66,7 @@ func testSession(t *testing.T, topK int, opts ...Option) (*Attacker, *linalg.Mat
 	if err := g.EnrollMatrix(ids, fps); err != nil {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
-	a, err := New(g, append([]Option{WithConfig(cfg), WithTopK(topK)}, opts...)...)
+	a, err := New(shard.Wrap(g), append([]Option{WithConfig(cfg), WithTopK(topK)}, opts...)...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -72,7 +74,7 @@ func testSession(t *testing.T, topK int, opts ...Option) (*Attacker, *linalg.Mat
 }
 
 // TestIdentifyBatchBitIdentical is the acceptance check of the session
-// redesign: IdentifyBatch scores must equal Gallery.QueryAll and the
+// redesign: IdentifyBatch scores must equal the engine's QueryAll and the
 // corresponding entries of match.SimilarityMatrix bit for bit, at every
 // parallelism setting.
 func TestIdentifyBatchBitIdentical(t *testing.T) {
@@ -86,7 +88,7 @@ func TestIdentifyBatchBitIdentical(t *testing.T) {
 		t.Fatalf("Deanonymize: %v", err)
 	}
 
-	// Reference 2: the gallery query engine.
+	// Reference 2: the session's query engine.
 	wantRanked, err := a.Gallery().QueryAllCtx(context.Background(), probes, 3, 0)
 	if err != nil {
 		t.Fatalf("QueryAll: %v", err)
@@ -237,6 +239,46 @@ func TestAssignment(t *testing.T) {
 	for j := range want {
 		if batch.Assignment[j] != want[j] {
 			t.Fatalf("assignment[%d] = %d, want %d", j, batch.Assignment[j], want[j])
+		}
+	}
+}
+
+// TestAssignmentKeepsTieOrder pins one ranking order across request
+// shapes: on a store whose canonical order is not its ID order, exact
+// score ties must come back in the same (ID) order whether or not the
+// batch also asks for the assignment.
+func TestAssignmentKeepsTieOrder(t *testing.T) {
+	const features = 16
+	twin := randGroup(features, 1, 41).Col(0)
+	g := gallery.New(features)
+	for _, id := range []string{"zz", "aa", "mm"} {
+		if err := g.Enroll(id, twin); err != nil {
+			t.Fatalf("Enroll(%q): %v", id, err)
+		}
+	}
+	a, err := New(shard.Wrap(g))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	probes := randGroup(features, 3, 42)
+	plain, err := a.IdentifyBatchTopK(context.Background(), probes, 3, false)
+	if err != nil {
+		t.Fatalf("IdentifyBatchTopK: %v", err)
+	}
+	assigned, err := a.IdentifyBatchTopK(context.Background(), probes, 3, true)
+	if err != nil {
+		t.Fatalf("IdentifyBatchTopK(assignment): %v", err)
+	}
+	for j, want := range plain.Ranked {
+		if got := assigned.Ranked[j]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("probe %d: assignment ranks %+v, plain ranks %+v", j, got, want)
+		}
+		var ids []string
+		for _, c := range want {
+			ids = append(ids, c.ID)
+		}
+		if fmt.Sprint(ids) != "[aa mm zz]" {
+			t.Fatalf("probe %d: ties ranked %v, want [aa mm zz]", j, ids)
 		}
 	}
 }

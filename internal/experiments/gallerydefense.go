@@ -9,6 +9,7 @@ import (
 
 	"brainprint/internal/defense"
 	"brainprint/internal/gallery"
+	"brainprint/internal/gallery/shard"
 	"brainprint/internal/linalg"
 	"brainprint/internal/parallel"
 	"brainprint/internal/report"
@@ -204,7 +205,7 @@ func GalleryDefenseSweep(ctx context.Context, cfg GalleryDefenseConfig) (*Galler
 				return err
 			}
 			row := GalleryDefenseRow{Kind: c.kind, Strength: c.strength, Descriptor: c.desc.String()}
-			ranked, err := defended.QueryAllCtx(ctx, probes, cfg.TopK, 1)
+			ranked, err := shard.Wrap(defended).QueryAllCtx(ctx, probes, cfg.TopK, 1)
 			if err != nil {
 				return err
 			}

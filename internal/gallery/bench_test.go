@@ -2,6 +2,7 @@ package gallery
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -31,7 +32,7 @@ func BenchmarkGalleryTopK(b *testing.B) {
 	b.Run("topk", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ranked, err := g.QueryAll(anon, k)
+			ranked, err := queryAll(context.Background(), g, anon, k, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

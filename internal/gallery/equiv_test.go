@@ -6,11 +6,45 @@ import (
 	"sort"
 	"testing"
 
+	"brainprint/internal/linalg"
 	"brainprint/internal/match"
 )
 
+// queryAll is the exact sweep every engine runs, over one gallery's rows
+// in enrollment order under the ID tiebreak: what shard.Wrap(g) answers,
+// without the import cycle.
+func queryAll(ctx context.Context, g *Gallery, probes *linalg.Matrix, k, par int) ([][]Candidate, error) {
+	k, err := ClampK(k, g.Len())
+	if err != nil {
+		return nil, err
+	}
+	zps, err := PrepProbes(probes, g.Features(), g.FeatureIndex(), par)
+	if err != nil {
+		return nil, err
+	}
+	return ScanUnits(ctx, g.AppendUnits(nil, 0), zps, k, par, BetterByID, nil)
+}
+
+// topK is queryAll for one probe vector, normalized the way every
+// single-probe query is.
+func topK(ctx context.Context, g *Gallery, probe []float64, k, par int) ([]Candidate, error) {
+	k, err := ClampK(k, g.Len())
+	if err != nil {
+		return nil, err
+	}
+	zp, err := g.Normalize(probe)
+	if err != nil {
+		return nil, err
+	}
+	lists, err := ScanUnits(ctx, g.AppendUnits(nil, 0), [][]float64{zp}, k, par, BetterByID, nil)
+	if err != nil {
+		return nil, err
+	}
+	return lists[0], nil
+}
+
 // TestRoundTripTopKMatchesSimilarityMatrix is the acceptance property
-// of the gallery engine: Save→Load→TopK(k=n) must reproduce the
+// of the gallery's stored rows: Save→Load→scan(k=n) must reproduce the
 // rankings of match.SimilarityMatrix bit-identically — same candidate
 // order, same scores to the last bit — at any parallelism setting.
 func TestRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
@@ -51,12 +85,12 @@ func testRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
 
 	for _, par := range []int{1, 0, 3} {
 		// Batched query path.
-		ranked, err := loaded.QueryAllCtx(context.Background(), anon, subjects, par)
+		ranked, err := queryAll(context.Background(), loaded, anon, subjects, par)
 		if err != nil {
-			t.Fatalf("QueryAllCtx(par=%d): %v", par, err)
+			t.Fatalf("queryAll(par=%d): %v", par, err)
 		}
 		for j := 0; j < probes; j++ {
-			want := rankColumn(sim.Col(j))
+			want := rankColumn(sim.Col(j), loaded.IDs())
 			got := ranked[j]
 			if len(got) != subjects {
 				t.Fatalf("par=%d probe %d: %d candidates want %d", par, j, len(got), subjects)
@@ -72,19 +106,19 @@ func testRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
 			}
 		}
 		// Single-probe path must agree with the batch.
-		single, err := loaded.TopKCtx(context.Background(), anon.Col(0), subjects, par)
+		single, err := topK(context.Background(), loaded, anon.Col(0), subjects, par)
 		if err != nil {
-			t.Fatalf("TopKCtx(par=%d): %v", par, err)
+			t.Fatalf("topK(par=%d): %v", par, err)
 		}
 		for r := range single {
 			if single[r] != ranked[0][r] {
-				t.Fatalf("par=%d: TopK and QueryAll disagree at rank %d", par, r)
+				t.Fatalf("par=%d: topK and queryAll disagree at rank %d", par, r)
 			}
 		}
 		// Dense fallback: the full matrix, bit for bit.
-		dense, err := loaded.DenseSimilarityCtx(context.Background(), anon, par)
+		dense, err := DenseSimilarity(context.Background(), anon, loaded.Len(), features, nil, loaded.Fingerprint, par)
 		if err != nil {
-			t.Fatalf("DenseSimilarityCtx(par=%d): %v", par, err)
+			t.Fatalf("DenseSimilarity(par=%d): %v", par, err)
 		}
 		dr, dc := dense.Dims()
 		if dr != subjects || dc != probes {
@@ -100,15 +134,16 @@ func testRoundTripTopKMatchesSimilarityMatrix(t *testing.T) {
 	}
 }
 
-// rankColumn returns subject indices ordered the way the query engine
-// ranks them: descending score, ties to the lower index.
-func rankColumn(scores []float64) []int {
+// rankColumn returns subject indices ordered the way every engine ranks
+// them: a brute-force sort of one similarity column under BetterByID.
+func rankColumn(scores []float64, ids []string) []int {
 	idx := make([]int, len(scores))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return scores[idx[a]] > scores[idx[b]]
+	sort.Slice(idx, func(a, b int) bool {
+		i, j := idx[a], idx[b]
+		return BetterByID(Candidate{ID: ids[i], Score: scores[i]}, Candidate{ID: ids[j], Score: scores[j]})
 	})
 	return idx
 }
@@ -125,15 +160,15 @@ func testTopKPrefixStable(t *testing.T) {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
 	probe := randomGroup(22, features, 1).Col(0)
-	full, err := g.TopKCtx(context.Background(), probe, subjects, 1)
+	full, err := topK(context.Background(), g, probe, subjects, 1)
 	if err != nil {
-		t.Fatalf("TopKCtx full: %v", err)
+		t.Fatalf("topK full: %v", err)
 	}
 	for _, k := range []int{1, 3, 17} {
 		for _, par := range []int{1, 0, 5} {
-			top, err := g.TopKCtx(context.Background(), probe, k, par)
+			top, err := topK(context.Background(), g, probe, k, par)
 			if err != nil {
-				t.Fatalf("TopKCtx(k=%d, par=%d): %v", k, par, err)
+				t.Fatalf("topK(k=%d, par=%d): %v", k, par, err)
 			}
 			if len(top) != k {
 				t.Fatalf("k=%d par=%d: got %d candidates", k, par, len(top))

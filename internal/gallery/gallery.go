@@ -1,25 +1,28 @@
-// Package gallery is the persistent fingerprint database and query
-// engine behind the enrollment-once, query-many form of the paper's
-// attack. The de-anonymization problem of §3.1 is a gallery problem: an
-// attacker enrolls the functional fingerprints of known subjects once,
-// then correlates each anonymous probe against the gallery and predicts
-// the argmax (or inspects the top-k candidates). The rest of the
+// Package gallery is the persistent fingerprint database behind the
+// enrollment-once, query-many form of the paper's attack, and the query
+// machinery every engine shares. The de-anonymization problem of §3.1
+// is a gallery problem: an attacker enrolls the functional fingerprints
+// of known subjects once, then correlates each anonymous probe against
+// the gallery and predicts the argmax (or inspects the top-k
+// candidates). The rest of the
 // codebase recomputes fingerprints from raw series on every run and
 // materializes the full known×anonymous similarity matrix; this package
 // stores z-scored fingerprints in a versioned, checksummed binary file
-// (codec.go) and answers ranked top-k queries with a parallel streaming
-// sweep over those same stored rows (scan.go, the one exact-scan driver
-// the sharded and live engines call too; scanlayout.go, its kernels)
-// instead of a dense O(n²) matrix. The rows are the only in-memory image
-// of the records: scans, the IVF gather, the dense path and the codec
-// all read them in place.
+// (codec.go). A Gallery is storage only: the engines (the sharded store,
+// which serves one gallery as a one-shard store, and the live engine)
+// answer ranked top-k queries with a parallel streaming sweep over the
+// stored rows (scan.go, the one exact-scan driver; scanlayout.go, its
+// kernels) instead of a dense O(n²) matrix, all under one ranking order
+// (BetterByID). The rows are the only in-memory image of the records:
+// scans, the IVF gather, the dense path and the codec all read them in
+// place.
 //
 // Scores are bit-identical to match.SimilarityMatrix: enrollment
 // z-scores each fingerprint through the same stats.ZScore code path
 // match uses on its columns, queries z-score each probe once the same
 // way, and every score is the identical linalg.Dot(zk, za)/features
-// expression. DenseSimilarityCtx exposes the exact-equivalence fallback;
-// the property test in equiv_test.go pins both paths to match.
+// expression. DenseSimilarity is the exact-equivalence fallback; the
+// property test in equiv_test.go pins it and the scan to match.
 package gallery
 
 import (
@@ -30,14 +33,14 @@ import (
 	"brainprint/internal/linalg"
 )
 
-// Engine is the query surface shared by the single-file Gallery and the
-// sharded store (internal/gallery/shard.Store): enumeration of the
+// Engine is the query surface of the sharded store
+// (internal/gallery/shard.Store, which also serves a single-file Gallery
+// as one shard), the live engine and the replica: enumeration of the
 // enrolled subjects plus the three context-aware query paths. The
 // attacker session and the HTTP service are written against this
-// interface, so a million-subject sharded store drops in wherever a
-// single-file gallery works today. Implementations must keep scores
-// bit-identical to match.SimilarityMatrix and results independent of
-// the parallelism setting.
+// interface. Implementations must keep scores bit-identical to
+// match.SimilarityMatrix, rank under BetterByID, and return results
+// independent of the parallelism setting. A Gallery is not an Engine.
 type Engine interface {
 	// Len returns the number of enrolled subjects.
 	Len() int
@@ -63,8 +66,6 @@ type Engine interface {
 	// similarity matrix, rows in canonical index order.
 	DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error)
 }
-
-var _ Engine = (*Gallery)(nil)
 
 // Mutable is the write surface of a live gallery engine
 // (internal/gallery/live): online enrollment and deletion on top of the
@@ -138,10 +139,12 @@ type MutableStats struct {
 // Gallery is an in-memory set of enrolled fingerprints, loaded from or
 // saved to the binary gallery format. Fingerprints are stored z-scored
 // (zero mean, unit population std over the feature axis), subject-major,
-// so a query is one dot product per enrolled subject.
+// so a query is one dot product per enrolled subject. A Gallery is
+// storage only; query it through shard.Wrap (one shard) or a store built
+// from it.
 //
-// A Gallery is not safe for concurrent mutation; concurrent queries
-// (TopK, QueryAll, DenseSimilarityCtx) against a fixed gallery are safe.
+// A Gallery is not safe for concurrent mutation; concurrent reads (and
+// queries through a store over it) against a fixed gallery are safe.
 type Gallery struct {
 	features     int
 	featureIndex []int // optional raw-space row indices; nil = identity

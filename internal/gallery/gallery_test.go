@@ -1,6 +1,7 @@
 package gallery
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -39,12 +40,12 @@ func TestEnrollAndSelfQuery(t *testing.T) {
 	}
 	// A subject's own fingerprint must be its top-1 with correlation 1.
 	for j := 0; j < subjects; j++ {
-		top, err := g.TopK(group.Col(j), 3)
+		top, err := topK(context.Background(), g, group.Col(j), 3, 0)
 		if err != nil {
-			t.Fatalf("TopK: %v", err)
+			t.Fatalf("topK: %v", err)
 		}
 		if len(top) != 3 {
-			t.Fatalf("TopK returned %d candidates, want 3", len(top))
+			t.Fatalf("topK returned %d candidates, want 3", len(top))
 		}
 		if top[0].Index != j || top[0].ID != g.ID(j) {
 			t.Errorf("probe %d: top candidate is %d (%s)", j, top[0].Index, top[0].ID)
@@ -52,7 +53,7 @@ func TestEnrollAndSelfQuery(t *testing.T) {
 		if top[0].Score < 0.999999 {
 			t.Errorf("probe %d: self-correlation %g", j, top[0].Score)
 		}
-		if BetterByIndex(top[1], top[0]) || BetterByIndex(top[2], top[1]) {
+		if BetterByID(top[1], top[0]) || BetterByID(top[2], top[1]) {
 			t.Errorf("probe %d: candidates out of rank order: %+v", j, top)
 		}
 	}
@@ -61,18 +62,18 @@ func TestEnrollAndSelfQuery(t *testing.T) {
 func TestTopKClampAndErrors(t *testing.T) {
 	group := randomGroup(2, 9, 4)
 	g := New(9)
-	if _, err := g.TopK(group.Col(0), 1); err == nil {
+	if _, err := topK(context.Background(), g, group.Col(0), 1, 0); err == nil {
 		t.Error("expected error querying an empty gallery")
 	}
 	if err := g.EnrollMatrix(subjectIDs(4), group); err != nil {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
-	if _, err := g.TopK(group.Col(0), 0); err == nil {
+	if _, err := topK(context.Background(), g, group.Col(0), 0, 0); err == nil {
 		t.Error("expected error for k=0")
 	}
-	top, err := g.TopK(group.Col(0), 99)
+	top, err := topK(context.Background(), g, group.Col(0), 99, 0)
 	if err != nil {
-		t.Fatalf("TopK with oversized k: %v", err)
+		t.Fatalf("topK with oversized k: %v", err)
 	}
 	if len(top) != 4 {
 		t.Errorf("oversized k returned %d candidates, want the whole gallery (4)", len(top))
@@ -103,13 +104,13 @@ func TestFeatureIndexProjection(t *testing.T) {
 		t.Fatalf("EnrollMatrix pre-selected: %v", err)
 	}
 	probes := randomGroup(4, raw, 3)
-	got, err := g.QueryAll(probes, subjects)
+	got, err := queryAll(context.Background(), g, probes, subjects, 0)
 	if err != nil {
-		t.Fatalf("QueryAll raw probes: %v", err)
+		t.Fatalf("queryAll raw probes: %v", err)
 	}
-	want, err := pre.QueryAll(probes.SelectRows(index), subjects)
+	want, err := queryAll(context.Background(), pre, probes.SelectRows(index), subjects, 0)
 	if err != nil {
-		t.Fatalf("QueryAll selected probes: %v", err)
+		t.Fatalf("queryAll selected probes: %v", err)
 	}
 	for j := range got {
 		for r := range got[j] {
@@ -191,5 +192,13 @@ func TestIndexLookup(t *testing.T) {
 	}
 	if g.Index("ghost") != -1 {
 		t.Errorf("Index(ghost) = %d want -1", g.Index("ghost"))
+	}
+}
+
+// TestGalleryIsNotAnEngine keeps one engine type: a Gallery is storage,
+// queried through a store over it, so it has no ranking order of its own.
+func TestGalleryIsNotAnEngine(t *testing.T) {
+	if _, ok := any(New(4)).(Engine); ok {
+		t.Fatal("*Gallery implements Engine again; query it through shard.Wrap instead")
 	}
 }

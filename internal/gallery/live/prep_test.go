@@ -36,7 +36,7 @@ func TestProbePrepSharedAcrossEngines(t *testing.T) {
 	engines := []struct {
 		name string
 		e    gallery.Engine
-	}{{"gallery", g}, {"shard", store}, {"live", eng}}
+	}{{"gallery", shard.Wrap(g)}, {"shard", store}, {"live", eng}}
 
 	rawProbes := randomGroup(302, raw, 3)
 	for _, tc := range []struct {
@@ -51,8 +51,8 @@ func TestProbePrepSharedAcrossEngines(t *testing.T) {
 		{name: "raw vector shorter than the largest index", probes: randomGroup(304, 20, 3), wantDim: true},
 		{name: "zero columns", probes: linalg.NewMatrix(len(index), 0), wantErr: true},
 	} {
-		// The single-file gallery answers first; its scores are the
-		// reference the other engines must reproduce bit for bit.
+		// The gallery wrapped as one shard answers first; its scores are
+		// the reference the other engines must reproduce bit for bit.
 		var ref [][]gallery.Candidate
 		var refDense *linalg.Matrix
 		for _, en := range engines {

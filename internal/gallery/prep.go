@@ -12,11 +12,11 @@ import (
 
 // This file is the code every engine runs around its scan: moving
 // vectors into gallery space, preparing a probe batch, validating k,
-// and the dense row sweep. The single-file Gallery, the sharded store
-// and the live engine all call these — one normalization pipeline is
-// what keeps their scores bit-identical to each other and to
-// match.SimilarityMatrix. Each takes the engine's geometry (feature
-// count plus optional raw-space feature index) as plain arguments.
+// and the dense row sweep. The sharded store and the live engine both
+// call these — one normalization pipeline is what keeps their scores
+// bit-identical to each other and to match.SimilarityMatrix. Each takes
+// the engine's geometry (feature count plus optional raw-space feature
+// index) as plain arguments.
 
 // Normalize projects v into gallery space and z-scores it — the
 // transformation behind every enrollment and every single-probe query.
@@ -128,21 +128,13 @@ func DenseSimilarity(ctx context.Context, probes *linalg.Matrix, n, features int
 	return out, nil
 }
 
-// BetterByIndex reports whether a outranks b: higher score first, ties
-// broken toward the lower canonical index. It is the single-file
-// gallery's ranking order and the one the dense assignment path ranks
-// under; a strict total order, so top-k results are identical at any
-// parallelism and any chunking.
-func BetterByIndex(a, b Candidate) bool {
-	return a.Score > b.Score || (a.Score == b.Score && a.Index < b.Index)
-}
-
 // BetterByID reports whether a outranks b: higher score first, ties
-// broken by the lexicographically smaller subject ID. Unlike the
-// single-file gallery's index tiebreak, the ID tiebreak is invariant
-// under resharding and compaction — indices change when records move,
-// IDs never do — so the sharded store and the live engine both rank
-// under it.
+// broken by the lexicographically smaller subject ID. It is the one
+// ranking order: every engine and the dense assignment path rank under
+// it. Unlike an index tiebreak it is invariant under resharding and
+// compaction — indices change when records move, IDs never do — and a
+// strict total order, so top-k results are identical at any
+// parallelism and any chunking.
 func BetterByID(a, b Candidate) bool {
 	return a.Score > b.Score || (a.Score == b.Score && a.ID < b.ID)
 }

@@ -6,10 +6,10 @@ import (
 	"brainprint/internal/parallel"
 )
 
-// The exact-scan driver. Every engine's exact sweep — the single-file
-// Gallery over its own records, the sharded store over every shard,
-// the live engine over its masked base and over its memtable overlay —
-// is the same three steps:
+// The exact-scan driver. Every engine's exact sweep — the sharded store
+// over every shard (one, for a wrapped single-file gallery), the live
+// engine over its masked base and over its memtable overlay — is the
+// same three steps:
 //
 //	units      each gallery is cut into contiguous record ranges of
 //	           roughly 256k multiply-adds (AppendUnits); the plan

@@ -11,7 +11,8 @@ import (
 // TestSelectRunsIndependentOfRunCount drives the selection driver with
 // a synthetic unit body — each unit offers a few candidates with coarse
 // (tie-heavy) scores to every probe — and requires the same ranking as
-// sorting all candidates, whether the units form one run or many.
+// sorting all candidates under the ID tiebreak, whether the units form
+// one run or many.
 func TestSelectRunsIndependentOfRunCount(t *testing.T) {
 	const units, perUnit, probes, k = 23, 7, 3, 10
 	rng := rand.New(rand.NewSource(17))
@@ -22,25 +23,27 @@ func TestSelectRunsIndependentOfRunCount(t *testing.T) {
 			scores[p][i] = float64(rng.Intn(6))
 		}
 	}
+	// IDs out of index order, so the tiebreak is not the scan order.
+	ids := subjectIDs(units * perUnit)
 	scan := func(lo, hi int, rankers []Ranker) error {
 		for i := lo * perUnit; i < hi*perUnit; i++ {
 			for p := range rankers {
-				rankers[p].Offer(Candidate{Index: i, Score: scores[p][i]})
+				rankers[p].Offer(Candidate{Index: i, ID: ids[i], Score: scores[p][i]})
 			}
 		}
 		return nil
 	}
 	for _, par := range []int{1, 2, 3, 8, 64} {
-		got, err := SelectRuns(context.Background(), units, probes, k, par, BetterByIndex, scan)
+		got, err := SelectRuns(context.Background(), units, probes, k, par, BetterByID, scan)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
 		for p := range scores {
 			want := make([]Candidate, len(scores[p]))
 			for i, sc := range scores[p] {
-				want[i] = Candidate{Index: i, Score: sc}
+				want[i] = Candidate{Index: i, ID: ids[i], Score: sc}
 			}
-			sort.Slice(want, func(i, j int) bool { return BetterByIndex(want[i], want[j]) })
+			sort.Slice(want, func(i, j int) bool { return BetterByID(want[i], want[j]) })
 			for r := 0; r < k; r++ {
 				if got[p][r] != want[r] {
 					t.Fatalf("par=%d probe %d rank %d: %+v, want %+v", par, p, r, got[p][r], want[r])
@@ -50,14 +53,14 @@ func TestSelectRunsIndependentOfRunCount(t *testing.T) {
 	}
 
 	boom := errors.New("boom")
-	if _, err := SelectRuns(context.Background(), units, probes, k, 3, BetterByIndex,
+	if _, err := SelectRuns(context.Background(), units, probes, k, 3, BetterByID,
 		func(lo, hi int, _ []Ranker) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("failing run: err = %v, want boom", err)
 	}
 	// Zero units (a live engine with an empty overlay): no run, one empty
 	// list per probe.
 	for _, par := range []int{1, 3} {
-		got, err := SelectRuns(context.Background(), 0, probes, k, par, BetterByIndex,
+		got, err := SelectRuns(context.Background(), 0, probes, k, par, BetterByID,
 			func(lo, hi int, _ []Ranker) error { return boom })
 		if err != nil || len(got) != probes {
 			t.Fatalf("zero units par=%d: %d lists, err %v; want %d empty lists", par, len(got), err, probes)
@@ -70,7 +73,7 @@ func TestSelectRunsIndependentOfRunCount(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SelectRuns(ctx, units, probes, k, 3, BetterByIndex, scan); err != context.Canceled {
+	if _, err := SelectRuns(ctx, units, probes, k, 3, BetterByID, scan); err != context.Canceled {
 		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
@@ -103,7 +106,7 @@ func TestScanScratchAllocations(t *testing.T) {
 		}
 		for _, tc := range []struct{ probes, max int }{{1, 12}, {inlineProbes, 72}, {inlineProbes + 1, 77}} {
 			got := testing.AllocsPerRun(20, func() {
-				if _, err := ScanUnits(context.Background(), units, zps[:tc.probes], k, 1, BetterByIndex, nil); err != nil {
+				if _, err := ScanUnits(context.Background(), units, zps[:tc.probes], k, 1, BetterByID, nil); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -192,12 +192,12 @@ func TestBlockedAliasesGalleryRecords(t *testing.T) {
 
 // TestRankerMatchesReference feeds the bounded heap random candidate
 // streams and checks the selection against sorting the whole stream,
-// under both tiebreak orders and across offer-order permutations.
+// under the ID tiebreak and an index tiebreak (the heap takes any strict
+// total order) and across offer-order permutations.
 func TestRankerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	byIndex := BetterByIndex
-	byID := func(a, b Candidate) bool {
-		return a.Score > b.Score || (a.Score == b.Score && a.ID < b.ID)
+	byIndex := func(a, b Candidate) bool {
+		return a.Score > b.Score || (a.Score == b.Score && a.Index < b.Index)
 	}
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(40)
@@ -207,7 +207,7 @@ func TestRankerMatchesReference(t *testing.T) {
 			// Coarse scores force ties so the tiebreak paths run.
 			cands[i] = Candidate{Index: i, ID: subjectIDs(n)[i], Score: float64(rng.Intn(5))}
 		}
-		for _, outranks := range []func(a, b Candidate) bool{byIndex, byID} {
+		for _, outranks := range []func(a, b Candidate) bool{byIndex, BetterByID} {
 			want := append([]Candidate(nil), cands...)
 			sort.Slice(want, func(i, j int) bool { return outranks(want[i], want[j]) })
 			if len(want) > k {
@@ -235,6 +235,7 @@ func TestRankerMatchesReference(t *testing.T) {
 // list order and grouping.
 func TestRankMergeListsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
+	ids := subjectIDs(6 * 8) // out of index order past the 26th
 	for trial := 0; trial < 50; trial++ {
 		nlists := 1 + rng.Intn(6)
 		k := 1 + rng.Intn(10)
@@ -244,24 +245,24 @@ func TestRankMergeListsDeterministic(t *testing.T) {
 		for li := range lists {
 			m := rng.Intn(8)
 			for j := 0; j < m; j++ {
-				c := Candidate{Index: next, Score: float64(rng.Intn(4))}
+				c := Candidate{Index: next, ID: ids[next], Score: float64(rng.Intn(4))}
 				next++
 				all = append(all, c)
 				lists[li] = append(lists[li], c)
 			}
-			sort.Slice(lists[li], func(a, b int) bool { return BetterByIndex(lists[li][a], lists[li][b]) })
+			sort.Slice(lists[li], func(a, b int) bool { return BetterByID(lists[li][a], lists[li][b]) })
 		}
 		want := append([]Candidate(nil), all...)
-		sort.Slice(want, func(i, j int) bool { return BetterByIndex(want[i], want[j]) })
+		sort.Slice(want, func(i, j int) bool { return BetterByID(want[i], want[j]) })
 		if len(want) > k {
 			want = want[:k]
 		}
-		got := RankMergeLists(lists, k, BetterByIndex)
+		got := RankMergeLists(lists, k, BetterByID)
 		perm := make([][]Candidate, nlists)
 		for i, p := range rng.Perm(nlists) {
 			perm[i] = lists[p]
 		}
-		gotPerm := RankMergeLists(perm, k, BetterByIndex)
+		gotPerm := RankMergeLists(perm, k, BetterByID)
 		if len(got) != len(want) || len(gotPerm) != len(want) {
 			t.Fatalf("trial %d: lengths %d/%d, want %d", trial, len(got), len(gotPerm), len(want))
 		}

@@ -36,10 +36,7 @@ func TestIVFExactWhenProbeCoversAllCells(t *testing.T) {
 	if err := g.EnrollMatrix(subjectIDs(subjects), known); err != nil {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
-	wantRanked, err := g.QueryAllCtx(context.Background(), anon, k, 1)
-	if err != nil {
-		t.Fatalf("gallery QueryAll: %v", err)
-	}
+	wantRanked, _ := exactRanked(t, g, anon, k)
 	for _, shards := range []int{1, 4, 7} {
 		s, err := FromGallery(g, shards, false)
 		if err != nil {

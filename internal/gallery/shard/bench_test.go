@@ -15,8 +15,8 @@ import (
 //
 //	dense      match.SimilarityMatrix over the raw groups (recomputes
 //	           normalization every run — what the experiment drivers do)
-//	single     single-file gallery top-k (the exact-scan driver over one
-//	           gallery)
+//	single     the gallery wrapped as a one-shard store (the exact-scan
+//	           driver over one shard)
 //	sharded    8-shard store, exact streaming scan (the same driver over
 //	           eight)
 //	ivf        8-shard store, IVF coarse index at the default nprobe,
@@ -43,6 +43,7 @@ func BenchmarkShardTopK(b *testing.B) {
 		if err := g.EnrollMatrix(ids, known); err != nil {
 			b.Fatalf("EnrollMatrix: %v", err)
 		}
+		single := Wrap(g)
 		s, err := FromGallery(g, 8, false)
 		if err != nil {
 			b.Fatalf("FromGallery: %v", err)
@@ -69,7 +70,7 @@ func BenchmarkShardTopK(b *testing.B) {
 		b.Run("single/"+scale, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ranked, err := g.QueryAll(anon, k)
+				ranked, err := single.QueryAll(anon, k)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -23,8 +23,8 @@ import (
 // over both. A fifth of the records are exact duplicates of one vector
 // and a seventh of another, under distinct IDs whose lexicographic
 // order is a shuffle of enrollment order: ties sit on both sides of
-// every unit and shard boundary, and the index order and the ID order
-// resolve them differently.
+// every unit and shard boundary, and only the ID tiebreak, not the scan
+// order, can resolve them.
 const (
 	muFeatures = 2048
 	muSubjects = 2400
@@ -76,9 +76,9 @@ func muCohort() ([]string, *linalg.Matrix, *linalg.Matrix) {
 }
 
 // bruteForce ranks every unmasked row of the dense similarity matrix
-// under outranks and keeps the best k per probe — the reference every
-// scan must reproduce.
-func bruteForce(eng gallery.Engine, dense *linalg.Matrix, outranks func(a, b gallery.Candidate) bool, k int, skip []bool) [][]gallery.Candidate {
+// under gallery.BetterByID and keeps the best k per probe — the
+// reference every scan must reproduce.
+func bruteForce(eng gallery.Engine, dense *linalg.Matrix, k int, skip []bool) [][]gallery.Candidate {
 	n, m := dense.Dims()
 	out := make([][]gallery.Candidate, m)
 	for j := range out {
@@ -88,7 +88,7 @@ func bruteForce(eng gallery.Engine, dense *linalg.Matrix, outranks func(a, b gal
 				all = append(all, gallery.Candidate{Index: i, ID: eng.ID(i), Score: dense.At(i, j)})
 			}
 		}
-		sort.Slice(all, func(a, b int) bool { return outranks(all[a], all[b]) })
+		sort.Slice(all, func(a, b int) bool { return gallery.BetterByID(all[a], all[b]) })
 		out[j] = all[:k]
 	}
 	return out
@@ -116,14 +116,14 @@ func assertRanked(t *testing.T, name string, got, want [][]gallery.Candidate) {
 // assertEngine checks one engine at parallelism {1, 0, 3}: QueryAllCtx
 // against the brute-force reference, and TopKCtx of each probe against
 // the batch's list for that probe.
-func assertEngine(t *testing.T, name string, eng gallery.Engine, outranks func(a, b gallery.Candidate) bool, probes *linalg.Matrix) {
+func assertEngine(t *testing.T, name string, eng gallery.Engine, probes *linalg.Matrix) {
 	t.Helper()
 	ctx := context.Background()
 	dense, err := eng.DenseSimilarityCtx(ctx, probes, 0)
 	if err != nil {
 		t.Fatalf("%s: DenseSimilarityCtx: %v", name, err)
 	}
-	want := bruteForce(eng, dense, outranks, muK, nil)
+	want := bruteForce(eng, dense, muK, nil)
 	for _, par := range []int{1, 0, 3} {
 		name := fmt.Sprintf("%s par=%d", name, par)
 		got, err := eng.QueryAllCtx(ctx, probes, muK, par)
@@ -165,7 +165,7 @@ func shardBounds(t *testing.T, ids []string, shards, grain int) (bases, counts [
 // TestScanCrossesUnitAndShardBoundaries pins the exact-scan driver where
 // the other equivalence tests cannot reach: several units per shard,
 // exact score ties across unit and shard boundaries, and a skip mask on
-// boundary records — on the single-file gallery, the sharded store
+// boundary records — on the gallery wrapped as one shard, the sharded store
 // (exact and IVF with every cell probed), and a live engine with an
 // overlay and tombstones.
 func TestScanCrossesUnitAndShardBoundaries(t *testing.T) {
@@ -179,7 +179,7 @@ func testScanCrossesUnitAndShardBoundaries(t *testing.T) {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
 	grain := g.AppendUnits(nil, 0)[0].Hi
-	assertEngine(t, "gallery", g, gallery.BetterByIndex, probes)
+	assertEngine(t, "gallery", shard.Wrap(g), probes)
 
 	ctx := context.Background()
 	zcols, err := gallery.PrepProbes(probes, muFeatures, nil, 0)
@@ -193,7 +193,7 @@ func testScanCrossesUnitAndShardBoundaries(t *testing.T) {
 			t.Fatalf("%s: FromGallery: %v", name, err)
 		}
 		bases, counts := shardBounds(t, ids, shards, grain)
-		assertEngine(t, name, s, gallery.BetterByID, probes)
+		assertEngine(t, name, s, probes)
 
 		// Mask the records on both sides of every shard's first unit
 		// boundary and of every shard boundary, plus each probe's
@@ -208,10 +208,10 @@ func testScanCrossesUnitAndShardBoundaries(t *testing.T) {
 				skip[gi] = true
 			}
 		}
-		for _, top := range bruteForce(s, dense, gallery.BetterByID, 1, nil) {
+		for _, top := range bruteForce(s, dense, 1, nil) {
 			skip[top[0].Index] = true
 		}
-		want := bruteForce(s, dense, gallery.BetterByID, muK, skip)
+		want := bruteForce(s, dense, muK, skip)
 		masked := func(name string) {
 			t.Helper()
 			for _, par := range []int{1, 0, 3} {
@@ -235,7 +235,7 @@ func testScanCrossesUnitAndShardBoundaries(t *testing.T) {
 		if err := s.SetANNProbe(s.ANNIndex().Cells()); err != nil {
 			t.Fatalf("%s: SetANNProbe: %v", name, err)
 		}
-		assertEngine(t, name+" ivf", s, gallery.BetterByID, probes)
+		assertEngine(t, name+" ivf", s, probes)
 		masked(name + " ivf")
 		if err := s.SetANNProbe(0); err != nil {
 			t.Fatalf("%s: SetANNProbe(0): %v", name, err)
@@ -270,6 +270,6 @@ func testScanCrossesUnitAndShardBoundaries(t *testing.T) {
 		if st := e.Stats(); st.Tombstones == 0 || st.MemRecords == 0 {
 			t.Fatalf("live engine has %d tombstones and %d overlay records, want both > 0", st.Tombstones, st.MemRecords)
 		}
-		assertEngine(t, "live", e, gallery.BetterByID, probes)
+		assertEngine(t, "live", e, probes)
 	}
 }

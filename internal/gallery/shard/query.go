@@ -29,11 +29,8 @@ func (s *Store) TopK(probe []float64, k int) ([]gallery.Candidate, error) {
 // (0 = all cores, 1 = serial, n = n workers): the sweep aborts between
 // scan units once ctx is cancelled and returns ctx.Err(). Results are
 // identical at any setting and any shard count. Scores are bit-identical
-// to the single-file gallery's TopK (and hence match.SimilarityMatrix);
-// the ranking itself matches the single-file gallery's whenever scores
-// are tie-free (on an exact score tie the store orders by subject ID
-// where the single-file gallery orders by enrollment index — see
-// gallery.BetterByID).
+// to match.SimilarityMatrix, and exact score ties rank by subject ID
+// (gallery.BetterByID), the order every engine uses.
 func (s *Store) TopKCtx(ctx context.Context, probe []float64, k, parallelism int) ([]gallery.Candidate, error) {
 	k, err := gallery.ClampK(k, s.total)
 	if err != nil {
@@ -76,8 +73,8 @@ func (s *Store) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, paral
 
 // DenseSimilarityCtx materializes the full store×probes similarity
 // matrix, rows in global index order — the exact fallback the Hungarian
-// assignment path consumes. Entries are bit-identical to the single-file
-// gallery's DenseSimilarityCtx over the same subjects. The row sweep
+// assignment path consumes. Entries are bit-identical to
+// match.SimilarityMatrix over the same subjects. The row sweep
 // aborts between chunks once ctx is cancelled.
 func (s *Store) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
 	return gallery.DenseSimilarity(ctx, probes, s.total, s.features, s.featureIndex, s.Fingerprint, parallelism)

@@ -2,9 +2,9 @@
 // enrollment across N shard files — each a standard gallery file, so
 // the per-shard codec, checksums, and tooling are reused wholesale —
 // routed by a stable hash of the subject ID, describes the set in a
-// checksummed manifest (manifest.go), and answers the same TopK /
-// QueryAll / DenseSimilarityCtx queries as a single-file gallery by
-// handing its per-shard scan plan to the exact-scan driver every engine
+// checksummed manifest (manifest.go), and answers TopK / QueryAll /
+// DenseSimilarityCtx queries — a single-file gallery is queried as a
+// one-shard store (Wrap) — by handing its per-shard scan plan to the exact-scan driver every engine
 // shares (gallery.ScanUnits; scan.go holds the plan and the exact/IVF
 // dispatch, query.go the public methods). A store holds each record
 // once, in its shard gallery: the exact stream and the IVF gather both

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -24,14 +25,37 @@ func randomGroup(seed int64, features, subjects int) *linalg.Matrix {
 }
 
 // subjectIDs yields zero-padded IDs whose lexicographic order matches
-// enrollment order, so the single-file index tiebreak and the store's
-// ID tiebreak agree even on exact score ties.
+// enrollment order.
 func subjectIDs(n int) []string {
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("s%05d", i)
 	}
 	return ids
+}
+
+// exactRanked is the reference every store ranking is held to: the full
+// similarity matrix of g's stored rows against probes (bit-identical to
+// match.SimilarityMatrix, pinned by the gallery package), each column
+// brute-force sorted under gallery.BetterByID and cut at k. Indices are
+// g's enrollment indices.
+func exactRanked(t testing.TB, g *gallery.Gallery, probes *linalg.Matrix, k int) ([][]gallery.Candidate, *linalg.Matrix) {
+	t.Helper()
+	dense, err := gallery.DenseSimilarity(context.Background(), probes, g.Len(), g.Features(), g.FeatureIndex(), g.Fingerprint, 1)
+	if err != nil {
+		t.Fatalf("DenseSimilarity: %v", err)
+	}
+	n, m := dense.Dims()
+	ranked := make([][]gallery.Candidate, m)
+	for j := range ranked {
+		all := make([]gallery.Candidate, n)
+		for i := range all {
+			all[i] = gallery.Candidate{Index: i, ID: g.ID(i), Score: dense.At(i, j)}
+		}
+		sort.Slice(all, func(a, b int) bool { return gallery.BetterByID(all[a], all[b]) })
+		ranked[j] = all[:min(k, n)]
+	}
+	return ranked, dense
 }
 
 // buildGallery enrolls a deterministic cohort into a single-file
@@ -199,11 +223,9 @@ func TestFeatureIndexSurvivesShardingAndReload(t *testing.T) {
 		}
 	}
 	// Raw-space probes must project server-side, exactly like the
-	// single-file gallery.
-	want, err := g.TopKCtx(context.Background(), raw.Col(7), 3, 1)
-	if err != nil {
-		t.Fatalf("gallery TopK: %v", err)
-	}
+	// reference scoring of the source gallery's rows.
+	wantRanked, _ := exactRanked(t, g, raw.SelectCols([]int{7}), 3)
+	want := wantRanked[0]
 	top, err := s.TopKCtx(context.Background(), raw.Col(7), 3, 1)
 	if err != nil {
 		t.Fatalf("store TopK: %v", err)

@@ -62,8 +62,7 @@ func newFlaky(t *testing.T, backendURL string, seed int64) *flakyProxy {
 		dropResp: make(map[string]int),
 	}
 	f.forward.FlushInterval = -1
-	f.srv = httptest.NewServer(f)
-	t.Cleanup(f.srv.Close)
+	f.srv = newTestServer(t, f)
 	return f
 }
 
@@ -212,8 +211,7 @@ func newFakeNode(t *testing.T, h UpstreamHealth) *fakeNode {
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(map[string]string{"served_by": n.srv.URL})
 	})
-	n.srv = httptest.NewServer(mux)
-	t.Cleanup(n.srv.Close)
+	n.srv = newTestServer(t, mux)
 	return n
 }
 
@@ -301,8 +299,7 @@ func startPrimary(t *testing.T, n int) *topoNode {
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
+	srv := newTestServer(t, s.Handler())
 	return &topoNode{url: srv.URL, srv: srv, serve: s, eng: eng}
 }
 
@@ -315,7 +312,7 @@ func startReplicaNode(t *testing.T, primaryURL string) *topoNode {
 	if err != nil {
 		t.Fatalf("replicate.Start: %v", err)
 	}
-	t.Cleanup(func() { rep.Close() })
+	follow(t, func() { rep.Close() })
 	atk, err := attacker.New(rep, attacker.WithTopK(3))
 	if err != nil {
 		t.Fatalf("attacker.New: %v", err)
@@ -331,8 +328,7 @@ func startReplicaNode(t *testing.T, primaryURL string) *topoNode {
 			rep.Engine().Close()
 		}
 	})
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
+	srv := newTestServer(t, s.Handler())
 	return &topoNode{url: srv.URL, srv: srv, serve: s, rep: rep}
 }
 
@@ -347,8 +343,7 @@ func startRouter(t *testing.T, cfg Config) (*Router, *httptest.Server) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go rt.Watch(ctx)
-	srv := httptest.NewServer(rt.Handler())
-	t.Cleanup(srv.Close)
+	srv := newTestServer(t, rt.Handler())
 	return rt, srv
 }
 

@@ -25,7 +25,7 @@ func replicaService(t *testing.T, primaryURL string) (*Server, *replicate.Replic
 	if err != nil {
 		t.Fatalf("replicate.Start: %v", err)
 	}
-	t.Cleanup(func() { rep.Close() })
+	follow(t, func() { rep.Close() })
 	atk, err := attacker.New(rep, attacker.WithTopK(3))
 	if err != nil {
 		t.Fatalf("attacker.New: %v", err)

@@ -22,8 +22,7 @@ func liveService(t *testing.T, features, seeded int) (*Server, *httptest.Server)
 	s, e, _ := writableService(t, features, seeded)
 	s.cfg.Live = e
 	s.source = replicate.NewSource(e)
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
+	srv := newTestServer(t, s.Handler())
 	return s, srv
 }
 
@@ -279,8 +278,7 @@ func TestReplicaServiceReporting(t *testing.T) {
 // instead of holding shutdown hostage.
 func TestIdentifyStreamEndsOnDrain(t *testing.T) {
 	s, _, group := writableService(t, 40, 2)
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	srv := newTestServer(t, s.Handler())
 
 	pr, pw := newBlockingBody()
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/identify/stream", pr)

@@ -19,10 +19,10 @@ import (
 	"brainprint/internal/linalg"
 )
 
-// testService enrolls a deterministic gallery and returns the service,
-// its session, and the raw probe group (columns correlate with the
-// same-index enrolled subject).
-func testService(t *testing.T, cfg Config) (*Server, *attacker.Attacker, *linalg.Matrix) {
+// testGallery enrolls a deterministic gallery and returns it with its
+// attack configuration and the raw probe group (columns correlate with
+// the same-index enrolled subject).
+func testGallery(t *testing.T) (*gallery.Gallery, core.AttackConfig, *linalg.Matrix) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	const features, subjects = 300, 16
@@ -52,7 +52,15 @@ func testService(t *testing.T, cfg Config) (*Server, *attacker.Attacker, *linalg
 	if err := g.EnrollMatrix(ids, fps); err != nil {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
-	atk, err := attacker.New(g, attacker.WithConfig(acfg), attacker.WithTopK(3))
+	return g, acfg, probes
+}
+
+// testService serves testGallery as a one-shard store and returns the
+// service, its session, and the raw probe group.
+func testService(t *testing.T, cfg Config) (*Server, *attacker.Attacker, *linalg.Matrix) {
+	t.Helper()
+	g, acfg, probes := testGallery(t)
+	atk, err := attacker.New(shard.Wrap(g), attacker.WithConfig(acfg), attacker.WithTopK(3))
 	if err != nil {
 		t.Fatalf("attacker.New: %v", err)
 	}
@@ -193,8 +201,9 @@ func TestGalleryEndpoint(t *testing.T) {
 // and identification answers must be bit-identical to the single-file
 // session the rest of this file exercises.
 func TestShardedStoreService(t *testing.T) {
-	single, atk, probes := testService(t, Config{})
-	store, err := shard.FromGallery(atk.Gallery().(*gallery.Gallery), 4, false)
+	single, _, probes := testService(t, Config{})
+	g, _, _ := testGallery(t)
+	store, err := shard.FromGallery(g, 4, false)
 	if err != nil {
 		t.Fatalf("FromGallery: %v", err)
 	}

@@ -57,8 +57,9 @@ type ExperimentSpec = attacker.Experiment
 var ErrNoGallery = attacker.ErrNoGallery
 
 // NewAttacker builds an identification session over an enrolled
-// gallery engine — a single-file *Gallery or a sharded *GalleryStore.
-// Pass nil for an experiment-only session (RunExperiment and
+// gallery engine — a *GalleryStore (NewGalleryStore(g, 1) serves an
+// in-memory *Gallery, OpenGalleryStore a gallery file), a *LiveGallery
+// or a *Replica. Pass nil for an experiment-only session (RunExperiment and
 // TaskPredict work; identification methods return ErrNoGallery).
 func NewAttacker(g GalleryEngine, opts ...AttackerOption) (*Attacker, error) {
 	return attacker.New(g, opts...)
@@ -134,10 +135,11 @@ var (
 
 // ---- Sharded gallery store ----
 
-// GalleryEngine is the query surface shared by the single-file Gallery
-// and the sharded GalleryStore; NewAttacker and the HTTP service accept
-// either. All implementations keep scores bit-identical to
-// SimilarityMatrix at any parallelism setting.
+// GalleryEngine is the query surface shared by the GalleryStore, the
+// LiveGallery and the Replica; NewAttacker and the HTTP service accept
+// any of them. All implementations keep scores bit-identical to
+// SimilarityMatrix at any parallelism setting and rank exact score ties
+// by subject ID. A Gallery is storage and not an engine.
 type GalleryEngine = gallery.Engine
 
 // GalleryStore is a horizontally sharded gallery: N shard files (each a

@@ -44,7 +44,11 @@ func benchAttacker(b *testing.B, parallelism int) (*brainprint.Attacker, *brainp
 		}
 		probe.SetCol(j, col)
 	}
-	atk, err := brainprint.NewAttacker(g,
+	store, err := brainprint.NewGalleryStore(g, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	atk, err := brainprint.NewAttacker(store,
 		brainprint.WithTopK(5),
 		brainprint.WithParallelism(parallelism))
 	if err != nil {

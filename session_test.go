@@ -14,8 +14,9 @@ import (
 	"brainprint"
 )
 
-// sessionFixture builds a gallery + probes through the public API.
-func sessionFixture(t *testing.T) (*brainprint.Gallery, *brainprint.Matrix, []string) {
+// sessionFixture builds a one-shard gallery store + probes through the
+// public API.
+func sessionFixture(t *testing.T) (*brainprint.GalleryStore, *brainprint.Matrix, []string) {
 	t.Helper()
 	c := facadeCohort(t)
 	knownScans, err := c.ScansFor(brainprint.Rest1, brainprint.LR)
@@ -40,6 +41,10 @@ func sessionFixture(t *testing.T) (*brainprint.Gallery, *brainprint.Matrix, []st
 	if err := g.EnrollMatrix(ids, fps); err != nil {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
+	store, err := brainprint.NewGalleryStore(g, 1)
+	if err != nil {
+		t.Fatalf("NewGalleryStore: %v", err)
+	}
 	anonScans, err := c.ScansFor(brainprint.Rest2, brainprint.RL)
 	if err != nil {
 		t.Fatalf("ScansFor: %v", err)
@@ -48,7 +53,7 @@ func sessionFixture(t *testing.T) (*brainprint.Gallery, *brainprint.Matrix, []st
 	if err != nil {
 		t.Fatalf("GroupMatrixCtx: %v", err)
 	}
-	return g, anon, ids
+	return store, anon, ids
 }
 
 // TestFacadeAttackerFlow drives the session API end to end exactly as
