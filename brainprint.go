@@ -203,7 +203,7 @@ func GroupMatrixADHDCtx(ctx context.Context, scans []*ADHDScan, opt ConnectomeOp
 type Gallery = gallery.Gallery
 
 // GalleryCandidate is one ranked identification hypothesis returned by
-// a GalleryEngine's TopK/QueryAll.
+// a GalleryEngine's TopKCtx/QueryAllCtx.
 type GalleryCandidate = gallery.Candidate
 
 // GalleryFormatVersion is the gallery file format version this build

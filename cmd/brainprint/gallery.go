@@ -515,6 +515,7 @@ type queryEngine interface {
 	Len() int
 	Index(id string) int
 	QueryAllCtx(ctx context.Context, probes *brainprint.Matrix, k, parallelism int) ([][]brainprint.GalleryCandidate, error)
+	SetANNProbe(nprobe int) error
 }
 
 // openQueryEngine opens any gallery database — single file, shard
@@ -563,11 +564,7 @@ func galleryQuery(args []string, out io.Writer) error {
 		if np == 0 {
 			np = brainprint.DefaultNProbe
 		}
-		as, ok := g.(brainprint.GalleryANNSetter)
-		if !ok {
-			return fmt.Errorf("gallery query: -ann: %s does not support ANN scans", *db)
-		}
-		if err := as.SetANNProbe(np); err != nil {
+		if err := g.SetANNProbe(np); err != nil {
 			return fmt.Errorf("gallery query: -ann: %w", err)
 		}
 	}

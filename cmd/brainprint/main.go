@@ -47,12 +47,10 @@ var usageText = fmt.Sprintf(`usage:
   brainprint defense sweep [flags]
   brainprint serve -db gallery.bpg|store.bpm|live-dir [-writable] [-replica-of url] [flags]
   brainprint router -primary url [-replicas url,url...] [flags]
-  brainprint loadgen -targets url[,url...] [flags]
 
 run 'brainprint -help', 'brainprint gallery <subcommand> -help',
-'brainprint defense sweep -help', 'brainprint serve -help',
-'brainprint router -help' or 'brainprint loadgen -help' for the flags
-of each form`,
+'brainprint defense sweep -help', 'brainprint serve -help' or
+'brainprint router -help' for the flags of each form`,
 	strings.Join(brainprint.ExperimentNames(), "|"))
 
 func main() {
@@ -81,12 +79,6 @@ func main() {
 		}
 		return
 	}
-	if len(args) > 0 && args[0] == "loadgen" {
-		if err := runLoadgen(args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
-			fail(err)
-		}
-		return
-	}
 	fs := flag.NewFlagSet("brainprint", flag.ContinueOnError)
 	var (
 		experiment = fs.String("experiment", "all",
@@ -104,6 +96,9 @@ func main() {
 			return
 		}
 		fail(err)
+	}
+	if fs.NArg() > 0 {
+		fail(fmt.Errorf("unknown subcommand %q", fs.Arg(0)))
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

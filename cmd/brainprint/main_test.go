@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -107,6 +109,33 @@ func TestUsageFromRegistry(t *testing.T) {
 	for _, want := range []string{"defense", "gallery enroll|shard|live|compact|defend|query|info|probe", "defense sweep", "serve -db", "-writable"} {
 		if !strings.Contains(usageText, want) {
 			t.Errorf("usage text is missing %q", want)
+		}
+	}
+}
+
+// TestUnknownSubcommand runs main in a child process: a positional
+// argument that names no subcommand must exit 1 with the usage text
+// instead of falling through to the experiment sweep.
+func TestUnknownSubcommand(t *testing.T) {
+	if args := os.Getenv("BRAINPRINT_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"brainprint"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, tc := range []struct{ args, name string }{
+		{"sevre -db x.bpg", "sevre"},
+		{"-experiment fig1 -subjects 4 -regions 20 routr", "routr"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownSubcommand$")
+		cmd.Env = append(os.Environ(), "BRAINPRINT_MAIN_ARGS="+tc.args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("brainprint %s: err = %v, want exit status 1\n%s", tc.args, err, out)
+		}
+		want := fmt.Sprintf("unknown subcommand %q", tc.name)
+		if !strings.Contains(string(out), want) || !strings.Contains(string(out), usageText) {
+			t.Errorf("brainprint %s: output lacks %s and the usage text:\n%s", tc.args, want, out)
 		}
 	}
 }

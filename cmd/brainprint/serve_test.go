@@ -30,6 +30,18 @@ func TestServeFlagErrors(t *testing.T) {
 	}
 }
 
+func TestServeReplicaFlagConflicts(t *testing.T) {
+	var out bytes.Buffer
+	err := runServe([]string{"-db", t.TempDir(), "-replica-of", "http://127.0.0.1:1", "-writable"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Errorf("replica+writable: %v", err)
+	}
+	err = runServe([]string{"-db", filepath.Join(t.TempDir(), "rep"), "-replica-of", "not-a-url"}, &out)
+	if err == nil {
+		t.Error("relative primary URL accepted")
+	}
+}
+
 // TestServeBindFailure drives the happy path all the way to the
 // socket: a real gallery file on an occupied port prints the serving
 // banner and surfaces the listen error instead of hanging on signals.

@@ -175,14 +175,7 @@ func (a *Attacker) applyANN() error {
 	if a.gallery == nil {
 		return fmt.Errorf("attacker: WithANN(%d): session has no gallery", a.nprobe)
 	}
-	as, ok := a.gallery.(gallery.ANNSetter)
-	if !ok {
-		if a.nprobe == 0 {
-			return nil // every engine scans exactly by default
-		}
-		return fmt.Errorf("attacker: WithANN(%d): %T does not support ANN scans", a.nprobe, a.gallery)
-	}
-	return as.SetANNProbe(a.nprobe)
+	return a.gallery.SetANNProbe(a.nprobe)
 }
 
 // New builds a session over an enrolled gallery engine — a *shard.Store

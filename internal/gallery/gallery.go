@@ -36,11 +36,19 @@ import (
 // Engine is the query surface of the sharded store
 // (internal/gallery/shard.Store, which also serves a single-file Gallery
 // as one shard), the live engine and the replica: enumeration of the
-// enrolled subjects plus the three context-aware query paths. The
-// attacker session and the HTTP service are written against this
-// interface. Implementations must keep scores bit-identical to
-// match.SimilarityMatrix, rank under BetterByID, and return results
-// independent of the parallelism setting. A Gallery is not an Engine.
+// enrolled subjects, the three context-aware query paths and the IVF
+// approximate-scan knob. The attacker session and the HTTP service are
+// written against this interface. Implementations must keep scores
+// bit-identical to match.SimilarityMatrix, rank under BetterByID, and
+// return results independent of the parallelism setting. A Gallery is
+// not an Engine.
+//
+// The ANN knob trades recall for speed, never correctness of scores:
+// whatever nprobe, every returned score is the exact float64
+// expression, bit-identical to the dense path — the index restricts
+// which records are scored, not how. nprobe at or above the index's
+// cell count probes every cell, making results bit-identical to the
+// exact scan.
 type Engine interface {
 	// Len returns the number of enrolled subjects.
 	Len() int
@@ -65,6 +73,15 @@ type Engine interface {
 	// DenseSimilarityCtx materializes the full subjects×probes
 	// similarity matrix, rows in canonical index order.
 	DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error)
+	// SetANNProbe selects how many index cells a query scans
+	// (0 disables the index and returns to the exact sweep). Enabling
+	// requires a loaded index. Not safe to call concurrently with
+	// queries.
+	SetANNProbe(nprobe int) error
+	// ANNProbe reports the active cell fan-out (0 = exact scan).
+	ANNProbe() int
+	// HasANNIndex reports whether a coarse index is loaded.
+	HasANNIndex() bool
 }
 
 // Mutable is the write surface of a live gallery engine

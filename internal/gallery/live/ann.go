@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"brainprint/internal/gallery"
 	"brainprint/internal/gallery/ivf"
 	"brainprint/internal/gallery/shard"
 )
@@ -21,10 +20,8 @@ import (
 // superseded base carried one, reusing its training seed, so the knob
 // survives generation switches.
 
-var _ gallery.ANNSetter = (*Engine)(nil)
-
 // HasANNIndex reports whether the current base store carries an IVF
-// coarse index (gallery.ANNSetter).
+// coarse index.
 func (e *Engine) HasANNIndex() bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -38,9 +35,9 @@ func (e *Engine) ANNProbe() int {
 	return e.nprobe
 }
 
-// SetANNProbe selects how many index cells the base scan probes
-// (gallery.ANNSetter): 0 returns to the exact sweep; a positive nprobe
-// requires the base to carry an index (shard.ErrNoANNIndex otherwise).
+// SetANNProbe selects how many index cells the base scan probes: 0
+// returns to the exact sweep; a positive nprobe requires the base to
+// carry an index (shard.ErrNoANNIndex otherwise).
 // The setting survives compactions — each fresh base is re-indexed and
 // the fan-out re-applied at the generation swap.
 func (e *Engine) SetANNProbe(nprobe int) error {

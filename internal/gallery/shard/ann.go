@@ -92,19 +92,18 @@ func (s *Store) SaveANN(dbPath string) error {
 // mutate it.
 func (s *Store) ANNIndex() *ivf.Index { return s.ann }
 
-// HasANNIndex reports whether an IVF index is loaded
-// (gallery.ANNSetter).
+// HasANNIndex reports whether an IVF index is loaded.
 func (s *Store) HasANNIndex() bool { return s.ann != nil }
 
 // ANNProbe reports the active cell fan-out (0 = exact scan).
 func (s *Store) ANNProbe() int { return s.nprobe }
 
-// SetANNProbe selects how many index cells a query scans
-// (gallery.ANNSetter). 0 disables the index and returns to the exact
-// sweep; a positive nprobe requires a loaded index (ErrNoANNIndex
-// otherwise) and is clamped to the cell count at query time — nprobe
-// at or above Cells() probes every cell and is bit-identical to
-// exact. Not safe to call concurrently with queries.
+// SetANNProbe selects how many index cells a query scans. 0 disables
+// the index and returns to the exact sweep; a positive nprobe requires
+// a loaded index (ErrNoANNIndex otherwise) and is clamped to the cell
+// count at query time — nprobe at or above Cells() probes every cell
+// and is bit-identical to exact. Not safe to call concurrently with
+// queries.
 func (s *Store) SetANNProbe(nprobe int) error {
 	if nprobe < 0 {
 		return fmt.Errorf("shard: nprobe %d must be non-negative", nprobe)

@@ -78,7 +78,6 @@ type Store struct {
 }
 
 var _ gallery.Engine = (*Store)(nil)
-var _ gallery.ANNSetter = (*Store)(nil)
 
 // Fault describes one shard that failed to load.
 type Fault struct {

@@ -108,10 +108,10 @@ const upstreamFile = "UPSTREAM"
 
 // Replica is a read-only follower of a remote primary: a local live
 // engine kept in sync by tailing the primary's write-ahead-log stream.
-// It implements gallery.Engine (plus the ANN knob), so
-// it drops into an attacker session and the HTTP service exactly like
-// a local store; writes are refused upstream of it (the serve layer
-// answers 405, because a replica session carries no mutable gallery).
+// It implements gallery.Engine, so it drops into an attacker session
+// and the HTTP service exactly like a local store; writes are refused
+// upstream of it (the serve layer answers 405, because a replica
+// session carries no mutable gallery).
 type Replica struct {
 	dir  string
 	opts Options
@@ -679,10 +679,7 @@ func (r *Replica) ANNProbe() int { return r.Engine().ANNProbe() }
 // HasANNIndex reports whether the local base carries an IVF sidecar.
 func (r *Replica) HasANNIndex() bool { return r.Engine().HasANNIndex() }
 
-var (
-	_ gallery.Engine    = (*Replica)(nil)
-	_ gallery.ANNSetter = (*Replica)(nil)
-)
+var _ gallery.Engine = (*Replica)(nil)
 
 // decodeJSON decodes one JSON document.
 func decodeJSON(r io.Reader, v any) error {

@@ -735,10 +735,10 @@ type defendedEngine interface {
 }
 
 // engineTopology builds the topology block /healthz and /v1/gallery
-// share, from whichever optional surfaces the engine has: shards and
-// loaded_shards (sharded store), ann_index and nprobe (ANN knob),
-// defense (a defended engine's descriptor spec). degraded reports a
-// sharded engine serving with some shards unavailable.
+// share: ann_index and nprobe (every engine's ANN knob), plus whichever
+// optional surfaces the engine has — shards and loaded_shards (sharded
+// store), defense (a defended engine's descriptor spec). degraded
+// reports a sharded engine serving with some shards unavailable.
 func engineTopology(g gallery.Engine) (topo map[string]any, degraded bool) {
 	topo = map[string]any{}
 	if sh, ok := g.(shardedEngine); ok {
@@ -746,10 +746,8 @@ func engineTopology(g gallery.Engine) (topo map[string]any, degraded bool) {
 		topo["loaded_shards"] = sh.LoadedShards()
 		degraded = sh.LoadedShards() < sh.Shards()
 	}
-	if as, ok := g.(gallery.ANNSetter); ok {
-		topo["ann_index"] = as.HasANNIndex()
-		topo["nprobe"] = as.ANNProbe()
-	}
+	topo["ann_index"] = g.HasANNIndex()
+	topo["nprobe"] = g.ANNProbe()
 	if d, ok := g.(defendedEngine); ok && d.Defense() != nil {
 		topo["defense"] = d.Defense().String()
 	}

@@ -147,11 +147,6 @@ type GalleryEngine = gallery.Engine
 // with a deterministic fan-out planner. See DESIGN.md §6.
 type GalleryStore = shard.Store
 
-// GalleryANNSetter is the optional engine surface for the IVF
-// approximate-scan knob; *GalleryStore and the live engine implement
-// it. See DESIGN.md §9 for the recall/exactness contract.
-type GalleryANNSetter = gallery.ANNSetter
-
 // DefaultNProbe is the default cell fan-out the CLI and service use
 // when ANN scanning is enabled without an explicit -nprobe.
 const DefaultNProbe = ivf.DefaultNProbe
