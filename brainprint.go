@@ -12,13 +12,13 @@
 // experiment drivers that regenerate every figure and table of the
 // paper, and the voxel-level fMRI simulation + preprocessing pipeline.
 //
-// Quick start (the context-aware session API in session.go is the
-// primary surface; the free functions below remain as compatibility
-// wrappers):
+// Quick start: the paper's experiments run by name under an attack
+// configuration; the identification session over an enrolled gallery
+// (NewAttacker, session.go) is the serving surface.
 //
 //	cohort, _ := brainprint.GenerateHCP(brainprint.DefaultHCPParams())
-//	atk, _ := brainprint.NewAttacker(nil, brainprint.WithConfig(brainprint.DefaultAttackConfig()))
-//	res, _ := atk.RunExperiment(ctx, "fig1", brainprint.ExperimentInput{HCP: cohort})
+//	res, _ := brainprint.RunExperiment(ctx, "fig1", brainprint.DefaultAttackConfig(),
+//		brainprint.ExperimentInput{HCP: cohort})
 //	fmt.Println(res.Render())
 package brainprint
 
@@ -334,6 +334,38 @@ type Figure9Result = experiments.Figure9Result
 
 // Table2Result holds the multi-site noise sweep.
 type Table2Result = experiments.Table2Result
+
+// ExperimentInput carries the cohorts and sweep parameters of one
+// RunExperiment call; zero values mean the documented defaults.
+type ExperimentInput = experiments.Input
+
+// ExperimentResult is the structured outcome of an experiment; Render
+// prints the paper's artifact as text.
+type ExperimentResult = experiments.Result
+
+// ExperimentSpec describes one registered experiment: its CLI name,
+// one-line synopsis, and which cohorts it needs. The CLI's usage text
+// and dispatch both derive from this registry.
+type ExperimentSpec = experiments.Experiment
+
+// RunExperiment runs one registered paper experiment by name under the
+// attack configuration cfg (feature budget, selection method,
+// parallelism). Unknown names list the valid ones; a cancelled context
+// aborts the sweep between grid cells and surfaces ctx.Err().
+func RunExperiment(ctx context.Context, name string, cfg AttackConfig, in ExperimentInput) (ExperimentResult, error) {
+	return experiments.Run(ctx, name, cfg, in)
+}
+
+// Experiments returns every registered experiment in canonical "all"
+// order.
+func Experiments() []ExperimentSpec { return experiments.Experiments() }
+
+// ExperimentNames returns the registered experiment names in canonical
+// order — the single source of the CLI's experiment list.
+func ExperimentNames() []string { return experiments.Names() }
+
+// LookupExperiment returns the experiment registered under name.
+func LookupExperiment(name string) (ExperimentSpec, bool) { return experiments.Find(name) }
 
 // ---- Defense (§4) ----
 

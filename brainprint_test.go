@@ -15,15 +15,11 @@ import (
 	"brainprint"
 )
 
-// runExp runs one registry experiment in a throwaway session and
-// returns its typed result (shared with bench_test.go).
+// runExp runs one registry experiment and returns its typed result
+// (shared with bench_test.go).
 func runExp[T any](name string, cfg brainprint.AttackConfig, in brainprint.ExperimentInput) (T, error) {
 	var zero T
-	a, err := brainprint.NewAttacker(nil, brainprint.WithConfig(cfg))
-	if err != nil {
-		return zero, err
-	}
-	res, err := a.RunExperiment(context.Background(), name, in)
+	res, err := brainprint.RunExperiment(context.Background(), name, cfg, in)
 	if err != nil {
 		return zero, err
 	}
@@ -359,7 +355,7 @@ func TestFacadeGalleryFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenGalleryStore: %v", err)
 	}
-	ranked, err := store.QueryAll(anon, 3)
+	ranked, err := store.QueryAllCtx(context.Background(), anon, 3, 0)
 	if err != nil {
 		t.Fatalf("QueryAll: %v", err)
 	}

@@ -132,10 +132,10 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 	return err
 }
 
-// run executes the selected experiments through the session API: one
-// Attacker owns the attack configuration, cohorts generate lazily based
-// on what each registry entry declares it needs, and every experiment
-// runs under ctx so cancellation aborts mid-sweep.
+// run executes the selected experiments through the registry under one
+// attack configuration: cohorts generate lazily based on what each
+// registry entry declares it needs, and every experiment runs under ctx
+// so cancellation aborts mid-sweep.
 func run(ctx context.Context, experiment, scale string, subjects, regions, features, trials int, seed int64, workers int) error {
 	hcpParams, adhdParams, err := paramsForScale(scale, subjects, regions, seed)
 	if err != nil {
@@ -145,10 +145,6 @@ func run(ctx context.Context, experiment, scale string, subjects, regions, featu
 	attack := brainprint.DefaultAttackConfig()
 	attack.Features = features
 	attack.Parallelism = workers
-	atk, err := brainprint.NewAttacker(nil, brainprint.WithConfig(attack))
-	if err != nil {
-		return err
-	}
 
 	var (
 		hcp  *brainprint.HCPCohort
@@ -205,7 +201,7 @@ func run(ctx context.Context, experiment, scale string, subjects, regions, featu
 			}
 		}
 		start := time.Now()
-		res, err := atk.RunExperiment(ctx, exp, in)
+		res, err := brainprint.RunExperiment(ctx, exp, attack, in)
 		if err != nil {
 			return err
 		}

@@ -31,7 +31,9 @@ var docAuditedPackages = []string{
 	"internal/gallery",
 	"internal/gallery/shard",
 	"internal/gallery/live",
+	"internal/gallery/ivf",
 	"internal/attacker",
+	"internal/experiments",
 	"internal/serve",
 	"internal/parallel",
 	"internal/replicate",

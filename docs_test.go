@@ -31,7 +31,7 @@ func ExampleNewGallery() {
 	}
 
 	// A noisy observation of bob re-identifies bob.
-	top, err := store.TopK([]float64{1.2, 4.8, 0.9, 1.1}, 2)
+	top, err := store.TopKCtx(context.Background(), []float64{1.2, 4.8, 0.9, 1.1}, 2, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -115,7 +115,7 @@ func ExampleOpenGalleryStore() {
 	if err != nil {
 		panic(err)
 	}
-	top, err := reopened.TopK([]float64{0.9, 1.1, 5.3, 0.8}, 1)
+	top, err := reopened.TopKCtx(context.Background(), []float64{0.9, 1.1, 5.3, 0.8}, 1, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -139,7 +139,7 @@ func ExampleOpenGalleryStore_partial() {
 
 	degraded, err := brainprint.OpenGalleryStore(filepath.Join(dir, "cohort.bpm"))
 	fmt.Println("partial:", errors.Is(err, brainprint.ErrGalleryPartial))
-	top, _ := degraded.TopK([]float64{4.7, 1.3, 0.8, 1.2}, 1)
+	top, _ := degraded.TopKCtx(context.Background(), []float64{4.7, 1.3, 0.8, 1.2}, 1, 0)
 	fmt.Println("still identified:", top[0].ID)
 	// Output:
 	// partial: true
@@ -157,11 +157,11 @@ func ExampleExperiments() {
 	// defense needs HCP: true
 }
 
-// ExampleNewAttacker_errNoGallery shows the typed-error contract of an
-// experiment-only session.
+// ExampleNewAttacker_errNoGallery shows the typed-error contract of a
+// session built without a gallery engine: there is nothing to serve,
+// so NewAttacker refuses it.
 func ExampleNewAttacker_errNoGallery() {
-	atk, _ := brainprint.NewAttacker(nil)
-	_, err := atk.Identify(context.Background(), []float64{1, 2, 3})
+	_, err := brainprint.NewAttacker(nil)
 	fmt.Println(errors.Is(err, brainprint.ErrNoGallery))
 	// Output: true
 }
@@ -187,7 +187,7 @@ func ExampleCreateLiveGallery() {
 		panic(err)
 	}
 	defer reopened.Close()
-	top, err := reopened.TopK([]float64{1.2, 4.8, 0.9, 1.1}, 1)
+	top, err := reopened.TopKCtx(context.Background(), []float64{1.2, 4.8, 0.9, 1.1}, 1, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -3,7 +3,7 @@
 // different atlas (116 regions ⇒ 6670 features), a different acquisition
 // protocol, and a case/control mix — and the feature subspace learned on
 // training subjects identifies held-out subjects it has never seen. The
-// three experiments run through one Attacker session.
+// three experiments run by name under one attack configuration.
 package main
 
 import (
@@ -27,15 +27,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	attacker, err := brainprint.NewAttacker(nil,
-		brainprint.WithConfig(brainprint.DefaultAttackConfig()))
-	if err != nil {
-		log.Fatal(err)
-	}
+	cfg := brainprint.DefaultAttackConfig()
 	in := brainprint.ExperimentInput{ADHD: cohort, Trials: 8, TrainFraction: 0.7, Seed: 11}
 
 	for _, name := range []string{"fig7", "fig8", "fig9"} {
-		res, err := attacker.RunExperiment(ctx, name, in)
+		res, err := brainprint.RunExperiment(ctx, name, cfg, in)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,9 +2,9 @@
 // scale: de-anonymizing one dataset compromises subjects in datasets of
 // *different* tasks, with identifiability ordered by how strongly each
 // task expresses the individual signature (rest ≫ language > social ≫
-// motor/working-memory). Experiments run through the Attacker session's
-// registry under a cancellable context; the returned interface asserts
-// back to the typed result for programmatic inspection.
+// motor/working-memory). Experiments run by name through the registry
+// under a cancellable context; the returned interface asserts back to
+// the typed result for programmatic inspection.
 package main
 
 import (
@@ -26,12 +26,7 @@ func main() {
 
 	attack := brainprint.DefaultAttackConfig()
 	attack.Features = 80
-	attacker, err := brainprint.NewAttacker(nil, brainprint.WithConfig(attack))
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	out, err := attacker.RunExperiment(context.Background(), "fig5",
+	out, err := brainprint.RunExperiment(context.Background(), "fig5", attack,
 		brainprint.ExperimentInput{HCP: cohort})
 	if err != nil {
 		log.Fatal(err)

@@ -24,13 +24,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	attacker, err := brainprint.NewAttacker(nil,
-		brainprint.WithConfig(brainprint.DefaultAttackConfig()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := attacker.RunExperiment(context.Background(), "defense",
-		brainprint.ExperimentInput{
+	res, err := brainprint.RunExperiment(context.Background(), "defense",
+		brainprint.DefaultAttackConfig(), brainprint.ExperimentInput{
 			HCP:                cohort,
 			Sigmas:             []float64{0, 0.3, 0.6},
 			DefenseTopFeatures: 200,

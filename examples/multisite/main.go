@@ -27,13 +27,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	attacker, err := brainprint.NewAttacker(nil,
-		brainprint.WithConfig(brainprint.DefaultAttackConfig()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := attacker.RunExperiment(context.Background(), "table2",
-		brainprint.ExperimentInput{
+	res, err := brainprint.RunExperiment(context.Background(), "table2",
+		brainprint.DefaultAttackConfig(), brainprint.ExperimentInput{
 			HCP:         hcp,
 			ADHD:        adhd,
 			NoiseLevels: []float64{0.1, 0.2, 0.3, 0.5},

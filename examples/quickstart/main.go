@@ -7,9 +7,8 @@
 // connectomes, selects the ~100 connectome features with the highest
 // leverage scores on the known set, enrolls those fingerprints into a
 // gallery, and matches anonymous probes by Pearson correlation in the
-// reduced space. The Attacker session owns the enrolled gallery and
-// configuration: enroll once, identify any number of releases, under a
-// cancellable context.
+// reduced space. The Attacker session owns the enrolled gallery: enroll
+// once, identify any number of releases, under a cancellable context.
 package main
 
 import (
@@ -65,11 +64,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The session: owns the engine and the configuration. WithTopK(3)
+	// The session: owns the engine and the query knobs. WithTopK(3)
 	// keeps the three best hypotheses per probe.
-	attacker, err := brainprint.NewAttacker(store,
-		brainprint.WithConfig(cfg),
-		brainprint.WithTopK(3))
+	attacker, err := brainprint.NewAttacker(store, brainprint.WithTopK(3))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,13 +22,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	attacker, err := brainprint.NewAttacker(nil,
-		brainprint.WithConfig(brainprint.DefaultAttackConfig()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := attacker.RunExperiment(context.Background(), "fig6",
-		brainprint.ExperimentInput{
+	res, err := brainprint.RunExperiment(context.Background(), "fig6",
+		brainprint.DefaultAttackConfig(), brainprint.ExperimentInput{
 			HCP:           cohort,
 			KnownFraction: 0.5,
 			TSNE:          &brainprint.TSNEConfig{Perplexity: 12, Iterations: 400, Seed: 7},

@@ -3,16 +3,16 @@
 // long-lived session: an adversary enrolls one de-anonymized dataset
 // once and then re-identifies subjects in any number of anonymized
 // releases. An Attacker owns that state — the enrolled fingerprint
-// gallery, the attack configuration, and the execution knobs — and
-// serves every probe, batch, stream, and whole-experiment request under
-// a context.Context, so callers (the CLI, the HTTP service, tests) get
-// cancellation, per-request deadlines, and shared worker-pool backing
-// without re-plumbing configuration through free functions.
+// gallery and the execution knobs — and serves every probe, batch and
+// stream request under a context.Context, so callers (the HTTP service,
+// the facade, tests) get cancellation, per-request deadlines, and
+// shared worker-pool backing without re-plumbing configuration through
+// free functions. The paper's experiments are not on the session; they
+// run through internal/experiments.
 //
 // Construction uses functional options:
 //
 //	a, err := attacker.New(g,
-//		attacker.WithConfig(cfg),
 //		attacker.WithParallelism(8),
 //		attacker.WithTopK(5),
 //		attacker.WithAssignment(true))
@@ -30,48 +30,38 @@ import (
 	"sync"
 	"time"
 
-	"brainprint/internal/core"
 	"brainprint/internal/gallery"
 	"brainprint/internal/linalg"
 	"brainprint/internal/match"
 	"brainprint/internal/parallel"
 )
 
-// ErrNoGallery is returned by identification methods of a session built
-// without an enrolled gallery (experiment-only sessions pass nil).
+// ErrNoGallery is returned by New when no gallery engine is set after
+// every option has run: a session without an engine can answer nothing.
 var ErrNoGallery = errors.New("attacker: session has no enrolled gallery")
 
 // Attacker is a long-lived identification session: an enrolled gallery
-// engine plus the attack configuration, shared by every query it
-// serves. The engine may be a sharded store (internal/gallery/shard; a
-// single-file gallery is served as a one-shard store), a live engine or
-// a replica — the session is written against gallery.Engine and never
-// cares which. The zero value is not usable; construct with New. An Attacker is safe for concurrent use once
-// constructed — all state is read-only after New.
+// engine plus the query knobs, shared by every query it serves. The
+// engine may be a sharded store (internal/gallery/shard; a single-file
+// gallery is served as a one-shard store), a live engine or a replica —
+// the session is written against gallery.Engine and never cares which.
+// The zero value is not usable; construct with New. An Attacker is safe
+// for concurrent use once constructed — all state is read-only after
+// New.
 type Attacker struct {
-	gallery    gallery.Engine
-	mutable    gallery.Mutable // non-nil only when built WithMutableGallery
-	cfg        core.AttackConfig
-	topK       int
-	assignment bool
-	timeout    time.Duration
-	nprobe     int
-	nprobeSet  bool
+	gallery     gallery.Engine
+	mutable     gallery.Mutable // non-nil only when built WithMutableGallery
+	parallelism int
+	topK        int
+	assignment  bool
+	timeout     time.Duration
+	nprobe      int
+	nprobeSet   bool
 }
 
 // Option configures an Attacker during New. Options are applied in
-// order, so later options override earlier ones (WithParallelism after
-// WithConfig overrides the config's Parallelism field).
+// order, so later options override earlier ones.
 type Option func(*Attacker) error
-
-// WithConfig sets the attack configuration (feature selection and the
-// parallelism knob) used by experiments and, where applicable, queries.
-func WithConfig(cfg core.AttackConfig) Option {
-	return func(a *Attacker) error {
-		a.cfg = cfg
-		return nil
-	}
-}
 
 // WithParallelism bounds the worker count of every sweep the session
 // runs: 0 = all cores, 1 = serial, n = n workers. Results are identical
@@ -81,7 +71,7 @@ func WithParallelism(n int) Option {
 		if n < 0 {
 			n = 0
 		}
-		a.cfg.Parallelism = n
+		a.parallelism = n
 		return nil
 	}
 }
@@ -133,9 +123,8 @@ func WithMutableGallery(m gallery.Mutable) Option {
 }
 
 // WithTimeout sets a default per-call deadline applied to every
-// Identify/IdentifyBatch/TaskPredict/RunExperiment invocation (0, the
-// default, means none). An explicit earlier deadline on the caller's
-// context still wins.
+// Identify/IdentifyBatch invocation (0, the default, means none). An
+// explicit earlier deadline on the caller's context still wins.
 func WithTimeout(d time.Duration) Option {
 	return func(a *Attacker) error {
 		if d < 0 {
@@ -172,26 +161,26 @@ func (a *Attacker) applyANN() error {
 	if !a.nprobeSet {
 		return nil
 	}
-	if a.gallery == nil {
-		return fmt.Errorf("attacker: WithANN(%d): session has no gallery", a.nprobe)
-	}
 	return a.gallery.SetANNProbe(a.nprobe)
 }
 
 // New builds a session over an enrolled gallery engine — a *shard.Store
 // (shard.Wrap serves a single-file *gallery.Gallery as one shard), a
-// live engine or a replica. g may be nil for an experiment-only session
-// (RunExperiment and TaskPredict work; identification methods return
-// ErrNoGallery).
+// live engine or a replica. g may be nil only when an option supplies
+// the engine (WithMutableGallery); with no engine set after every option
+// has run, New returns ErrNoGallery.
 func New(g gallery.Engine, opts ...Option) (*Attacker, error) {
 	if isNilEngine(g) {
 		g = nil
 	}
-	a := &Attacker{gallery: g, cfg: core.DefaultAttackConfig(), topK: 1}
+	a := &Attacker{gallery: g, topK: 1}
 	for _, opt := range opts {
 		if err := opt(a); err != nil {
 			return nil, err
 		}
+	}
+	if a.gallery == nil {
+		return nil, ErrNoGallery
 	}
 	if err := a.applyANN(); err != nil {
 		return nil, err
@@ -200,8 +189,8 @@ func New(g gallery.Engine, opts ...Option) (*Attacker, error) {
 }
 
 // isNilEngine detects a typed-nil engine (a nil *shard.Store passed
-// through the interface parameter), which would otherwise dodge the
-// ErrNoGallery guard and panic inside a query.
+// through the interface parameter), which would otherwise dodge New's
+// ErrNoGallery check and panic inside a query.
 func isNilEngine(g gallery.Engine) bool {
 	if g == nil {
 		return true
@@ -210,8 +199,7 @@ func isNilEngine(g gallery.Engine) bool {
 	return v.Kind() == reflect.Pointer && v.IsNil()
 }
 
-// Gallery returns the enrolled gallery engine (nil for experiment-only
-// sessions).
+// Gallery returns the enrolled gallery engine.
 func (a *Attacker) Gallery() gallery.Engine { return a.gallery }
 
 // Mutable returns the session's writable gallery engine, or nil when
@@ -219,14 +207,11 @@ func (a *Attacker) Gallery() gallery.Engine { return a.gallery }
 // layers use to decide whether write endpoints exist.
 func (a *Attacker) Mutable() gallery.Mutable { return a.mutable }
 
-// Config returns the session's attack configuration.
-func (a *Attacker) Config() core.AttackConfig { return a.cfg }
-
 // TopK returns the per-identification candidate count.
 func (a *Attacker) TopK() int { return a.topK }
 
 // Parallelism returns the session's worker knob (0 = all cores).
-func (a *Attacker) Parallelism() int { return a.cfg.Parallelism }
+func (a *Attacker) Parallelism() int { return a.parallelism }
 
 // deadline derives the working context: the session's default timeout
 // when one is configured, the caller's context unchanged otherwise.
@@ -249,12 +234,9 @@ func (a *Attacker) Identify(ctx context.Context, probe []float64) ([]gallery.Can
 // the entry point serving layers use when a request overrides the
 // session default.
 func (a *Attacker) IdentifyTopK(ctx context.Context, probe []float64, k int) ([]gallery.Candidate, error) {
-	if a.gallery == nil {
-		return nil, ErrNoGallery
-	}
 	ctx, cancel := a.deadline(ctx)
 	defer cancel()
-	return a.gallery.TopKCtx(ctx, probe, k, a.cfg.Parallelism)
+	return a.gallery.TopKCtx(ctx, probe, k, a.parallelism)
 }
 
 // BatchResult is the outcome of one batch identification.
@@ -287,13 +269,10 @@ func (a *Attacker) IdentifyBatch(ctx context.Context, probes *linalg.Matrix) (*B
 // per-probe top-k (the scores are the same bits, per the gallery's
 // equivalence contract), so the sweep is never run twice.
 func (a *Attacker) IdentifyBatchTopK(ctx context.Context, probes *linalg.Matrix, k int, assignment bool) (*BatchResult, error) {
-	if a.gallery == nil {
-		return nil, ErrNoGallery
-	}
 	ctx, cancel := a.deadline(ctx)
 	defer cancel()
 	if !assignment {
-		ranked, err := a.gallery.QueryAllCtx(ctx, probes, k, a.cfg.Parallelism)
+		ranked, err := a.gallery.QueryAllCtx(ctx, probes, k, a.parallelism)
 		if err != nil {
 			return nil, err
 		}
@@ -302,11 +281,11 @@ func (a *Attacker) IdentifyBatchTopK(ctx context.Context, probes *linalg.Matrix,
 	if k <= 0 {
 		return nil, fmt.Errorf("attacker: k=%d must be positive", k)
 	}
-	sim, err := a.gallery.DenseSimilarityCtx(ctx, probes, a.cfg.Parallelism)
+	sim, ids, err := a.gallery.DenseSimilarityCtx(ctx, probes, a.parallelism)
 	if err != nil {
 		return nil, err
 	}
-	res := &BatchResult{Ranked: a.rankedFromDense(sim, k)}
+	res := &BatchResult{Ranked: rankedFromDense(sim, ids, k)}
 	if res.Assignment, err = match.AssignmentMatch(sim); err != nil {
 		return nil, err
 	}
@@ -316,8 +295,10 @@ func (a *Attacker) IdentifyBatchTopK(ctx context.Context, probes *linalg.Matrix,
 // rankedFromDense extracts the per-probe top-k from a gallery×probes
 // similarity matrix under the order every engine ranks by
 // (gallery.BetterByID: score descending, ties toward the smaller ID), so
-// the assignment path returns the same ranking as the plain query.
-func (a *Attacker) rankedFromDense(sim *linalg.Matrix, k int) [][]gallery.Candidate {
+// the assignment path returns the same ranking as the plain query. ids
+// labels the rows; it is the snapshot the matrix was scored from, so a
+// mutation landing after the scan cannot relabel or overrun a row.
+func rankedFromDense(sim *linalg.Matrix, ids []string, k int) [][]gallery.Candidate {
 	n, m := sim.Dims()
 	if k > n {
 		k = n
@@ -326,7 +307,7 @@ func (a *Attacker) rankedFromDense(sim *linalg.Matrix, k int) [][]gallery.Candid
 	for j := 0; j < m; j++ {
 		r := gallery.NewRanker(k, gallery.BetterByID)
 		for i := 0; i < n; i++ {
-			r.Offer(gallery.Candidate{Index: i, ID: a.gallery.ID(i), Score: sim.At(i, j)})
+			r.Offer(gallery.Candidate{Index: i, ID: ids[i], Score: sim.At(i, j)})
 		}
 		out[j] = r.Ranked()
 	}
@@ -361,7 +342,7 @@ type StreamResult struct {
 // context stops the workers promptly — probes already in flight finish,
 // unread probes are dropped.
 func (a *Attacker) IdentifyStream(ctx context.Context, probes <-chan Probe) <-chan StreamResult {
-	workers := parallel.Workers(a.cfg.Parallelism)
+	workers := parallel.Workers(a.parallelism)
 	out := make(chan StreamResult, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -376,15 +357,10 @@ func (a *Attacker) IdentifyStream(ctx context.Context, probes <-chan Probe) <-ch
 					if !ok {
 						return
 					}
-					var r StreamResult
-					r.Probe = p
-					if a.gallery == nil {
-						r.Err = ErrNoGallery
-					} else {
-						// The outer fan-out owns the cores; each probe
-						// sweeps serially.
-						r.Candidates, r.Err = a.gallery.TopKCtx(ctx, p.Vector, a.topK, 1)
-					}
+					r := StreamResult{Probe: p}
+					// The outer fan-out owns the cores; each probe
+					// sweeps serially.
+					r.Candidates, r.Err = a.gallery.TopKCtx(ctx, p.Vector, a.topK, 1)
 					select {
 					case out <- r:
 					case <-ctx.Done():
@@ -399,23 +375,4 @@ func (a *Attacker) IdentifyStream(ctx context.Context, probes <-chan Probe) <-ch
 		close(out)
 	}()
 	return out
-}
-
-// TaskPredict runs the §3.3.2 task-inference attack under the session's
-// deadline: scans (rows of points) are embedded with t-SNE and
-// anonymous scans take the label of their nearest known neighbour.
-// Cancellation aborts between gradient iterations.
-func (a *Attacker) TaskPredict(ctx context.Context, points *linalg.Matrix, labels []int, known []bool, cfg core.TaskPredictConfig) (*core.TaskPredictResult, error) {
-	ctx, cancel := a.deadline(ctx)
-	defer cancel()
-	return core.TaskPredictCtx(ctx, points, labels, known, cfg)
-}
-
-// Deanonymize runs the §3.1 dense attack between two group matrices
-// with the session's configuration — the stateless core attack, kept on
-// the session so callers hold one object.
-func (a *Attacker) Deanonymize(ctx context.Context, knownGroup, anonGroup *linalg.Matrix) (*core.AttackResult, error) {
-	ctx, cancel := a.deadline(ctx)
-	defer cancel()
-	return core.DeanonymizeCtx(ctx, knownGroup, anonGroup, a.cfg)
 }

@@ -5,29 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
-	"brainprint/internal/core"
 	"brainprint/internal/gallery"
+	"brainprint/internal/gallery/live"
 	"brainprint/internal/gallery/shard"
 	"brainprint/internal/linalg"
 	"brainprint/internal/match"
-	"brainprint/internal/synth"
+	"brainprint/internal/sampling"
 )
-
-// cancelBudget is the wall-clock bound on a cancelled run: the 1s
-// acceptance criterion normally, widened under the race detector whose
-// ~10× instrumentation slowdown (plus CI contention) makes sub-second
-// wall-clock assertions flaky without changing what is being proven —
-// that in-flight chunks drain promptly after cancellation.
-func cancelBudget() time.Duration {
-	if raceEnabled {
-		return 5 * time.Second
-	}
-	return time.Second
-}
 
 // randGroup builds a deterministic features×subjects matrix.
 func randGroup(features, subjects int, seed int64) *linalg.Matrix {
@@ -38,6 +28,21 @@ func randGroup(features, subjects int, seed int64) *linalg.Matrix {
 		raw[i] = rng.NormFloat64()
 	}
 	return m
+}
+
+// leverageFeatures picks the k highest-leverage features (rows) of a
+// known group, the paper's principal-features selection.
+func leverageFeatures(t *testing.T, known *linalg.Matrix, k int) []int {
+	t.Helper()
+	p, err := sampling.Probabilities(known, sampling.Leverage)
+	if err != nil {
+		t.Fatalf("Probabilities: %v", err)
+	}
+	idx, err := sampling.TopK(p, k)
+	if err != nil {
+		t.Fatalf("TopK: %v", err)
+	}
+	return idx
 }
 
 // testSession enrolls the leverage fingerprints of a random known group
@@ -52,12 +57,8 @@ func testSession(t *testing.T, topK int, opts ...Option) (*Attacker, *linalg.Mat
 	for i := range praw {
 		praw[i] = kraw[i] + 0.5*praw[i]
 	}
-	cfg := core.DefaultAttackConfig()
-	cfg.Features = 80
-	fps, idx, err := core.Fingerprints(known, cfg)
-	if err != nil {
-		t.Fatalf("Fingerprints: %v", err)
-	}
+	idx := leverageFeatures(t, known, 80)
+	fps := known.SelectRows(idx)
 	g := gallery.WithFeatureIndex(idx)
 	ids := make([]string, fps.Cols())
 	for i := range ids {
@@ -66,7 +67,7 @@ func testSession(t *testing.T, topK int, opts ...Option) (*Attacker, *linalg.Mat
 	if err := g.EnrollMatrix(ids, fps); err != nil {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
-	a, err := New(shard.Wrap(g), append([]Option{WithConfig(cfg), WithTopK(topK)}, opts...)...)
+	a, err := New(shard.Wrap(g), append([]Option{WithTopK(topK)}, opts...)...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -79,14 +80,15 @@ func testSession(t *testing.T, topK int, opts ...Option) (*Attacker, *linalg.Mat
 // parallelism setting.
 func TestIdentifyBatchBitIdentical(t *testing.T) {
 	a, known, probes := testSession(t, 3)
-	cfg := a.Config()
 
-	// Reference 1: the dense similarity matrix of the stateless attack
-	// on the reduced feature space.
-	res, err := core.Deanonymize(known, probes, cfg)
+	// Reference 1: the dense similarity matrix of the attack on the
+	// gallery's reduced feature space, and its argmax predictions.
+	idx := a.Gallery().FeatureIndex()
+	sim, err := match.SimilarityMatrix(known.SelectRows(idx), probes.SelectRows(idx))
 	if err != nil {
-		t.Fatalf("Deanonymize: %v", err)
+		t.Fatalf("SimilarityMatrix: %v", err)
 	}
+	predictions := match.Predict(sim)
 
 	// Reference 2: the session's query engine.
 	wantRanked, err := a.Gallery().QueryAllCtx(context.Background(), probes, 3, 0)
@@ -95,7 +97,7 @@ func TestIdentifyBatchBitIdentical(t *testing.T) {
 	}
 
 	for _, parallelism := range []int{1, 0, 3} {
-		s, err := New(a.Gallery(), WithConfig(cfg), WithTopK(3), WithParallelism(parallelism))
+		s, err := New(a.Gallery(), WithTopK(3), WithParallelism(parallelism))
 		if err != nil {
 			t.Fatalf("New(parallelism=%d): %v", parallelism, err)
 		}
@@ -111,14 +113,14 @@ func TestIdentifyBatchBitIdentical(t *testing.T) {
 				if want := wantRanked[j][r]; cand != want {
 					t.Fatalf("parallelism=%d probe %d rank %d: %+v != QueryAll %+v", parallelism, j, r, cand, want)
 				}
-				if sim := res.Similarity.At(cand.Index, j); cand.Score != sim {
+				if want := sim.At(cand.Index, j); cand.Score != want {
 					t.Fatalf("parallelism=%d probe %d rank %d: score %v != SimilarityMatrix %v (not bit-identical)",
-						parallelism, j, r, cand.Score, sim)
+						parallelism, j, r, cand.Score, want)
 				}
 			}
-			if top[0].Index != res.Predictions[j] {
+			if top[0].Index != predictions[j] {
 				t.Fatalf("parallelism=%d probe %d: argmax %d != dense attack prediction %d",
-					parallelism, j, top[0].Index, res.Predictions[j])
+					parallelism, j, top[0].Index, predictions[j])
 			}
 		}
 	}
@@ -228,7 +230,7 @@ func TestAssignment(t *testing.T) {
 	}
 	// The bijection must reproduce the Hungarian run on the dense
 	// similarity matrix.
-	sim, err := a.Gallery().DenseSimilarityCtx(context.Background(), probes, 0)
+	sim, _, err := a.Gallery().DenseSimilarityCtx(context.Background(), probes, 0)
 	if err != nil {
 		t.Fatalf("DenseSimilarity: %v", err)
 	}
@@ -283,14 +285,81 @@ func TestAssignmentKeepsTieOrder(t *testing.T) {
 	}
 }
 
+// deleteAfterDense is a live engine whose DenseSimilarityCtx deletes a
+// record once the inner sweep has returned: the window in which a
+// concurrent Delete lands between the scan and the row labelling.
+type deleteAfterDense struct {
+	gallery.Mutable
+	victim string
+}
+
+func (e *deleteAfterDense) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, []string, error) {
+	sim, ids, err := e.Mutable.DenseSimilarityCtx(ctx, probes, parallelism)
+	if err == nil {
+		err = e.Mutable.Delete(e.victim)
+	}
+	return sim, ids, err
+}
+
+// TestAssignmentLabelsRowsFromItsSnapshot: a Delete landing after the
+// dense sweep must not relabel the rows the sweep scored (nor index
+// past the shrunken engine): the assignment path answers with the
+// pre-delete ranking.
+func TestAssignmentLabelsRowsFromItsSnapshot(t *testing.T) {
+	const features, subjects = 32, 6
+	m, err := live.Create(filepath.Join(t.TempDir(), "live"), features, nil, live.Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("live.Create: %v", err)
+	}
+	defer m.Close()
+	known := randGroup(features, subjects, 51)
+	for i := 0; i < subjects; i++ {
+		if err := m.Enroll(fmt.Sprintf("s%03d", i), known.Col(i)); err != nil {
+			t.Fatalf("Enroll: %v", err)
+		}
+	}
+	probes := randGroup(features, subjects, 52)
+	kraw, praw := known.RawData(), probes.RawData()
+	for i := range praw {
+		praw[i] = kraw[i] + 0.5*praw[i]
+	}
+	plain, err := New(m)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	want, err := plain.IdentifyBatchTopK(context.Background(), probes, 3, false)
+	if err != nil {
+		t.Fatalf("IdentifyBatchTopK: %v", err)
+	}
+
+	a, err := New(&deleteAfterDense{Mutable: m, victim: "s000"})
+	if err != nil {
+		t.Fatalf("New(wrapper): %v", err)
+	}
+	got, err := a.IdentifyBatchTopK(context.Background(), probes, 3, true)
+	if err != nil {
+		t.Fatalf("IdentifyBatchTopK(assignment): %v", err)
+	}
+	if m.Index("s000") != -1 {
+		t.Fatal("the wrapper did not delete its victim")
+	}
+	if !reflect.DeepEqual(got.Ranked, want.Ranked) {
+		t.Fatalf("assignment ranks %+v, pre-delete ranks %+v", got.Ranked, want.Ranked)
+	}
+	if len(got.Assignment) != subjects {
+		t.Fatalf("assignment %v over %d probes", got.Assignment, subjects)
+	}
+}
+
 func TestOptionsValidation(t *testing.T) {
-	if _, err := New(nil, WithTopK(0)); err == nil {
-		t.Error("WithTopK(0) accepted")
+	eng := shard.Wrap(gallery.New(2))
+	if _, err := New(eng, WithTopK(0)); err == nil || errors.Is(err, ErrNoGallery) || !strings.Contains(err.Error(), "WithTopK") {
+		t.Errorf("New(engine, WithTopK(0)) = %v, want a WithTopK error", err)
 	}
-	if _, err := New(nil, WithTimeout(-time.Second)); err == nil {
-		t.Error("negative WithTimeout accepted")
+	if _, err := New(eng, WithTimeout(-time.Second)); err == nil || errors.Is(err, ErrNoGallery) || !strings.Contains(err.Error(), "WithTimeout") {
+		t.Errorf("New(engine, WithTimeout(-1s)) = %v, want a WithTimeout error", err)
 	}
-	a, err := New(nil, WithParallelism(-3))
+	a, err := New(eng, WithParallelism(-3))
 	if err != nil {
 		t.Fatalf("WithParallelism(-3): %v", err)
 	}
@@ -299,189 +368,39 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestNoGallery: a session is an engine plus knobs, so New refuses to
+// build one without an engine — unless an option supplies it.
 func TestNoGallery(t *testing.T) {
-	a, err := New(nil)
+	if _, err := New(nil); !errors.Is(err, ErrNoGallery) {
+		t.Errorf("New(nil) = %v, want ErrNoGallery", err)
+	}
+	var typedNil *shard.Store
+	if _, err := New(typedNil, WithTopK(2)); !errors.Is(err, ErrNoGallery) {
+		t.Errorf("New(typed nil) = %v, want ErrNoGallery", err)
+	}
+	m, err := live.Create(filepath.Join(t.TempDir(), "live"), 2, nil, live.Options{NoSync: true})
 	if err != nil {
-		t.Fatalf("New(nil): %v", err)
+		t.Fatalf("live.Create: %v", err)
 	}
-	if _, err := a.Identify(context.Background(), []float64{1, 2}); !errors.Is(err, ErrNoGallery) {
-		t.Errorf("Identify without gallery: %v", err)
+	defer m.Close()
+	a, err := New(nil, WithMutableGallery(m))
+	if err != nil {
+		t.Fatalf("New(nil, WithMutableGallery): %v", err)
 	}
-	if _, err := a.IdentifyBatch(context.Background(), linalg.NewMatrix(2, 2)); !errors.Is(err, ErrNoGallery) {
-		t.Errorf("IdentifyBatch without gallery: %v", err)
-	}
-	in := make(chan Probe, 1)
-	in <- Probe{ID: "p", Vector: []float64{1, 2}}
-	close(in)
-	r := <-a.IdentifyStream(context.Background(), in)
-	if !errors.Is(r.Err, ErrNoGallery) {
-		t.Errorf("stream without gallery: %v", r.Err)
+	if a.Gallery() == nil || a.Mutable() == nil {
+		t.Errorf("WithMutableGallery session: Gallery %v, Mutable %v", a.Gallery(), a.Mutable())
 	}
 }
 
 func TestSessionTimeout(t *testing.T) {
 	a, _, probes := testSession(t, 1)
-	s, err := New(a.Gallery(), WithConfig(a.Config()), WithTimeout(time.Nanosecond))
+	s, err := New(a.Gallery(), WithTimeout(time.Nanosecond))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	time.Sleep(time.Millisecond) // let the 1ns budget expire deterministically
 	if _, err := s.Identify(context.Background(), probes.Col(0)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Identify under expired session timeout: %v", err)
-	}
-}
-
-// smallHCP generates a small HCP-like cohort for registry tests.
-func smallHCP(t *testing.T) *synth.HCPCohort {
-	t.Helper()
-	p := synth.DefaultHCPParams()
-	p.Subjects = 8
-	p.Regions = 30
-	p.RestFrames = 120
-	p.TaskFrames = 90
-	c, err := synth.GenerateHCP(p)
-	if err != nil {
-		t.Fatalf("GenerateHCP: %v", err)
-	}
-	return c
-}
-
-func smallADHD(t *testing.T) *synth.ADHDCohort {
-	t.Helper()
-	p := synth.DefaultADHDParams()
-	p.Controls = 8
-	p.Subtype1 = 5
-	p.Subtype2 = 0
-	p.Subtype3 = 4
-	p.Regions = 36
-	p.Frames = 120
-	c, err := synth.GenerateADHD(p)
-	if err != nil {
-		t.Fatalf("GenerateADHD: %v", err)
-	}
-	return c
-}
-
-func TestRunExperimentRegistry(t *testing.T) {
-	cfg := core.DefaultAttackConfig()
-	cfg.Features = 60
-	a, err := New(nil, WithConfig(cfg))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	res, err := a.RunExperiment(context.Background(), "fig1", Input{HCP: smallHCP(t)})
-	if err != nil {
-		t.Fatalf("RunExperiment(fig1): %v", err)
-	}
-	if res.Render() == "" {
-		t.Error("empty rendering")
-	}
-	if _, err := a.RunExperiment(context.Background(), "fig99", Input{}); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-	if _, err := a.RunExperiment(context.Background(), "fig1", Input{}); err == nil {
-		t.Error("missing HCP cohort accepted")
-	}
-	if _, err := a.RunExperiment(context.Background(), "fig7", Input{}); err == nil {
-		t.Error("missing ADHD cohort accepted")
-	}
-}
-
-func TestRegistryShape(t *testing.T) {
-	names := Names()
-	want := []string{"fig1", "fig2", "fig5", "fig6", "table1", "fig7", "fig8", "fig9", "table2", "defense", "gallery-defense"}
-	if len(names) != len(want) {
-		t.Fatalf("registry has %d experiments, want %d", len(names), len(want))
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("registry[%d] = %q, want %q", i, names[i], want[i])
-		}
-	}
-	for _, e := range Experiments() {
-		if e.Synopsis == "" {
-			t.Errorf("experiment %q has no synopsis", e.Name)
-		}
-		if !e.NeedsHCP && !e.NeedsADHD && e.Name != "gallery-defense" {
-			// gallery-defense synthesizes its own cohort; every other
-			// experiment must declare at least one input cohort.
-			t.Errorf("experiment %q declares no cohorts", e.Name)
-		}
-		if _, ok := Find(e.Name); !ok {
-			t.Errorf("Find(%q) failed", e.Name)
-		}
-	}
-}
-
-// TestRunExperimentPreCancelled: a cancelled context never starts work.
-func TestRunExperimentPreCancelled(t *testing.T) {
-	a, err := New(nil)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	if _, err := a.RunExperiment(ctx, "table2", Input{HCP: smallHCP(t), ADHD: smallADHD(t), Trials: 50}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled RunExperiment: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("pre-cancelled abort took %v", elapsed)
-	}
-}
-
-// TestRunExperimentMidRunCancel is the acceptance criterion: cancelling
-// mid-run aborts a long experiment in well under a second, where the
-// full grid (3 noise levels × 400 trials) would take minutes.
-func TestRunExperimentMidRunCancel(t *testing.T) {
-	cfg := core.DefaultAttackConfig()
-	cfg.Features = 60
-	cfg.Parallelism = 2
-	a, err := New(nil, WithConfig(cfg))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	in := Input{HCP: smallHCP(t), ADHD: smallADHD(t), Trials: 400, Seed: 3}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err = a.RunExperiment(ctx, "table2", in)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-run cancel: err = %v, want context.Canceled", err)
-	}
-	if budget := cancelBudget(); elapsed > budget {
-		t.Fatalf("mid-run cancel took %v, want < %v", elapsed, budget)
-	}
-}
-
-// TestDeanonymizeCancelPaperScale cancels the dense attack at the
-// paper's dimensions (64620 features × 100 subjects) and requires the
-// abort inside a second — the serial sweep alone costs ~650M multiplies.
-func TestDeanonymizeCancelPaperScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper-scale matrices")
-	}
-	cfg := core.AttackConfig{Features: 0, Parallelism: 1} // full space, serial
-	a, err := New(nil, WithConfig(cfg))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	known := randGroup(64620, 100, 11)
-	anon := randGroup(64620, 100, 12)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = a.Deanonymize(ctx, known, anon)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if budget := cancelBudget(); elapsed > budget {
-		t.Fatalf("paper-scale abort took %v, want < %v", elapsed, budget)
 	}
 }
 

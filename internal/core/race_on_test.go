@@ -1,6 +1,6 @@
 //go:build race
 
-package attacker
+package core
 
 // raceEnabled reports whether the race detector instruments this test
 // binary; timing assertions widen under it (see cancelBudget).

@@ -73,9 +73,9 @@ const DefaultTransferTrials = 10
 // (97.2 ± 0.9% for cases, 94.12 ± 3.4% for the full cases+controls
 // cohort).
 type Figure9Result struct {
-	Similarity    *SimilarityResult
-	CasesTransfer stats.Summary // test accuracy, case subjects only
-	MixedTransfer stats.Summary // test accuracy, cases + controls
+	Similarity    *SimilarityResult // full-cohort inter-session similarity
+	CasesTransfer stats.Summary     // test accuracy, case subjects only
+	MixedTransfer stats.Summary     // test accuracy, cases + controls
 }
 
 // Render prints the similarity heatmap and transfer accuracies.

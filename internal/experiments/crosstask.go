@@ -17,7 +17,7 @@ import (
 // by REST1) and the column condition is anonymous (R-L scans, REST
 // represented by REST2).
 type CrossTaskResult struct {
-	Conditions []synth.Task
+	Conditions []synth.Task   // row and column order
 	Accuracy   *linalg.Matrix // rows = known condition, cols = anonymous condition
 }
 

@@ -28,8 +28,8 @@ func DefaultDefenseSigmas() []float64 { return []float64{0.05, 0.15, 0.3} }
 // DefenseRow is one cell of the defense sweep: a strategy at a noise
 // level, with the privacy and utility outcomes.
 type DefenseRow struct {
-	Strategy defense.Strategy
-	Sigma    float64
+	Strategy defense.Strategy // where the noise budget is spent
+	Sigma    float64          // noise level
 	// IdentificationAcc is the attacker's accuracy on the protected
 	// release (privacy: lower is better for the publisher).
 	IdentificationAcc float64
@@ -46,7 +46,7 @@ type DefenseRow struct {
 
 // DefenseResult is the full privacy/utility sweep of the §4 defense.
 type DefenseResult struct {
-	Rows []DefenseRow
+	Rows []DefenseRow // one per strategy × sigma
 }
 
 // Render prints the sweep as a table.

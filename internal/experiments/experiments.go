@@ -2,7 +2,9 @@
 // evaluation (§3.3) on the synthetic cohorts: one driver function per
 // experiment, each returning a structured result with a Render method
 // that prints the same rows or picture the paper reports. DESIGN.md maps
-// each driver to its paper artifact.
+// each driver to its paper artifact. The registry (registry.go) names
+// every driver; Run dispatches by name under one core.AttackConfig, and
+// the CLI's experiment list and usage text derive from it.
 //
 // Every driver takes a context.Context first: the grid sweeps and group
 // builds underneath run on parallel.ForCtx, so a cancelled context

@@ -17,9 +17,9 @@ import (
 // identification accuracy at each noise-variance level for the HCP-like
 // and ADHD-like cohorts.
 type Table2Result struct {
-	Levels []float64 // noise variance fractions (0.1, 0.2, 0.3 in the paper)
-	HCP    []stats.Summary
-	ADHD   []stats.Summary
+	Levels []float64       // noise variance fractions (0.1, 0.2, 0.3 in the paper)
+	HCP    []stats.Summary // HCP-like accuracy per level
+	ADHD   []stats.Summary // ADHD-like accuracy per level
 }
 
 // Render prints the table in the paper's format.

@@ -13,8 +13,8 @@ import (
 // Table1Result holds per-task performance-prediction errors, the rows of
 // the paper's Table 1.
 type Table1Result struct {
-	Tasks []synth.Task
-	Rows  map[synth.Task]*core.PerformanceResult
+	Tasks []synth.Task                           // table row order
+	Rows  map[synth.Task]*core.PerformanceResult // prediction error per task
 }
 
 // Render prints the table in the paper's format.

@@ -1,4 +1,4 @@
-package attacker
+package experiments
 
 import (
 	"context"
@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"brainprint/internal/core"
-	"brainprint/internal/experiments"
 	"brainprint/internal/synth"
 	"brainprint/internal/tsne"
 )
@@ -22,7 +21,7 @@ type Result interface {
 // Input carries the datasets and sweep parameters of one experiment
 // run. Zero values mean "the defaults the CLI has always used"; the
 // attack configuration itself (feature budget, selection method,
-// parallelism) comes from the session, not the input.
+// parallelism) is Run's cfg argument, not part of the input.
 type Input struct {
 	// HCP is the HCP-like cohort (required when the experiment's spec
 	// says NeedsHCP).
@@ -46,13 +45,13 @@ type Input struct {
 	// 0.8).
 	Sigmas []float64
 	// DefenseTopFeatures is the targeted-noise feature budget (default
-	// twice the session's feature budget).
+	// twice the configured feature budget).
 	DefenseTopFeatures int
 	// TSNE overrides the t-SNE configuration of the clustering attack
 	// (default perplexity 20, 400 iterations, seeded from Seed).
 	TSNE *tsne.Config
 	// Performance overrides the Table 1 regression configuration
-	// (default: the session's feature budget, 4×Trials resampling
+	// (default: the configured feature budget, 4×Trials resampling
 	// splits — the CLI's historical stabilizing multiplier — and Seed).
 	Performance *core.PerformanceConfig
 	// DefenseSubjects is the gallery-defense sweep cohort size
@@ -75,7 +74,7 @@ type Input struct {
 	DefenseEpsilons []float64
 }
 
-// withDefaults resolves the zero values against the session config.
+// withDefaults resolves the zero values against the attack config.
 func (in Input) withDefaults(cfg core.AttackConfig) Input {
 	if in.Trials <= 0 {
 		in.Trials = 5
@@ -123,18 +122,7 @@ type Experiment struct {
 	// NeedsADHD declares that Run requires an ADHD-like cohort.
 	NeedsADHD bool
 
-	run func(ctx context.Context, a *Attacker, in Input) (Result, error)
-}
-
-// Run executes the experiment after validating its inputs.
-func (e Experiment) Run(ctx context.Context, a *Attacker, in Input) (Result, error) {
-	if e.NeedsHCP && in.HCP == nil {
-		return nil, fmt.Errorf("attacker: experiment %q needs an HCP cohort", e.Name)
-	}
-	if e.NeedsADHD && in.ADHD == nil {
-		return nil, fmt.Errorf("attacker: experiment %q needs an ADHD cohort", e.Name)
-	}
-	return e.run(ctx, a, in.withDefaults(a.cfg))
+	run func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error)
 }
 
 // registry lists every experiment in the canonical "all" execution
@@ -142,75 +130,75 @@ func (e Experiment) Run(ctx context.Context, a *Attacker, in Input) (Result, err
 var registry = []Experiment{
 	{
 		Name: "fig1", Synopsis: "resting-state pairwise similarity (Figure 1)", NeedsHCP: true,
-		run: func(ctx context.Context, a *Attacker, in Input) (Result, error) {
-			return experiments.Figure1(ctx, in.HCP, a.cfg)
+		run: func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error) {
+			return Figure1(ctx, in.HCP, cfg)
 		},
 	},
 	{
 		Name: "fig2", Synopsis: "language-task pairwise similarity (Figure 2)", NeedsHCP: true,
-		run: func(ctx context.Context, a *Attacker, in Input) (Result, error) {
-			return experiments.Figure2(ctx, in.HCP, a.cfg)
+		run: func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error) {
+			return Figure2(ctx, in.HCP, cfg)
 		},
 	},
 	{
 		Name: "fig5", Synopsis: "cross-task identification accuracy matrix (Figure 5)", NeedsHCP: true,
-		run: func(ctx context.Context, a *Attacker, in Input) (Result, error) {
-			return experiments.Figure5(ctx, in.HCP, a.cfg)
+		run: func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error) {
+			return Figure5(ctx, in.HCP, cfg)
 		},
 	},
 	{
 		Name: "fig6", Synopsis: "t-SNE task clustering and prediction (Figure 6)", NeedsHCP: true,
-		run: func(ctx context.Context, a *Attacker, in Input) (Result, error) {
-			return experiments.Figure6(ctx, in.HCP, in.KnownFraction, *in.TSNE, in.Seed)
+		run: func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error) {
+			return Figure6(ctx, in.HCP, in.KnownFraction, *in.TSNE, in.Seed)
 		},
 	},
 	{
 		Name: "table1", Synopsis: "task-performance prediction error (Table 1)", NeedsHCP: true,
-		run: func(ctx context.Context, a *Attacker, in Input) (Result, error) {
-			return experiments.Table1(ctx, in.HCP, *in.Performance)
+		run: func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error) {
+			return Table1(ctx, in.HCP, *in.Performance)
 		},
 	},
 	{
 		Name: "fig7", Synopsis: "ADHD subtype-1 inter-session similarity (Figure 7)", NeedsADHD: true,
-		run: func(ctx context.Context, a *Attacker, in Input) (Result, error) {
-			return experiments.Figure7(ctx, in.ADHD, a.cfg)
+		run: func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error) {
+			return Figure7(ctx, in.ADHD, cfg)
 		},
 	},
 	{
 		Name: "fig8", Synopsis: "ADHD subtype-3 inter-session similarity (Figure 8)", NeedsADHD: true,
-		run: func(ctx context.Context, a *Attacker, in Input) (Result, error) {
-			return experiments.Figure8(ctx, in.ADHD, a.cfg)
+		run: func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error) {
+			return Figure8(ctx, in.ADHD, cfg)
 		},
 	},
 	{
 		Name: "fig9", Synopsis: "full ADHD cohort with leverage transfer (Figure 9)", NeedsADHD: true,
-		run: func(ctx context.Context, a *Attacker, in Input) (Result, error) {
-			return experiments.Figure9(ctx, in.ADHD, a.cfg, in.Trials, in.TrainFraction, in.Seed)
+		run: func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error) {
+			return Figure9(ctx, in.ADHD, cfg, in.Trials, in.TrainFraction, in.Seed)
 		},
 	},
 	{
 		Name: "table2", Synopsis: "multi-site noise robustness sweep (Table 2)", NeedsHCP: true, NeedsADHD: true,
-		run: func(ctx context.Context, a *Attacker, in Input) (Result, error) {
-			return experiments.Table2(ctx, in.HCP, in.ADHD, in.NoiseLevels, in.Trials, a.cfg, in.Seed)
+		run: func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error) {
+			return Table2(ctx, in.HCP, in.ADHD, in.NoiseLevels, in.Trials, cfg, in.Seed)
 		},
 	},
 	{
 		Name: "defense", Synopsis: "targeted vs uniform release-noise defense (§4)", NeedsHCP: true,
-		run: func(ctx context.Context, a *Attacker, in Input) (Result, error) {
-			return experiments.DefenseSweep(ctx, in.HCP, in.Sigmas, in.DefenseTopFeatures, a.cfg, in.Seed)
+		run: func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error) {
+			return DefenseSweep(ctx, in.HCP, in.Sigmas, in.DefenseTopFeatures, cfg, in.Seed)
 		},
 	},
 	{
 		Name: "gallery-defense", Synopsis: "gallery anonymization attack-vs-utility sweep (k-same, DP noise)",
-		run: func(ctx context.Context, a *Attacker, in Input) (Result, error) {
-			return experiments.GalleryDefenseSweep(ctx, experiments.GalleryDefenseConfig{
+		run: func(ctx context.Context, cfg core.AttackConfig, in Input) (Result, error) {
+			return GalleryDefenseSweep(ctx, GalleryDefenseConfig{
 				Subjects:    in.DefenseSubjects,
 				Features:    in.DefenseFeatures,
 				Clusters:    in.DefenseClusters,
 				TopK:        in.DefenseTopK,
 				KSameKs:     in.DefenseKSameKs,
 				Epsilons:    in.DefenseEpsilons,
-				Parallelism: a.cfg.Parallelism,
+				Parallelism: cfg.Parallelism,
 				Seed:        in.Seed,
 			})
 		},
@@ -242,16 +230,20 @@ func Find(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunExperiment runs one registered experiment by name under the
-// session's configuration and deadline. Unknown names list the valid
-// ones; a cancelled context aborts the sweep between grid cells and
-// surfaces ctx.Err().
-func (a *Attacker) RunExperiment(ctx context.Context, name string, in Input) (Result, error) {
+// Run runs one registered experiment by name under the attack
+// configuration cfg. Unknown names list the valid ones, and a missing
+// cohort the experiment needs is an error; a cancelled context aborts
+// the sweep between grid cells and surfaces ctx.Err().
+func Run(ctx context.Context, name string, cfg core.AttackConfig, in Input) (Result, error) {
 	e, ok := Find(name)
 	if !ok {
-		return nil, fmt.Errorf("attacker: unknown experiment %q (want one of %s)", name, strings.Join(Names(), ", "))
+		return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %s)", name, strings.Join(Names(), ", "))
 	}
-	ctx, cancel := a.deadline(ctx)
-	defer cancel()
-	return e.Run(ctx, a, in)
+	if e.NeedsHCP && in.HCP == nil {
+		return nil, fmt.Errorf("experiments: experiment %q needs an HCP cohort", e.Name)
+	}
+	if e.NeedsADHD && in.ADHD == nil {
+		return nil, fmt.Errorf("experiments: experiment %q needs an ADHD cohort", e.Name)
+	}
+	return e.run(ctx, cfg, in.withDefaults(cfg))
 }

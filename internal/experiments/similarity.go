@@ -17,13 +17,13 @@ import (
 // reduced feature space, its diagonal contrast, and the identification
 // accuracy it implies.
 type SimilarityResult struct {
-	Name     string
-	Sim      *linalg.Matrix
-	DiagMean float64
-	OffMean  float64
-	Accuracy float64
-	NumFeat  int
-	NumSubj  int
+	Name     string         // figure title
+	Sim      *linalg.Matrix // known × anonymous subject similarity
+	DiagMean float64        // mean same-subject similarity
+	OffMean  float64        // mean different-subject similarity
+	Accuracy float64        // identification accuracy
+	NumFeat  int            // features the attack selected
+	NumSubj  int            // subjects per session
 }
 
 // Render prints the result as an ASCII heatmap with summary statistics,

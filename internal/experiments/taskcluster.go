@@ -17,13 +17,13 @@ import (
 // every scan (one per subject per condition), the task-prediction
 // accuracy via nearest known neighbour, and per-task accuracies.
 type TaskClusterResult struct {
-	Conditions []synth.Task
-	Embedding  *linalg.Matrix
-	Labels     []int
-	Known      []bool
-	KL         float64
-	Accuracy   float64
-	PerTask    map[synth.Task]float64
+	Conditions []synth.Task           // task label i is Conditions[i]
+	Embedding  *linalg.Matrix         // scans × 2 t-SNE coordinates
+	Labels     []int                  // true task label per scan
+	Known      []bool                 // scans whose label the attacker knows
+	KL         float64                // final t-SNE KL divergence
+	Accuracy   float64                // task-prediction accuracy on unknown scans
+	PerTask    map[synth.Task]float64 // that accuracy per task
 }
 
 // Render prints the cluster scatter and the accuracy summary.

@@ -71,8 +71,10 @@ type Engine interface {
 	// ranked top-k list per probe.
 	QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, parallelism int) ([][]Candidate, error)
 	// DenseSimilarityCtx materializes the full subjects×probes
-	// similarity matrix, rows in canonical index order.
-	DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error)
+	// similarity matrix, rows in canonical index order, and returns the
+	// subject IDs labelling those rows, taken from the same snapshot the
+	// rows were scored from; the caller must not mutate them.
+	DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, []string, error)
 	// SetANNProbe selects how many index cells a query scans
 	// (0 disables the index and returns to the exact sweep). Enabling
 	// requires a loaded index. Not safe to call concurrently with

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -180,13 +181,16 @@ func assertEnginesAgreeAt(t *testing.T, phase string, cold *shard.Store, e *Engi
 		}
 		// Dense rows match per subject ID (row order differs between
 		// enumerations; scores must be the same bits).
-		wantDense, err := cold.DenseSimilarityCtx(t.Context(), probes, par)
+		wantDense, _, err := cold.DenseSimilarityCtx(t.Context(), probes, par)
 		if err != nil {
 			t.Fatalf("%s: cold Dense: %v", name, err)
 		}
-		gotDense, err := e.DenseSimilarityCtx(t.Context(), probes, par)
+		gotDense, gotIDs, err := e.DenseSimilarityCtx(t.Context(), probes, par)
 		if err != nil {
 			t.Fatalf("%s: live Dense: %v", name, err)
+		}
+		if !slices.Equal(gotIDs, e.IDs()) {
+			t.Fatalf("%s: live dense row labels %v, engine IDs %v", name, gotIDs, e.IDs())
 		}
 		_, m := wantDense.Dims()
 		for gi, id := range cold.IDs() {

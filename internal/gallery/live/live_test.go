@@ -236,7 +236,7 @@ func TestCompactEverythingDeleted(t *testing.T) {
 	if e.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", e.Len())
 	}
-	if _, err := e.TopK(group.Col(0), 1); err == nil {
+	if _, err := e.TopKCtx(context.Background(), group.Col(0), 1, 0); err == nil {
 		t.Fatal("TopK on empty engine should error")
 	}
 	if err := e.Close(); err != nil {

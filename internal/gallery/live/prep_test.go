@@ -58,7 +58,7 @@ func TestProbePrepSharedAcrossEngines(t *testing.T) {
 		for _, en := range engines {
 			ctx := context.Background()
 			ranked, err := en.e.QueryAllCtx(ctx, tc.probes, k, 1)
-			dense, derr := en.e.DenseSimilarityCtx(ctx, tc.probes, 1)
+			dense, _, derr := en.e.DenseSimilarityCtx(ctx, tc.probes, 1)
 			var single []gallery.Candidate
 			serr := err
 			if _, cols := tc.probes.Dims(); cols > 0 {

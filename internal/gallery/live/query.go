@@ -36,13 +36,8 @@ import (
 // so delete-heavy workloads should compact (or set Options.
 // CompactAfter) rather than accumulate an unbounded overlay.
 
-// TopK ranks the k enrolled subjects most correlated with the probe,
-// best first, using the default worker count.
-func (e *Engine) TopK(probe []float64, k int) ([]gallery.Candidate, error) {
-	return e.TopKCtx(context.Background(), probe, k, 0)
-}
-
-// TopKCtx is TopK under a context and with an explicit parallelism knob
+// TopKCtx ranks the k enrolled subjects most correlated with the probe,
+// best first, under a context and an explicit parallelism knob
 // (0 = all cores, 1 = serial, n = n workers; results are identical at
 // any setting): the sweep aborts between chunks once ctx is cancelled
 // and returns ctx.Err(). The probe may be a gallery-space vector or a
@@ -66,17 +61,12 @@ func (e *Engine) TopKCtx(ctx context.Context, probe []float64, k, parallelism in
 	return lists[0], nil
 }
 
-// QueryAll answers a batch of probes — the columns of a features×probes
-// matrix — returning one ranked top-k list per probe.
-func (e *Engine) QueryAll(probes *linalg.Matrix, k int) ([][]gallery.Candidate, error) {
-	return e.QueryAllCtx(context.Background(), probes, k, 0)
-}
-
-// QueryAllCtx is QueryAll under a context and with an explicit
-// parallelism knob. Probes normalize through gallery.PrepProbes like
-// every other engine's, so batch scores stay bit-identical; the batch
-// aborts between probes once ctx is cancelled. Rankings are identical
-// at any setting.
+// QueryAllCtx answers a batch of probes — the columns of a
+// features×probes matrix — returning one ranked top-k list per probe,
+// under a context and an explicit parallelism knob. Probes normalize
+// through gallery.PrepProbes like every other engine's, so batch scores
+// stay bit-identical; the batch aborts between probes once ctx is
+// cancelled. Rankings are identical at any setting.
 func (e *Engine) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, parallelism int) ([][]gallery.Candidate, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -93,12 +83,18 @@ func (e *Engine) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, para
 
 // DenseSimilarityCtx materializes the full engine×probes similarity
 // matrix, rows in live enumeration order — the exact fallback the
-// Hungarian assignment path consumes. The row sweep aborts between
-// chunks once ctx is cancelled.
-func (e *Engine) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
+// Hungarian assignment path consumes. The row labels are copied under
+// the same read lock as the sweep, so a mutation after the call cannot
+// relabel a row. The row sweep aborts between chunks once ctx is
+// cancelled.
+func (e *Engine) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, []string, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return gallery.DenseSimilarity(ctx, probes, len(e.ids), e.features, e.fidx, e.fingerprint, parallelism)
+	sim, err := gallery.DenseSimilarity(ctx, probes, len(e.ids), e.features, e.fidx, e.fingerprint, parallelism)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sim, append([]string(nil), e.ids...), nil
 }
 
 // queryZ is the merged sweep over z-scored, gallery-space probes: the

@@ -70,7 +70,7 @@ func BenchmarkShardTopK(b *testing.B) {
 		b.Run("single/"+scale, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ranked, err := single.QueryAll(anon, k)
+				ranked, err := single.QueryAllCtx(context.Background(), anon, k, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func BenchmarkShardTopK(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAll(anon, k)
+				ranked, err := s.QueryAllCtx(context.Background(), anon, k, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -100,7 +100,7 @@ func BenchmarkShardTopK(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAll(anon, k)
+				ranked, err := s.QueryAllCtx(context.Background(), anon, k, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -152,7 +152,7 @@ func BenchmarkShardTopK1M(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAll(anon, k)
+				ranked, err := s.QueryAllCtx(context.Background(), anon, k, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"brainprint/internal/gallery"
@@ -88,9 +89,12 @@ func testShardedTopKBitIdenticalToSingleFile(t *testing.T) {
 			}
 			// Dense path: same scores per (subject, probe) pair, rows
 			// remapped through the store's global enumeration.
-			dense, err := s.DenseSimilarityCtx(context.Background(), anon, par)
+			dense, ids, err := s.DenseSimilarityCtx(context.Background(), anon, par)
 			if err != nil {
 				t.Fatalf("%s: DenseSimilarity: %v", name, err)
+			}
+			if !slices.Equal(ids, s.IDs()) {
+				t.Fatalf("%s: dense row labels %v, store IDs %v", name, ids, s.IDs())
 			}
 			for gi := 0; gi < s.Len(); gi++ {
 				srcIdx := g.Index(s.ID(gi))
@@ -157,7 +161,7 @@ func TestQueryCancellation(t *testing.T) {
 	if _, err := s.QueryAllCtx(ctx, randomGroup(63, 32, 4), 5, 0); err != context.Canceled {
 		t.Fatalf("QueryAllCtx(cancelled) = %v, want context.Canceled", err)
 	}
-	if _, err := s.DenseSimilarityCtx(ctx, randomGroup(64, 32, 4), 0); err != context.Canceled {
+	if _, _, err := s.DenseSimilarityCtx(ctx, randomGroup(64, 32, 4), 0); err != context.Canceled {
 		t.Fatalf("DenseSimilarityCtx(cancelled) = %v, want context.Canceled", err)
 	}
 }
@@ -171,11 +175,11 @@ func TestQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromGallery: %v", err)
 	}
-	if _, err := s.TopK(make([]float64, 8), 0); err == nil {
+	if _, err := s.TopKCtx(context.Background(), make([]float64, 8), 0, 0); err == nil {
 		t.Fatal("TopK(k=0) succeeded")
 	}
 	// k beyond the store clamps.
-	top, err := s.TopK(make([]float64, 8), 99)
+	top, err := s.TopKCtx(context.Background(), make([]float64, 8), 99, 0)
 	if err != nil {
 		t.Fatalf("TopK(k=99): %v", err)
 	}

@@ -119,7 +119,7 @@ func assertRanked(t *testing.T, name string, got, want [][]gallery.Candidate) {
 func assertEngine(t *testing.T, name string, eng gallery.Engine, probes *linalg.Matrix) {
 	t.Helper()
 	ctx := context.Background()
-	dense, err := eng.DenseSimilarityCtx(ctx, probes, 0)
+	dense, _, err := eng.DenseSimilarityCtx(ctx, probes, 0)
 	if err != nil {
 		t.Fatalf("%s: DenseSimilarityCtx: %v", name, err)
 	}
@@ -198,7 +198,7 @@ func testScanCrossesUnitAndShardBoundaries(t *testing.T) {
 		// Mask the records on both sides of every shard's first unit
 		// boundary and of every shard boundary, plus each probe's
 		// unmasked winner so the mask always changes the answer.
-		dense, err := s.DenseSimilarityCtx(ctx, probes, 0)
+		dense, _, err := s.DenseSimilarityCtx(ctx, probes, 0)
 		if err != nil {
 			t.Fatalf("%s: DenseSimilarityCtx: %v", name, err)
 		}

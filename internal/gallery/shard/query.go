@@ -16,20 +16,15 @@ import (
 // count, and shard placement; see the package comment for the full
 // determinism argument.
 
-// TopK ranks the k enrolled subjects most correlated with the probe,
-// best first, using the default worker count. The probe may be a
-// gallery-space vector (len == Features()) or a raw vector when the
-// store carries a feature index; it is projected and z-scored once,
-// never mutated. k larger than the store is clamped.
-func (s *Store) TopK(probe []float64, k int) ([]gallery.Candidate, error) {
-	return s.TopKCtx(context.Background(), probe, k, 0)
-}
-
-// TopKCtx is TopK under a context and with an explicit parallelism knob
-// (0 = all cores, 1 = serial, n = n workers): the sweep aborts between
-// scan units once ctx is cancelled and returns ctx.Err(). Results are
-// identical at any setting and any shard count. Scores are bit-identical
-// to match.SimilarityMatrix, and exact score ties rank by subject ID
+// TopKCtx ranks the k enrolled subjects most correlated with the probe,
+// best first. The probe may be a gallery-space vector (len ==
+// Features()) or a raw vector when the store carries a feature index;
+// it is projected and z-scored once, never mutated. k larger than the
+// store is clamped. parallelism is the worker knob (0 = all cores,
+// 1 = serial, n = n workers): the sweep aborts between scan units once
+// ctx is cancelled and returns ctx.Err(). Results are identical at any
+// setting and any shard count. Scores are bit-identical to
+// match.SimilarityMatrix, and exact score ties rank by subject ID
 // (gallery.BetterByID), the order every engine uses.
 func (s *Store) TopKCtx(ctx context.Context, probe []float64, k, parallelism int) ([]gallery.Candidate, error) {
 	k, err := gallery.ClampK(k, s.total)
@@ -47,18 +42,12 @@ func (s *Store) TopKCtx(ctx context.Context, probe []float64, k, parallelism int
 	return lists[0], nil
 }
 
-// QueryAll answers a batch of probes — the columns of a features×probes
-// matrix — returning one ranked top-k list per probe, using the default
-// worker count.
-func (s *Store) QueryAll(probes *linalg.Matrix, k int) ([][]gallery.Candidate, error) {
-	return s.QueryAllCtx(context.Background(), probes, k, 0)
-}
-
-// QueryAllCtx is QueryAll under a context and with an explicit
-// parallelism knob. Probes are z-scored once up front (the same
-// match.ZScoreColumns path the dense attack uses); the batch aborts
-// between scan units once ctx is cancelled. Rankings are identical at
-// any setting.
+// QueryAllCtx answers a batch of probes — the columns of a
+// features×probes matrix — returning one ranked top-k list per probe,
+// under a context and an explicit parallelism knob. Probes are z-scored
+// once up front (the same match.ZScoreColumns path the dense attack
+// uses); the batch aborts between scan units once ctx is cancelled.
+// Rankings are identical at any setting.
 func (s *Store) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, parallelism int) ([][]gallery.Candidate, error) {
 	k, err := gallery.ClampK(k, s.total)
 	if err != nil {
@@ -74,8 +63,13 @@ func (s *Store) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, paral
 // DenseSimilarityCtx materializes the full store×probes similarity
 // matrix, rows in global index order — the exact fallback the Hungarian
 // assignment path consumes. Entries are bit-identical to
-// match.SimilarityMatrix over the same subjects. The row sweep
-// aborts between chunks once ctx is cancelled.
-func (s *Store) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
-	return gallery.DenseSimilarity(ctx, probes, s.total, s.features, s.featureIndex, s.Fingerprint, parallelism)
+// match.SimilarityMatrix over the same subjects; the row labels are
+// the store's immutable IDs. The row sweep aborts between chunks once
+// ctx is cancelled.
+func (s *Store) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, []string, error) {
+	sim, err := gallery.DenseSimilarity(ctx, probes, s.total, s.features, s.featureIndex, s.Fingerprint, parallelism)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sim, s.allIDs, nil
 }

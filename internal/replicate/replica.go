@@ -663,8 +663,8 @@ func (r *Replica) QueryAllCtx(ctx context.Context, probes *linalg.Matrix, k, par
 }
 
 // DenseSimilarityCtx materializes the full subjects×probes similarity
-// matrix.
-func (r *Replica) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
+// matrix and its row labels, both from one engine.
+func (r *Replica) DenseSimilarityCtx(ctx context.Context, probes *linalg.Matrix, parallelism int) (*linalg.Matrix, []string, error) {
 	return r.Engine().DenseSimilarityCtx(ctx, probes, parallelism)
 }
 

@@ -178,8 +178,7 @@ func New(atk *attacker.Attacker, cfg Config) (*Server, error) {
 	if atk == nil {
 		return nil, fmt.Errorf("serve: nil attacker session")
 	}
-	g := atk.Gallery()
-	if g == nil || (g.Len() == 0 && atk.Mutable() == nil) {
+	if atk.Gallery().Len() == 0 && atk.Mutable() == nil {
 		return nil, fmt.Errorf("serve: session has no enrolled gallery")
 	}
 	cfg = cfg.withDefaults(atk.Parallelism())

@@ -13,16 +13,16 @@ import (
 	"time"
 
 	"brainprint/internal/attacker"
-	"brainprint/internal/core"
 	"brainprint/internal/gallery"
 	"brainprint/internal/gallery/shard"
 	"brainprint/internal/linalg"
+	"brainprint/internal/sampling"
 )
 
 // testGallery enrolls a deterministic gallery and returns it with its
 // attack configuration and the raw probe group (columns correlate with
 // the same-index enrolled subject).
-func testGallery(t *testing.T) (*gallery.Gallery, core.AttackConfig, *linalg.Matrix) {
+func testGallery(t *testing.T) (*gallery.Gallery, *linalg.Matrix) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	const features, subjects = 300, 16
@@ -38,12 +38,16 @@ func testGallery(t *testing.T) (*gallery.Gallery, core.AttackConfig, *linalg.Mat
 		known.SetCol(j, k)
 		probes.SetCol(j, p)
 	}
-	acfg := core.DefaultAttackConfig()
-	acfg.Features = 60
-	fps, idx, err := core.Fingerprints(known, acfg)
+	// The paper's principal features: the 60 highest-leverage rows.
+	p, err := sampling.Probabilities(known, sampling.Leverage)
 	if err != nil {
-		t.Fatalf("Fingerprints: %v", err)
+		t.Fatalf("Probabilities: %v", err)
 	}
+	idx, err := sampling.TopK(p, 60)
+	if err != nil {
+		t.Fatalf("TopK: %v", err)
+	}
+	fps := known.SelectRows(idx)
 	g := gallery.WithFeatureIndex(idx)
 	ids := make([]string, subjects)
 	for i := range ids {
@@ -52,15 +56,15 @@ func testGallery(t *testing.T) (*gallery.Gallery, core.AttackConfig, *linalg.Mat
 	if err := g.EnrollMatrix(ids, fps); err != nil {
 		t.Fatalf("EnrollMatrix: %v", err)
 	}
-	return g, acfg, probes
+	return g, probes
 }
 
 // testService serves testGallery as a one-shard store and returns the
 // service, its session, and the raw probe group.
 func testService(t *testing.T, cfg Config) (*Server, *attacker.Attacker, *linalg.Matrix) {
 	t.Helper()
-	g, acfg, probes := testGallery(t)
-	atk, err := attacker.New(shard.Wrap(g), attacker.WithConfig(acfg), attacker.WithTopK(3))
+	g, probes := testGallery(t)
+	atk, err := attacker.New(shard.Wrap(g), attacker.WithTopK(3))
 	if err != nil {
 		t.Fatalf("attacker.New: %v", err)
 	}
@@ -202,7 +206,7 @@ func TestGalleryEndpoint(t *testing.T) {
 // session the rest of this file exercises.
 func TestShardedStoreService(t *testing.T) {
 	single, _, probes := testService(t, Config{})
-	g, _, _ := testGallery(t)
+	g, _ := testGallery(t)
 	store, err := shard.FromGallery(g, 4, false)
 	if err != nil {
 		t.Fatalf("FromGallery: %v", err)
@@ -360,12 +364,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("nil session accepted")
 	}
-	atk, err := attacker.New(nil)
+	atk, err := attacker.New(shard.Wrap(gallery.New(4)))
 	if err != nil {
 		t.Fatalf("attacker.New: %v", err)
 	}
 	if _, err := New(atk, Config{}); err == nil {
-		t.Error("gallery-less session accepted")
+		t.Error("empty read-only gallery accepted")
 	}
 }
 

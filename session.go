@@ -1,10 +1,9 @@
 package brainprint
 
 // The context-aware session API: a stateful Attacker owns the enrolled
-// fingerprint gallery and the attack configuration, and serves probes,
-// batches, streams, and whole experiments under a context.Context. This
-// is the primary public API; the stateless free functions in
-// brainprint.go remain as thin compatibility wrappers over it.
+// fingerprint gallery and the query knobs, and serves probes, batches
+// and streams under a context.Context. The paper's experiments and the
+// stateless attacks are free functions in brainprint.go.
 
 import (
 	"time"
@@ -16,10 +15,9 @@ import (
 )
 
 // Attacker is a long-lived identification session: it owns an enrolled
-// fingerprint gallery plus the attack configuration and serves
-// Identify, IdentifyBatch, IdentifyStream, TaskPredict, Deanonymize and
-// RunExperiment under a context. Construct with NewAttacker; safe for
-// concurrent use.
+// fingerprint gallery plus the query knobs and serves Identify,
+// IdentifyBatch and IdentifyStream under a context. Construct with
+// NewAttacker; safe for concurrent use.
 type Attacker = attacker.Attacker
 
 // AttackerOption configures NewAttacker; options apply in order, later
@@ -38,35 +36,18 @@ type StreamResult = attacker.StreamResult
 // session was built WithAssignment(true).
 type BatchResult = attacker.BatchResult
 
-// ExperimentInput carries the cohorts and sweep parameters of one
-// Attacker.RunExperiment call; zero values mean the documented
-// defaults.
-type ExperimentInput = attacker.Input
-
-// ExperimentResult is the structured outcome of an experiment; Render
-// prints the paper's artifact as text.
-type ExperimentResult = attacker.Result
-
-// ExperimentSpec describes one registered experiment: its CLI name,
-// one-line synopsis, and which cohorts it needs. The CLI's usage text
-// and dispatch both derive from this registry.
-type ExperimentSpec = attacker.Experiment
-
-// ErrNoGallery is returned by identification methods of an Attacker
-// built without a gallery.
+// ErrNoGallery is returned by NewAttacker when neither its engine
+// argument nor an option supplies a gallery engine.
 var ErrNoGallery = attacker.ErrNoGallery
 
 // NewAttacker builds an identification session over an enrolled
 // gallery engine — a *GalleryStore (NewGalleryStore(g, 1) serves an
 // in-memory *Gallery, OpenGalleryStore a gallery file), a *LiveGallery
-// or a *Replica. Pass nil for an experiment-only session (RunExperiment and
-// TaskPredict work; identification methods return ErrNoGallery).
+// or a *Replica. g may be nil only when WithMutableGallery supplies the
+// engine; otherwise NewAttacker returns ErrNoGallery.
 func NewAttacker(g GalleryEngine, opts ...AttackerOption) (*Attacker, error) {
 	return attacker.New(g, opts...)
 }
-
-// WithConfig sets the session's attack configuration.
-func WithConfig(cfg AttackConfig) AttackerOption { return attacker.WithConfig(cfg) }
 
 // WithParallelism bounds the session's worker count (0 = all cores,
 // 1 = serial). Results are identical at any setting.
@@ -101,17 +82,6 @@ func WithTimeout(d time.Duration) AttackerOption { return attacker.WithTimeout(d
 // nprobe requires an engine whose database carries an index sidecar
 // (built by `brainprint gallery index`). See DESIGN.md §9.
 func WithANN(nprobe int) AttackerOption { return attacker.WithANN(nprobe) }
-
-// Experiments returns every registered experiment in canonical "all"
-// order.
-func Experiments() []ExperimentSpec { return attacker.Experiments() }
-
-// ExperimentNames returns the registered experiment names in canonical
-// order — the single source of the CLI's experiment list.
-func ExperimentNames() []string { return attacker.Names() }
-
-// LookupExperiment returns the experiment registered under name.
-func LookupExperiment(name string) (ExperimentSpec, bool) { return attacker.Find(name) }
 
 // ---- Typed gallery errors ----
 //

@@ -60,10 +60,7 @@ func sessionFixture(t *testing.T) (*brainprint.GalleryStore, *brainprint.Matrix,
 // the README documents it.
 func TestFacadeAttackerFlow(t *testing.T) {
 	g, anon, ids := sessionFixture(t)
-	cfg := brainprint.DefaultAttackConfig()
-	cfg.Features = 60
 	atk, err := brainprint.NewAttacker(g,
-		brainprint.WithConfig(cfg),
 		brainprint.WithTopK(3),
 		brainprint.WithParallelism(2),
 		brainprint.WithAssignment(true))
@@ -131,11 +128,7 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	c := facadeCohort(t)
 	cfg := brainprint.DefaultAttackConfig()
 	cfg.Features = 60
-	atk, err := brainprint.NewAttacker(nil, brainprint.WithConfig(cfg))
-	if err != nil {
-		t.Fatalf("NewAttacker: %v", err)
-	}
-	res, err := atk.RunExperiment(context.Background(), "fig1", brainprint.ExperimentInput{HCP: c})
+	res, err := brainprint.RunExperiment(context.Background(), "fig1", cfg, brainprint.ExperimentInput{HCP: c})
 	if err != nil {
 		t.Fatalf("RunExperiment: %v", err)
 	}
