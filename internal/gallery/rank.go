@@ -1,6 +1,9 @@
 package gallery
 
-import "sort"
+import (
+	"math"
+	"slices"
+)
 
 // Ranker is a bounded top-k selector over a streamed candidate
 // sequence: it holds at most k candidates and, once full, keeps the
@@ -24,20 +27,9 @@ func NewRanker(k int, outranks func(a, b Candidate) bool) *Ranker {
 	return &Ranker{k: k, outranks: outranks, h: make([]Candidate, 0, k)}
 }
 
-// Full reports whether the selector holds k candidates — only then does
-// Threshold return a meaningful cutoff.
+// Full reports whether the selector holds k candidates — only then
+// does a candidate have to outrank the held worst to be admitted.
 func (r *Ranker) Full() bool { return len(r.h) == r.k }
-
-// Threshold returns the worst candidate currently held and whether the
-// selector is full. While full, a candidate that does not outrank the
-// threshold cannot be admitted — scan loops use this to reject
-// candidates inline without an Offer call.
-func (r *Ranker) Threshold() (Candidate, bool) {
-	if len(r.h) < r.k {
-		return Candidate{}, false
-	}
-	return r.h[0], true
-}
 
 // worse reports whether r.h[i] is outranked by r.h[j] — the heap order,
 // with the worst candidate at the root.
@@ -83,11 +75,46 @@ func (r *Ranker) Offer(c Candidate) {
 	r.siftDown(0)
 }
 
+// OfferDots offers record t's score dots[t]*inv for every t, rejecting
+// in one compare each score below the cut — the threshold's score once
+// the selector is full, −Inf before. Only a score that clears the cut
+// calls at(t) for the record's candidate index and subject ID, and is
+// offered unless ok is false (a masked record). Because a candidate
+// below the threshold's score cannot outrank it, the selection is the
+// same as offering every unmasked record; NaN scores are never below
+// the cut and reach Offer as they would.
+func (r *Ranker) OfferDots(dots []float64, inv float64, at func(t int) (index int, id string, ok bool)) {
+	cut := math.Inf(-1)
+	if r.Full() {
+		cut = r.h[0].Score
+	}
+	for t, v := range dots {
+		sc := v * inv
+		if sc < cut {
+			continue
+		}
+		if i, id, ok := at(t); ok {
+			r.Offer(Candidate{Index: i, ID: id, Score: sc})
+			if r.Full() {
+				cut = r.h[0].Score
+			}
+		}
+	}
+}
+
 // Ranked returns the held candidates best-first. It sorts the internal
-// buffer in place; the Ranker must not be offered further candidates
-// afterwards.
+// buffer in place, without allocating; the Ranker must not be offered
+// further candidates afterwards.
 func (r *Ranker) Ranked() []Candidate {
-	sort.Slice(r.h, func(i, j int) bool { return r.outranks(r.h[i], r.h[j]) })
+	slices.SortFunc(r.h, func(a, b Candidate) int {
+		switch {
+		case r.outranks(a, b):
+			return -1
+		case r.outranks(b, a):
+			return 1
+		}
+		return 0
+	})
 	return r.h
 }
 

@@ -70,14 +70,22 @@ func (g *Gallery) AppendUnits(units []Unit, base int) []Unit {
 // ScanUnits is the exact sweep: it ranks, for each z-scored
 // gallery-space probe, the top k records of the unit list under the
 // strict total order outranks, excluding every record whose candidate
-// index i has skip[i] true (skip nil = no exclusions). k must be
-// positive; a list is shorter than k only when fewer unmasked records
-// exist, and empty for an empty unit list. Every score is
+// index i has skip[i] true (skip nil = no exclusions). Every unit's
+// gallery has the probes' dimensionality. k must be positive; a list
+// is shorter than k only when fewer unmasked records exist, and empty
+// for an empty unit list. Every score is
 // linalg.Dot(fingerprint, probe)·(1/features) bit for bit — the
 // streaming kernel preserves per-record accumulation order — so results
-// match DenseSimilarity and match.SimilarityMatrix. The sweep aborts
-// between units once ctx is cancelled and returns ctx.Err().
+// match DenseSimilarity and match.SimilarityMatrix. The batch's probe
+// panels are packed once and shared read-only by every run. The sweep
+// aborts between units once ctx is cancelled and returns ctx.Err().
 func ScanUnits(ctx context.Context, units []Unit, zps [][]float64, k, parallelism int, outranks func(a, b Candidate) bool, skip []bool) ([][]Candidate, error) {
+	var panels []float64
+	if len(units) > 0 {
+		sp := packPanels(zps, units[0].G.features)
+		defer panelPool.Put(sp)
+		panels = *sp
+	}
 	return SelectRuns(ctx, len(units), len(zps), k, parallelism, outranks, func(lo, hi int, rankers []Ranker) error {
 		// The run's scratch: per-probe slice headers over one dot
 		// buffer. Headers for a batch of up to inlineProbes live in the
@@ -92,7 +100,7 @@ func ScanUnits(ctx context.Context, units []Unit, zps [][]float64, k, parallelis
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			buf = u.scan(zps, rankers, outs, buf, skip)
+			buf = u.scan(zps, panels, rankers, outs, buf, skip)
 		}
 		return nil
 	})
@@ -149,12 +157,11 @@ func SelectRuns(ctx context.Context, units, probes, k, parallelism int, outranks
 }
 
 // scan scores the unit against every probe through the batch streaming
-// kernel, offering threshold-passers to the per-probe rankers.
-// outs (len(zps) slice headers) and buf are the run's scratch: buf is
-// grown to hold this unit's stripe for every probe and returned for the
-// next unit. Subject IDs are materialized only for candidates that pass
-// the score threshold, keeping string bookkeeping off the hot loop.
-func (u Unit) scan(zps [][]float64, rankers []Ranker, outs [][]float64, buf []float64, skip []bool) []float64 {
+// kernel (panels: the batch's packed probe panels), offering
+// threshold-passers to the per-probe rankers. outs (len(zps) slice
+// headers) and buf are the run's scratch: buf is grown to hold this
+// unit's stripe for every probe and returned for the next unit.
+func (u Unit) scan(zps [][]float64, panels []float64, rankers []Ranker, outs [][]float64, buf []float64, skip []bool) []float64 {
 	g := u.G
 	bk := g.Blocked()
 	inv := 1 / float64(g.features)
@@ -167,26 +174,13 @@ func (u Unit) scan(zps [][]float64, rankers []Ranker, outs [][]float64, buf []fl
 	}
 	for slo := u.Lo; slo < u.Hi; slo += stripe {
 		shi := min(slo+stripe, u.Hi)
-		bk.DotsF64Batch(slo, shi, zps, outs)
+		bk.dotsBatch(slo, shi, zps, panels, outs)
+		at := func(t int) (int, string, bool) {
+			i := u.Base + slo + t
+			return i, g.ids[slo+t], skip == nil || !skip[i]
+		}
 		for p := range rankers {
-			r := &rankers[p]
-			d := outs[p]
-			thr, full := r.Threshold()
-			for i := slo; i < shi; i++ {
-				if skip != nil && skip[u.Base+i] {
-					continue
-				}
-				sc := d[i-slo] * inv
-				if full && sc < thr.Score {
-					continue
-				}
-				c := Candidate{Index: u.Base + i, ID: g.ids[i], Score: sc}
-				if full && !r.outranks(c, thr) {
-					continue
-				}
-				r.Offer(c)
-				thr, full = r.Threshold()
-			}
+			rankers[p].OfferDots(outs[p][:shi-slo], inv, at)
 		}
 	}
 	return buf

@@ -79,11 +79,10 @@ func TestSelectRunsIndependentOfRunCount(t *testing.T) {
 }
 
 // TestScanScratchAllocations pins the sweep's scratch: a run allocates
-// its dot buffer once and nothing per stripe — the kernel's packed
-// probe panel is pooled and the per-probe slice headers of a batch of
-// up to inlineProbes sit in the run's frame — on either kernel body.
-// The one-run totals are the parent commit's (before the panel kernel)
-// less the header slice.
+// its dot buffer once and nothing per stripe — the batch's packed probe
+// panels are pooled and packed once per sweep, the per-probe slice
+// headers of a batch of up to inlineProbes sit in the run's frame, and
+// the rankings sort in place — on either kernel body.
 func TestScanScratchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -104,7 +103,7 @@ func TestScanScratchAllocations(t *testing.T) {
 			zps[p] = g.fingerprint(p * 7)
 			outs[p] = make([]float64, subjects)
 		}
-		for _, tc := range []struct{ probes, max int }{{1, 12}, {inlineProbes, 72}, {inlineProbes + 1, 77}} {
+		for _, tc := range []struct{ probes, max int }{{1, 9}, {inlineProbes, 24}, {inlineProbes + 1, 26}} {
 			got := testing.AllocsPerRun(20, func() {
 				if _, err := ScanUnits(context.Background(), units, zps[:tc.probes], k, 1, BetterByID, nil); err != nil {
 					t.Fatal(err)

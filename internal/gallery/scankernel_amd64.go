@@ -28,7 +28,7 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func dotsPanelAVX2(rows *float64, tiles, features int, panel *float64, dst *[panelLanes]*float64, n int)
+func dotsPanelAVX2(rows *float64, tiles, features int, panel *float64, dst *[panelLanes]*float64, n, left int)
 
 //go:noescape
 func dotsAtAVX2(rows *[gatherLanes][]float64, features int, zp *float64, out *[gatherLanes]float64)

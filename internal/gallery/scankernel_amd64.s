@@ -31,24 +31,44 @@
 	MOVQ    (l*8)(R12), R11; \
 	VMOVUPD y, (R11)(R13*1)
 
-// func dotsPanelAVX2(rows *float64, tiles, features int, panel *float64, dst *[8]*float64, n int)
+// func dotsPanelAVX2(rows *float64, tiles, features int, panel *float64, dst *[8]*float64, n, left int)
 //
 // Scores tiles×4 consecutive rows against the 8-lane probe panel
 // (panel[f*8+p]) and writes lane p's scores for rows 4t..4t+3 to
 // dst[p][4t:4t+4], for p < n. Eight accumulators per tile: Y(2r) holds
 // row r against probes 0-3, Y(2r+1) against probes 4-7; each lane is
 // one strict ascending acc = acc + row[f]*probe[f] chain from +0.
-TEXT ·dotsPanelAVX2(SB), NOSPLIT, $0-48
-	MOVQ rows+0(FP), SI
-	MOVQ tiles+8(FP), CX
-	MOVQ features+16(FP), BX
-	MOVQ panel+24(FP), DI
-	MOVQ dst+32(FP), R12
-	MOVQ n+40(FP), DX
-	SHLQ $3, BX              // row stride in bytes
-	XORQ R13, R13            // output offset in bytes
+// Each tile first prefetches the tile two ahead, one PREFETCHT0 per
+// 64-byte line, up to the end of the view: left rows from rows on,
+// which may run past the tiles scored here.
+TEXT ·dotsPanelAVX2(SB), NOSPLIT, $0-56
+	MOVQ  rows+0(FP), SI
+	MOVQ  tiles+8(FP), CX
+	MOVQ  features+16(FP), BX
+	MOVQ  panel+24(FP), DI
+	MOVQ  dst+32(FP), R12
+	MOVQ  n+40(FP), DX
+	SHLQ  $3, BX             // row stride in bytes
+	MOVQ  left+48(FP), R14
+	IMULQ BX, R14
+	ADDQ  SI, R14            // end of the view (ABI0 code may use R14)
+	XORQ  R13, R13           // output offset in bytes
 
 tile:
+	LEAQ    (SI)(BX*8), R11  // the tile two ahead ...
+	LEAQ    (R11)(BX*4), AX  // ... and its end, capped at the view's
+	CMPQ    AX, R14
+	CMOVQGT R14, AX
+	ANDQ    $-64, R11        // from the start of its first line
+
+prefetch:
+	CMPQ       R11, AX
+	JGE        zero
+	PREFETCHT0 (R11)
+	ADDQ       $64, R11
+	JMP        prefetch
+
+zero:
 	LEAQ   (SI)(BX*1), R8
 	LEAQ   (R8)(BX*1), R9
 	LEAQ   (R9)(BX*1), R10

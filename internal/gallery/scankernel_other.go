@@ -6,7 +6,7 @@ package gallery
 // pure-go bodies.
 var useAVX2 = false
 
-func dotsPanelAVX2(rows *float64, tiles, features int, panel *float64, dst *[panelLanes]*float64, n int) {
+func dotsPanelAVX2(rows *float64, tiles, features int, panel *float64, dst *[panelLanes]*float64, n, left int) {
 	panic("gallery: no panel kernel on this architecture")
 }
 

@@ -16,13 +16,19 @@ import (
 // consecutive rows against one probe (linalg.Dot4), two (dotsF64x2) or,
 // where the CPU has AVX2, a panel of eight (scankernel_amd64.s: the
 // probes of a batch ride the vector lanes, so each broadcast row value
-// meets eight probes in two multiplies). The sweep is compute-bound —
-// the go bodies run at 82 % of the scalar multiply-add ceiling and 12 %
-// of stream bandwidth — so independent accumulator chains and arithmetic
-// per loaded value are what make a kernel fast, and four sequential row
-// streams are as easy on the prefetcher as one: neither a
-// lane-interleaved copy nor feature tiling earns its keep (DESIGN.md §8
-// has the numbers).
+// meets eight probes in two multiplies). On the go bodies the sweep is
+// compute-bound — 82 % of the scalar multiply-add ceiling, 12 % of
+// stream bandwidth — so independent accumulator chains and arithmetic
+// per loaded value are what make a kernel fast, and neither a
+// lane-interleaved copy nor feature tiling earns its keep. The panel
+// kernel is not: left to the hardware prefetcher, a serial 16-probe
+// sweep of 100k rows ran at 66–69 % of the kernel's rate on an
+// L3-resident cohort (BenchmarkScanUnits against
+// BenchmarkBlockedKernels' f64batch16), because each stripe's first
+// panel waited on memory. So the kernel prefetches two tiles ahead
+// across stripe boundaries, and a sweep packs its probe panels once per
+// query, not per stripe; the sweep now runs at 83–88 % of that rate.
+// DESIGN.md §8 has the numbers.
 //
 // Bit-exactness: every chain, scalar or vector lane, accumulates one
 // record's features strictly in ascending order as acc = acc +
@@ -79,20 +85,27 @@ func (bk *Blocked) DotsF64(lo, hi int, zp []float64, out []float64) {
 
 // DotsF64Batch is DotsF64 over a batch of probes: outs[p][i-lo] receives
 // record i's dot product against zps[p], bit-identical to per-probe
-// DotsF64 calls. Where the assembly kernel is available, batches of
-// panelMinProbes or more go through it, eight probes per panel; the
-// row tail (< ScanLanes rows), a trailing one or two probes, and
-// everything on other machines take the pure-go bodies.
+// DotsF64 calls. It packs the batch's probe panels (packPanels) and
+// scores through dotsBatch, the body every exact sweep runs; a sweep
+// over many ranges packs once and calls dotsBatch per range instead.
 func (bk *Blocked) DotsF64Batch(lo, hi int, zps [][]float64, outs [][]float64) {
+	sp := packPanels(zps, bk.features)
+	bk.dotsBatch(lo, hi, zps, *sp, outs)
+	panelPool.Put(sp)
+}
+
+// dotsBatch scores rows [lo, hi) against zps into outs, as
+// DotsF64Batch. panels are the batch's packed probe panels (empty when
+// the panel kernel does not run): where there are any, the probes they
+// cover go through the assembly kernel; the row tail (< ScanLanes
+// rows), a trailing one or two probes, and everything on other
+// machines take the pure-go bodies. panels are only read, so the
+// concurrent runs of a sweep share them.
+func (bk *Blocked) dotsBatch(lo, hi int, zps [][]float64, panels []float64, outs [][]float64) {
 	n := 0 // probes the panels cover
-	if useAVX2 && hi-lo >= ScanLanes {
-		if n = len(zps); n%panelLanes < panelMinProbes {
-			n -= n % panelLanes
-		}
-	}
-	if n > 0 {
-		mid := hi - (hi-lo)%ScanLanes
-		bk.dotsPanels(lo, mid, zps[:n], outs[:n])
+	if mid := hi - (hi-lo)%ScanLanes; len(panels) > 0 && mid > lo {
+		n = min(len(zps), len(panels)/bk.features)
+		bk.dotsPanels(lo, mid, panels, outs[:n])
 		bk.dotsGo(mid, hi, zps[:n], outs[:n], mid-lo)
 	}
 	bk.dotsGo(lo, hi, zps[n:], outs[n:], 0)
@@ -123,40 +136,60 @@ const (
 	panelMinProbes = 3
 )
 
-// panelPool holds packed-panel scratch between calls, so a sweep packs
-// into the same few buffers stripe after stripe.
+// panelPool holds packed-panel buffers between sweeps, so steady-state
+// queries pack into the same few buffers.
 var panelPool sync.Pool
 
-// dotsPanels scores rows [lo, hi), hi-lo a positive multiple of
-// ScanLanes, through the assembly kernel. Each group of up to eight
-// probes is packed feature-major (panel[f*8+p], unused lanes zero) so
-// one vector load fetches a feature of four probes; the kernel
-// broadcasts each row value across the lanes and stores lane p's scores
-// straight into outs[p].
-func (bk *Blocked) dotsPanels(lo, hi int, zps [][]float64, outs [][]float64) {
-	f := bk.features
-	sp, _ := panelPool.Get().(*[]float64)
-	if sp == nil || len(*sp) < panelLanes*f {
-		sp = new([]float64)
-		*sp = make([]float64, panelLanes*f)
-	}
-	panel := (*sp)[:panelLanes*f]
-	rows := bk.rows[lo*f : hi*f]
-	for p := 0; p < len(zps); p += panelLanes {
-		n := min(panelLanes, len(zps)-p)
-		if n < panelLanes {
-			clear(panel)
+// packPanels packs the probes of zps that the panel kernel scores —
+// none without AVX2; otherwise every whole panel of eight, plus a
+// trailing partial one of at least panelMinProbes — feature-major,
+// eight per panel (panel q holds probe 8q+l's feature j at
+// [(q*features+j)*8+l], unused lanes zero), so one vector load fetches a
+// feature of four probes. The buffer comes from panelPool, empty when
+// no probe is packed, and goes back there once no sweep reads it.
+func packPanels(zps [][]float64, features int) *[]float64 {
+	n := 0 // probes the panels cover
+	if useAVX2 {
+		if n = len(zps); n%panelLanes < panelMinProbes {
+			n -= n % panelLanes
 		}
+	}
+	size := (n + panelLanes - 1) / panelLanes * panelLanes * features
+	sp, _ := panelPool.Get().(*[]float64)
+	if sp == nil || cap(*sp) < size {
+		sp = new([]float64)
+		*sp = make([]float64, size)
+	}
+	panels := (*sp)[:size]
+	clear(panels[n/panelLanes*panelLanes*features:]) // a partial panel's unused lanes
+	for p, zp := range zps[:n] {
+		panel := panels[p/panelLanes*panelLanes*features:]
+		for j, v := range zp[:features] {
+			panel[j*panelLanes+p%panelLanes] = v
+		}
+	}
+	*sp = panels
+	return sp
+}
+
+// dotsPanels scores rows [lo, hi), hi-lo a positive multiple of
+// ScanLanes, against the first len(outs) probes of the packed panels
+// through the assembly kernel, which broadcasts each row value across
+// the lanes and stores lane p's scores straight into outs[p]. It tells
+// the kernel how many rows the view holds past lo, so the kernel's
+// prefetch runs ahead across the end of the range but never past the
+// view's last row.
+func (bk *Blocked) dotsPanels(lo, hi int, panels []float64, outs [][]float64) {
+	f := bk.features
+	rows := bk.rows[lo*f : hi*f]
+	for p := 0; p < len(outs); p += panelLanes {
+		n := min(panelLanes, len(outs)-p)
 		var dst [panelLanes]*float64
-		for l := 0; l < n; l++ {
-			for j, v := range zps[p+l][:f] {
-				panel[j*panelLanes+l] = v
-			}
+		for l := range n {
 			dst[l] = &outs[p+l][:hi-lo][0]
 		}
-		dotsPanelAVX2(&rows[0], (hi-lo)/ScanLanes, f, &panel[0], &dst, n)
+		dotsPanelAVX2(&rows[0], (hi-lo)/ScanLanes, f, &panels[p*f], &dst, n, bk.Len()-lo)
 	}
-	panelPool.Put(sp)
 }
 
 // dotsF64x2 is the 4-row × 2-probe kernel: eight independent

@@ -1,6 +1,7 @@
 package gallery
 
 import (
+	"context"
 	"testing"
 
 	"brainprint/internal/linalg"
@@ -8,7 +9,9 @@ import (
 
 // BenchmarkBlockedKernels pins the raw throughput of the blocked scan
 // kernels against the scalar linalg.Dot sweep they replaced, on a
-// cache-resident cohort — the numbers future kernel PRs should diff.
+// cohort of 4,096 × 100 (3.3 MB of rows: past a 2 MB L2, inside L3) —
+// the kernels' in-cache rate, the numbers future kernel PRs
+// should diff.
 // f64batch (4 probes) is half a panel where the assembly kernel runs,
 // f64batch16 two full ones: the serving tier's default batch.
 func BenchmarkBlockedKernels(b *testing.B) {
@@ -58,6 +61,39 @@ func BenchmarkBlockedKernels(b *testing.B) {
 					clear(outs[p])
 				}
 				bk.DotsF64Batch(0, subjects, zps[:lane.probes], outs)
+			}
+		})
+	}
+}
+
+// BenchmarkScanUnits is the exact sweep as every engine runs it — units,
+// runs, the batch kernel stripe by stripe, the reject loop and the
+// merge — over a 100k × 100 gallery (80 MB of rows, far past the
+// caches) with a 16-probe batch and k 5, serially and on every core.
+// MB/s reads as MFLOP/s, the unit of BenchmarkBlockedKernels, so the
+// gap to its f64batch16 lane is what streaming the rows from memory
+// costs.
+func BenchmarkScanUnits(b *testing.B) {
+	const features, subjects, probes, k = 100, 100_000, 16, 5
+	g := New(features)
+	if err := g.EnrollMatrix(subjectIDs(subjects), randomGroup(78, features, subjects)); err != nil {
+		b.Fatal(err)
+	}
+	units := g.AppendUnits(nil, 0)
+	zps := make([][]float64, probes)
+	for p := range zps {
+		zps[p] = g.fingerprint((p * 6151) % subjects)
+	}
+	for _, lane := range []struct {
+		name string
+		par  int
+	}{{"serial", 1}, {"parallel", 0}} {
+		b.Run(lane.name, func(b *testing.B) {
+			b.SetBytes(int64(2 * features * subjects * probes))
+			for i := 0; i < b.N; i++ {
+				if _, err := ScanUnits(context.Background(), units, zps, k, lane.par, BetterByID, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -219,22 +219,13 @@ func (s *Store) queryAllANN(ctx context.Context, zcols [][]float64, k, paralleli
 				if len(dots) < len(idx) {
 					dots = make([]float64, len(idx))
 				}
+				name := func(t int) (int, string, bool) {
+					li := int(idx[t])
+					return base + li, g.ID(li), true
+				}
 				for _, j := range who[at[c]:at[c+1]] {
 					bk.DotsAt(idx, zcols[j], dots)
-					r := &rankers[j]
-					thr, full := r.Threshold()
-					for t, li := range idx {
-						sc := dots[t] * inv
-						if full && sc < thr.Score {
-							continue
-						}
-						cand := gallery.Candidate{Index: base + int(li), ID: g.ID(int(li)), Score: sc}
-						if full && !gallery.BetterByID(cand, thr) {
-							continue
-						}
-						r.Offer(cand)
-						thr, full = r.Threshold()
-					}
+					rankers[j].OfferDots(dots[:len(idx)], inv, name)
 				}
 			}
 			return nil

@@ -119,7 +119,10 @@ func BenchmarkShardTopK(b *testing.B) {
 // BenchmarkShardTopK1M is the million-subject regime — the tentpole
 // scale where the exact scan's linear cost becomes the bottleneck and
 // the IVF coarse index must win by ≥4× (the CI ivf speedup gate holds
-// that line; 4.6–4.9× measured on the 2-core Xeon). Two contenders run here: the exact 8-shard streaming scan
+// that line). The ratio divides the exact lane by the IVF lane, so a
+// faster exact sweep lowers it: the 2-core Xeon read 2.8–3.0× just
+// before the exact sweep prefetched and 2.3–2.5× after (DESIGN.md §8). Two
+// contenders run here: the exact 8-shard streaming scan
 // as the reference and the IVF scan at the default nprobe (16 of 512
 // trained cells, ~3% of records actually scored). A separate
 // function so filtered runs of BenchmarkShardTopK skip its set-up: 1M

@@ -273,3 +273,80 @@ func testScanCrossesUnitAndShardBoundaries(t *testing.T) {
 		assertEngine(t, "live", e, probes)
 	}
 }
+
+// TestScanSharesPanelsAcrossProbeCounts runs the boundary cohort at the
+// batch sizes where the sweep's shared packed panels matter, which the
+// five-probe test above never reaches: 9 (a full panel plus a go-body
+// probe), 11 (a full and a partial panel) and 17 (two full panels plus
+// a go-body probe). Every run of a sweep reads the same panels, so at
+// shard counts {1, 4, 7} × parallelism {1, 0, 3} each answer, plain and
+// with the boundary records masked, must equal the brute-force sort.
+func TestScanSharesPanelsAcrossProbeCounts(t *testing.T) {
+	shard.EachKernel(t, testScanSharesPanelsAcrossProbeCounts)
+}
+
+func testScanSharesPanelsAcrossProbeCounts(t *testing.T) {
+	ids, known, five := muCohort()
+	// Past the cohort's five probes: noisy copies of enrolled records,
+	// some of them twins.
+	rng := rand.New(rand.NewSource(137))
+	probes := linalg.NewMatrix(muFeatures, 17)
+	for j := range 17 {
+		if j < 5 {
+			probes.SetCol(j, five.Col(j))
+			continue
+		}
+		v := known.Col(j * 131 % muSubjects)
+		for i := range v {
+			v[i] += 0.3 * rng.NormFloat64()
+		}
+		probes.SetCol(j, v)
+	}
+	g := gallery.New(muFeatures)
+	if err := g.EnrollMatrix(ids, known); err != nil {
+		t.Fatalf("EnrollMatrix: %v", err)
+	}
+	grain := g.AppendUnits(nil, 0)[0].Hi
+	ctx := context.Background()
+	for _, shards := range []int{1, 4, 7} {
+		s, err := shard.FromGallery(g, shards, false)
+		if err != nil {
+			t.Fatalf("shards=%d: FromGallery: %v", shards, err)
+		}
+		bases, counts := shardBounds(t, ids, shards, grain)
+		skip := make([]bool, s.Len())
+		for si := range bases {
+			for _, gi := range []int{bases[si], bases[si] + grain - 1, bases[si] + grain, bases[si] + counts[si] - 1} {
+				skip[gi] = true
+			}
+		}
+		for _, n := range []int{9, 11, 17} {
+			batch := linalg.NewMatrix(muFeatures, n)
+			for j := range n {
+				batch.SetCol(j, probes.Col(j))
+			}
+			dense, _, err := s.DenseSimilarityCtx(ctx, batch, 0)
+			if err != nil {
+				t.Fatalf("shards=%d probes=%d: DenseSimilarityCtx: %v", shards, n, err)
+			}
+			zcols, err := gallery.PrepProbes(batch, muFeatures, nil, 0)
+			if err != nil {
+				t.Fatalf("PrepProbes: %v", err)
+			}
+			want, wantMasked := bruteForce(s, dense, muK, nil), bruteForce(s, dense, muK, skip)
+			for _, par := range []int{1, 0, 3} {
+				name := fmt.Sprintf("shards=%d probes=%d par=%d", shards, n, par)
+				got, err := s.QueryAllCtx(ctx, batch, muK, par)
+				if err != nil {
+					t.Fatalf("%s: QueryAllCtx: %v", name, err)
+				}
+				assertRanked(t, name, got, want)
+				got, err = s.QueryAllZMasked(ctx, zcols, muK, par, skip)
+				if err != nil {
+					t.Fatalf("%s: QueryAllZMasked: %v", name, err)
+				}
+				assertRanked(t, name+" masked", got, wantMasked)
+			}
+		}
+	}
+}
