@@ -8,14 +8,11 @@
 // hemisphere-symmetric atlas standing in for the Glasser multi-modal
 // parcellation (HCP experiments) and a 116-region atlas standing in for
 // AAL (ADHD-200 experiments, 116·115/2 = 6670 features as in §3.3.4).
-// A random region-growing generator covers the "automatically generated
-// atlas" case discussed in §3.2.2.
 package atlas
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"brainprint/internal/fmri"
 	"brainprint/internal/linalg"
@@ -129,26 +126,6 @@ func SymmetricAtlas(name string, n int) *Atlas {
 	return &Atlas{Name: name, Regions: regions}
 }
 
-// RandomAtlas builds an atlas of n regions by sampling region centres
-// uniformly in the unit ball, modelling the automated atlas generation
-// scheme of §3.2.2 ("sample voxels from a uniform distribution, then
-// grow regions"). The Voronoi assignment performs the growth implicitly.
-func RandomAtlas(name string, n int, rng *rand.Rand) (*Atlas, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("atlas: nonpositive region count %d", n)
-	}
-	regions := make([]Region, n)
-	for i := 0; i < n; i++ {
-		c := randomBallPoint(rng)
-		hemi := Right
-		if c[0] < 0 {
-			hemi = Left
-		}
-		regions[i] = Region{ID: i, Name: fmt.Sprintf("%s_%d", name, i+1), Hemisphere: hemi, Center: c}
-	}
-	return &Atlas{Name: name, Regions: regions}, nil
-}
-
 // ReduceSeries collapses a voxel-level series into a regions×time matrix
 // by averaging the voxel time series within each region, exactly as
 // §3.2.2 prescribes. brainVoxels holds the flat voxel indices of the
@@ -185,17 +162,6 @@ func ReduceSeries(s *fmri.Series, brainVoxels []int, labels []int, numRegions in
 	return out, nil
 }
 
-// RegionSizes returns how many of the given labels fall in each region.
-func RegionSizes(labels []int, numRegions int) []int {
-	counts := make([]int, numRegions)
-	for _, l := range labels {
-		if l >= 0 && l < numRegions {
-			counts[l]++
-		}
-	}
-	return counts
-}
-
 // haltonBallPoints generates n quasi-random points inside the unit ball
 // using the Halton low-discrepancy sequence (bases 2, 3, 5), optionally
 // restricted to the x>0 half-ball for hemisphere mirroring. The sequence
@@ -230,16 +196,4 @@ func halton(i, base int) float64 {
 		i /= base
 	}
 	return r
-}
-
-// randomBallPoint samples a point uniformly from the unit ball.
-func randomBallPoint(rng *rand.Rand) [3]float64 {
-	for {
-		x := 2*rng.Float64() - 1
-		y := 2*rng.Float64() - 1
-		z := 2*rng.Float64() - 1
-		if x*x+y*y+z*z <= 1 {
-			return [3]float64{x, y, z}
-		}
-	}
 }

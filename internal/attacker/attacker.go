@@ -305,7 +305,7 @@ func rankedFromDense(sim *linalg.Matrix, ids []string, k int) [][]gallery.Candid
 	}
 	out := make([][]gallery.Candidate, m)
 	for j := 0; j < m; j++ {
-		r := gallery.NewRanker(k, gallery.BetterByID)
+		r := gallery.NewRanker(k)
 		for i := 0; i < n; i++ {
 			r.Offer(gallery.Candidate{Index: i, ID: ids[i], Score: sim.At(i, j)})
 		}

@@ -5,13 +5,11 @@
 //
 // A connectome can equivalently be read as a weighted complete graph
 // whose nodes are regions and whose edge weights are co-activation
-// correlations (§1); the graph accessors expose that view.
+// correlations (§1); graph.go computes its clustering coefficients.
 package connectome
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"brainprint/internal/linalg"
 	"brainprint/internal/parallel"
@@ -140,21 +138,8 @@ func FromVector(vec []float64, n int) (*Connectome, error) {
 	return &Connectome{C: c}, nil
 }
 
-// EdgeIndex returns the position of edge (i, j), i ≠ j, in the
-// vectorized form. Order of i and j does not matter.
-func EdgeIndex(n, i, j int) (int, error) {
-	if i == j || i < 0 || j < 0 || i >= n || j >= n {
-		return 0, fmt.Errorf("connectome: invalid edge (%d,%d) for %d regions", i, j, n)
-	}
-	if i > j {
-		i, j = j, i
-	}
-	// Offset of row i in the packed triangle plus the column offset.
-	return i*n - i*(i+1)/2 + (j - i - 1), nil
-}
-
-// EdgeFromIndex inverts EdgeIndex: it returns the region pair (i, j),
-// i < j, at the given vector position.
+// EdgeFromIndex returns the region pair (i, j), i < j, at the given
+// position of the vectorized form.
 func EdgeFromIndex(n, idx int) (int, int, error) {
 	if idx < 0 || idx >= n*(n-1)/2 {
 		return 0, 0, fmt.Errorf("connectome: edge index %d out of range for %d regions", idx, n)
@@ -169,45 +154,6 @@ func EdgeFromIndex(n, idx int) (int, int, error) {
 		idx -= rowLen
 		i++
 	}
-}
-
-// Edge is one weighted edge of the connectome graph view.
-type Edge struct {
-	I, J   int
-	Weight float64
-}
-
-// Edges returns all edges with |weight| ≥ minAbs, sorted by descending
-// absolute weight.
-func (c *Connectome) Edges(minAbs float64) []Edge {
-	n := c.C.Rows()
-	var out []Edge
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			w := c.C.At(i, j)
-			if math.Abs(w) >= minAbs {
-				out = append(out, Edge{I: i, J: j, Weight: w})
-			}
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return math.Abs(out[a].Weight) > math.Abs(out[b].Weight) })
-	return out
-}
-
-// NodeStrength returns the sum of absolute edge weights incident to each
-// region, the standard weighted-graph notion of node strength.
-func (c *Connectome) NodeStrength() []float64 {
-	n := c.C.Rows()
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			out[i] += math.Abs(c.C.At(i, j))
-		}
-	}
-	return out
 }
 
 // GroupMatrix stacks vectorized connectomes into the group matrix of

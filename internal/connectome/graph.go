@@ -1,53 +1,13 @@
 package connectome
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file provides the weighted-graph view of a connectome (§1 reads
 // the co-firing matrix as "a weighted complete graph, where nodes
 // correspond to regions and edge weights correspond to correlation in
-// neuronal activity"). The metrics are the standard descriptive tools
-// of connectomics; downstream analyses of a released dataset would
-// compute statistics like these, which is why the defense experiment
-// must preserve them.
-
-// Degree returns, for every region, the number of incident edges whose
-// absolute weight is at least threshold.
-func (c *Connectome) Degree(threshold float64) []int {
-	n := c.C.Rows()
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if math.Abs(c.C.At(i, j)) >= threshold {
-				out[i]++
-			}
-		}
-	}
-	return out
-}
-
-// Density returns the fraction of region pairs whose absolute
-// correlation is at least threshold.
-func (c *Connectome) Density(threshold float64) float64 {
-	n := c.C.Rows()
-	if n < 2 {
-		return 0
-	}
-	count := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if math.Abs(c.C.At(i, j)) >= threshold {
-				count++
-			}
-		}
-	}
-	return float64(count) / float64(n*(n-1)/2)
-}
+// neuronal activity"). Clustering is a standard descriptive statistic
+// of connectomics that downstream analyses of a released dataset would
+// compute, which is why the defense experiment checks it is preserved.
 
 // ClusteringCoefficients returns the Onnela weighted clustering
 // coefficient of every region: the geometric mean of triangle edge
@@ -88,96 +48,4 @@ func (c *Connectome) ClusteringCoefficients() []float64 {
 		out[i] = 2 * sum / float64(deg*(deg-1))
 	}
 	return out
-}
-
-// GlobalEfficiency returns the average inverse shortest-path length of
-// the thresholded binary graph (edges where |w| ≥ threshold), the
-// standard integration measure of connectomics. Disconnected pairs
-// contribute 0. Runtime is O(n³) via BFS from every node.
-func (c *Connectome) GlobalEfficiency(threshold float64) float64 {
-	n := c.C.Rows()
-	if n < 2 {
-		return 0
-	}
-	adj := make([][]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && math.Abs(c.C.At(i, j)) >= threshold {
-				adj[i] = append(adj[i], j)
-			}
-		}
-	}
-	var total float64
-	dist := make([]int, n)
-	queue := make([]int, 0, n)
-	for src := 0; src < n; src++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[src] = 0
-		queue = append(queue[:0], src)
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, nb := range adj[cur] {
-				if dist[nb] < 0 {
-					dist[nb] = dist[cur] + 1
-					queue = append(queue, nb)
-				}
-			}
-		}
-		for dst := 0; dst < n; dst++ {
-			if dst != src && dist[dst] > 0 {
-				total += 1 / float64(dist[dst])
-			}
-		}
-	}
-	return total / float64(n*(n-1))
-}
-
-// Summary holds headline graph statistics of a connectome, used by the
-// defense experiment as a utility check: protection must not distort
-// these beyond analysis tolerance.
-type GraphSummary struct {
-	MeanAbsWeight    float64
-	Density          float64 // at |w| >= 0.3
-	MeanClustering   float64
-	GlobalEfficiency float64 // at |w| >= 0.3
-}
-
-// Summarize computes the graph summary.
-func (c *Connectome) Summarize() GraphSummary {
-	n := c.C.Rows()
-	var sum float64
-	count := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sum += math.Abs(c.C.At(i, j))
-			count++
-		}
-	}
-	mean := 0.0
-	if count > 0 {
-		mean = sum / float64(count)
-	}
-	cc := c.ClusteringCoefficients()
-	var ccMean float64
-	for _, v := range cc {
-		ccMean += v
-	}
-	if n > 0 {
-		ccMean /= float64(n)
-	}
-	return GraphSummary{
-		MeanAbsWeight:    mean,
-		Density:          c.Density(0.3),
-		MeanClustering:   ccMean,
-		GlobalEfficiency: c.GlobalEfficiency(0.3),
-	}
-}
-
-// String renders the summary compactly.
-func (g GraphSummary) String() string {
-	return fmt.Sprintf("mean|w|=%.3f density@0.3=%.3f clustering=%.3f efficiency@0.3=%.3f",
-		g.MeanAbsWeight, g.Density, g.MeanClustering, g.GlobalEfficiency)
 }

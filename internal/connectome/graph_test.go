@@ -27,38 +27,6 @@ func triangleConnectome() *Connectome {
 	return c
 }
 
-func TestDegree(t *testing.T) {
-	c := triangleConnectome()
-	deg := c.Degree(0.5)
-	want := []int{2, 2, 2, 0}
-	for i := range want {
-		if deg[i] != want[i] {
-			t.Errorf("degree[%d] = %d want %d", i, deg[i], want[i])
-		}
-	}
-	// Threshold 0 counts everything.
-	degAll := c.Degree(0)
-	for i, d := range degAll {
-		if d != 3 {
-			t.Errorf("degree[%d] at 0 = %d want 3", i, d)
-		}
-	}
-}
-
-func TestDensity(t *testing.T) {
-	c := triangleConnectome()
-	if got := c.Density(0.5); math.Abs(got-0.5) > 1e-12 { // 3 of 6 pairs
-		t.Errorf("density = %v want 0.5", got)
-	}
-	if got := c.Density(0); got != 1 {
-		t.Errorf("density at 0 = %v want 1", got)
-	}
-	single := &Connectome{C: linalg.NewMatrix(1, 1)}
-	if single.Density(0) != 0 {
-		t.Error("single-region density should be 0")
-	}
-}
-
 func TestClusteringCoefficients(t *testing.T) {
 	c := triangleConnectome()
 	cc := c.ClusteringCoefficients()
@@ -97,49 +65,5 @@ func TestClusteringPerfectGraph(t *testing.T) {
 		if math.Abs(v-1) > 1e-9 {
 			t.Errorf("uniform graph clustering[%d] = %v want 1", i, v)
 		}
-	}
-}
-
-func TestGlobalEfficiency(t *testing.T) {
-	c := triangleConnectome()
-	// At threshold 0.5 the triangle is connected, region 3 isolated.
-	eff := c.GlobalEfficiency(0.5)
-	// Within the triangle every pair is at distance 1: 6 ordered pairs
-	// contribute 1 each; pairs involving node 3 contribute 0. Total
-	// = 6 / 12 = 0.5.
-	if math.Abs(eff-0.5) > 1e-12 {
-		t.Errorf("efficiency = %v want 0.5", eff)
-	}
-	// Fully connected graph at threshold 0: efficiency 1.
-	if got := c.GlobalEfficiency(0.01); math.Abs(got-1) > 1e-12 {
-		t.Errorf("efficiency at 0.01 = %v want 1", got)
-	}
-	single := &Connectome{C: linalg.NewMatrix(1, 1)}
-	if single.GlobalEfficiency(0) != 0 {
-		t.Error("single region efficiency should be 0")
-	}
-}
-
-func TestGlobalEfficiencyPathGraph(t *testing.T) {
-	// Chain 0-1-2: distances 1,1,2 → efficiency = (1+1+0.5)*2/6 = 5/6.
-	c := &Connectome{C: linalg.NewMatrix(3, 3)}
-	c.C.Set(0, 1, 0.9)
-	c.C.Set(1, 0, 0.9)
-	c.C.Set(1, 2, 0.9)
-	c.C.Set(2, 1, 0.9)
-	eff := c.GlobalEfficiency(0.5)
-	if math.Abs(eff-5.0/6) > 1e-12 {
-		t.Errorf("path efficiency = %v want 5/6", eff)
-	}
-}
-
-func TestGraphSummary(t *testing.T) {
-	c := triangleConnectome()
-	s := c.Summarize()
-	if s.MeanAbsWeight <= 0 || s.Density <= 0 || s.MeanClustering <= 0 {
-		t.Errorf("summary has zero fields: %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty summary string")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"brainprint/internal/linalg"
 	"brainprint/internal/match"
 	"brainprint/internal/parallel"
-	"brainprint/internal/report"
 	"brainprint/internal/sampling"
 	"brainprint/internal/stats"
 	"brainprint/internal/synth"
@@ -199,19 +198,4 @@ func TransferAccuracy(ctx context.Context, c *synth.ADHDCohort, subjects []int, 
 		return stats.Summary{}, err
 	}
 	return stats.Summarize(accs), nil
-}
-
-// RenderADHDSummary prints the per-group composition of an ADHD cohort,
-// useful context above the Figure 7–9 outputs.
-func RenderADHDSummary(c *synth.ADHDCohort) string {
-	counts := map[synth.ADHDGroup]int{}
-	for _, g := range c.Groups {
-		counts[g]++
-	}
-	headers := []string{"group", "subjects"}
-	var rows [][]string
-	for _, g := range []synth.ADHDGroup{synth.Control, synth.Subtype1, synth.Subtype2, synth.Subtype3} {
-		rows = append(rows, []string{g.String(), fmt.Sprintf("%d", counts[g])})
-	}
-	return report.Table(headers, rows)
 }

@@ -301,14 +301,6 @@ func TestTable2MonotoneDecay(t *testing.T) {
 	}
 }
 
-func TestRenderADHDSummary(t *testing.T) {
-	c := testADHD(t)
-	s := RenderADHDSummary(c)
-	if !strings.Contains(s, "control") || !strings.Contains(s, "10") {
-		t.Errorf("summary missing content:\n%s", s)
-	}
-}
-
 func TestDefenseSweepTradeoffShape(t *testing.T) {
 	p := synth.DefaultHCPParams()
 	p.Subjects = 12

@@ -58,9 +58,6 @@ func (g Grid) InBounds(x, y, z int) bool {
 	return x >= 0 && x < g.NX && y >= 0 && y < g.NY && z >= 0 && z < g.NZ
 }
 
-// Equal reports whether two grids have identical shape and voxel size.
-func (g Grid) Equal(o Grid) bool { return g == o }
-
 // MNIGrid returns the "standard space" grid all subjects are registered
 // to, loosely modelled on a downsampled MNI template. Tests and the
 // synthetic experiments use small grids for speed; this helper fixes a

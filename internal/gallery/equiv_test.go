@@ -22,7 +22,7 @@ func queryAll(ctx context.Context, g *Gallery, probes *linalg.Matrix, k, par int
 	if err != nil {
 		return nil, err
 	}
-	return ScanUnits(ctx, g.AppendUnits(nil, 0), zps, k, par, BetterByID, nil)
+	return ScanUnits(ctx, g.AppendUnits(nil, 0), zps, k, par, nil)
 }
 
 // topK is queryAll for one probe vector, normalized the way every
@@ -36,7 +36,7 @@ func topK(ctx context.Context, g *Gallery, probe []float64, k, par int) ([]Candi
 	if err != nil {
 		return nil, err
 	}
-	lists, err := ScanUnits(ctx, g.AppendUnits(nil, 0), [][]float64{zp}, k, par, BetterByID, nil)
+	lists, err := ScanUnits(ctx, g.AppendUnits(nil, 0), [][]float64{zp}, k, par, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -234,7 +234,7 @@ func TestRankCellsExactTies(t *testing.T) {
 			want := make([]int, x.Cells())
 			for c := range want {
 				want[c] = c
-				score[c] = linalg.Dot(x.Centroid(c), probe) - x.halfNorm[c]
+				score[c] = linalg.Dot(centroid(x, c), probe) - x.halfNorm[c]
 			}
 			sort.Slice(want, func(i, j int) bool {
 				a, b := want[i], want[j]

@@ -30,7 +30,7 @@ func sameIndex(t *testing.T, got, want *Index) {
 			want.Features(), want.Cells(), want.Seed(), want.Shards())
 	}
 	for c := 0; c < want.Cells(); c++ {
-		gc, wc := got.Centroid(c), want.Centroid(c)
+		gc, wc := centroid(got, c), centroid(want, c)
 		for f := range wc {
 			if gc[f] != wc[f] {
 				t.Fatalf("cell %d feature %d: centroid %v != %v", c, f, gc[f], wc[f])

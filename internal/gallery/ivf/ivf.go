@@ -120,12 +120,6 @@ func (x *Index) ShardCount(si int) int { return x.counts[si] }
 // to cell c. The caller must not mutate the result.
 func (x *Index) Postings(si, c int) []uint32 { return x.postings[si][c] }
 
-// Centroid returns cell c's centroid, aliased — the caller must not
-// mutate it.
-func (x *Index) Centroid(c int) []float64 {
-	return x.centroids[c*x.features : (c+1)*x.features]
-}
-
 // Build trains an index over the records of a sharded gallery: counts
 // holds each shard's record count and fp returns the stored z-scored
 // fingerprint at (shard, local index). Training samples min(total,

@@ -10,6 +10,11 @@ import (
 
 // testShards builds deterministic per-shard record sets; the returned
 // closure is the fingerprint provider Build expects.
+// centroid returns cell c's centroid, aliased.
+func centroid(x *Index, c int) []float64 {
+	return x.centroids[c*x.features : (c+1)*x.features]
+}
+
 func testShards(seed int64, features int, counts []int) func(si, li int) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	recs := make([][][]float64, len(counts))
@@ -86,7 +91,7 @@ func TestBuildDeterministicAcrossParallelism(t *testing.T) {
 	for _, par := range []int{0, 3} {
 		x := buildIndex(t, Config{Cells: 8, Seed: 7, Parallelism: par}, features, counts, 11)
 		for c := 0; c < ref.Cells(); c++ {
-			want, got := ref.Centroid(c), x.Centroid(c)
+			want, got := centroid(ref, c), centroid(x, c)
 			for f := range want {
 				if got[f] != want[f] {
 					t.Fatalf("par=%d cell %d feature %d: centroid %v != %v (not bit-identical)",
@@ -162,7 +167,7 @@ func TestRankCellsOrderAndClamp(t *testing.T) {
 		probe[f] = rng.NormFloat64()
 	}
 	score := func(c int) float64 {
-		cent := x.Centroid(c)
+		cent := centroid(x, c)
 		return linalg.Dot(probe, cent) - 0.5*linalg.Dot(cent, cent)
 	}
 	full := x.RankCells(probe, x.Cells()+100)
@@ -201,7 +206,7 @@ func TestBuildSeedSensitivity(t *testing.T) {
 	a := buildIndex(t, Config{Cells: 8, Seed: 1}, 16, counts, 23)
 	b := buildIndex(t, Config{Cells: 8, Seed: 2}, 16, counts, 23)
 	for c := 0; c < a.Cells(); c++ {
-		ca, cb := a.Centroid(c), b.Centroid(c)
+		ca, cb := centroid(a, c), centroid(b, c)
 		for f := range ca {
 			if ca[f] != cb[f] {
 				return // differs somewhere — good

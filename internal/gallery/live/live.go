@@ -397,9 +397,6 @@ func (e *Engine) adoptLog(tail replayTail) {
 	e.walOff = tail.ends
 }
 
-// Dir returns the live gallery's directory.
-func (e *Engine) Dir() string { return e.dir }
-
 // Close waits for any in-flight background compaction and releases the
 // write-ahead log. Further mutations and compactions fail with
 // ErrClosed; in-flight queries finish normally.

@@ -111,13 +111,13 @@ func (e *Engine) queryZ(ctx context.Context, zcols [][]float64, k, parallelism i
 			return nil, err
 		}
 	}
-	out, err := gallery.ScanUnits(ctx, e.mem.AppendUnits(nil, 0), zcols, k, parallelism, gallery.BetterByID, nil)
+	out, err := gallery.ScanUnits(ctx, e.mem.AppendUnits(nil, 0), zcols, k, parallelism, nil)
 	if err != nil {
 		return nil, err
 	}
 	for j := range out {
 		if baseLists != nil {
-			out[j] = gallery.RankMergeLists([][]gallery.Candidate{baseLists[j], out[j]}, k, gallery.BetterByID)
+			out[j] = gallery.RankMergeLists([][]gallery.Candidate{baseLists[j], out[j]}, k)
 		}
 		for i := range out[j] {
 			out[j][i].Index = e.byID[out[j][i].ID]

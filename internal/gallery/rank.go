@@ -10,21 +10,18 @@ import (
 // current worst at the root of a binary heap so each further candidate
 // is admitted or rejected against a single threshold. Offer is O(log k)
 // on admission and O(1) on rejection, replacing the O(k) shifting of
-// binary-search insertion on the scan hot path. The outranks comparator
-// must be a strict total order (as gallery index-tiebreak and shard
-// ID-tiebreak orders are), which makes the selected set — and the final
-// ranking — independent of the offer order.
+// binary-search insertion on the scan hot path. It ranks under
+// BetterByID, a strict total order, which makes the selected set — and
+// the final ranking — independent of the offer order.
 type Ranker struct {
-	k        int
-	outranks func(a, b Candidate) bool
-	h        []Candidate // worst-at-root heap once len == k
+	k int
+	h []Candidate // worst-at-root heap once len == k
 }
 
-// NewRanker returns a selector keeping the top k candidates under the
-// strict total order outranks (true when a outranks b). k must be
-// positive.
-func NewRanker(k int, outranks func(a, b Candidate) bool) *Ranker {
-	return &Ranker{k: k, outranks: outranks, h: make([]Candidate, 0, k)}
+// NewRanker returns a selector keeping the top k candidates under
+// BetterByID. k must be positive.
+func NewRanker(k int) *Ranker {
+	return &Ranker{k: k, h: make([]Candidate, 0, k)}
 }
 
 // Full reports whether the selector holds k candidates — only then
@@ -33,7 +30,7 @@ func (r *Ranker) Full() bool { return len(r.h) == r.k }
 
 // worse reports whether r.h[i] is outranked by r.h[j] — the heap order,
 // with the worst candidate at the root.
-func (r *Ranker) worse(i, j int) bool { return r.outranks(r.h[j], r.h[i]) }
+func (r *Ranker) worse(i, j int) bool { return BetterByID(r.h[j], r.h[i]) }
 
 // siftDown restores the worst-at-root invariant below node i.
 func (r *Ranker) siftDown(i int) {
@@ -68,7 +65,7 @@ func (r *Ranker) Offer(c Candidate) {
 		}
 		return
 	}
-	if !r.outranks(c, r.h[0]) {
+	if !BetterByID(c, r.h[0]) {
 		return
 	}
 	r.h[0] = c
@@ -108,9 +105,9 @@ func (r *Ranker) OfferDots(dots []float64, inv float64, at func(t int) (index in
 func (r *Ranker) Ranked() []Candidate {
 	slices.SortFunc(r.h, func(a, b Candidate) int {
 		switch {
-		case r.outranks(a, b):
+		case BetterByID(a, b):
 			return -1
-		case r.outranks(b, a):
+		case BetterByID(b, a):
 			return 1
 		}
 		return 0
@@ -122,14 +119,14 @@ func (r *Ranker) Ranked() []Candidate {
 // best-first list of at most k candidates via a tournament: a small
 // heap over the list heads pops the global best and advances that list,
 // so the merge is O(total·log lists) instead of the O(total·k) of
-// folding pairwise bounded merges. Because outranks is a strict total
+// folding pairwise bounded merges. Because BetterByID is a strict total
 // order and (in every caller) no candidate appears in two lists, the
 // result is independent of the order and grouping of the input lists —
 // the determinism the sharded engine's equivalence tests pin. Exact
 // duplicates, if a caller ever produced them, break ties by input list
 // position, which keeps even that case deterministic. Input lists are
 // not mutated.
-func RankMergeLists(lists [][]Candidate, k int, outranks func(a, b Candidate) bool) []Candidate {
+func RankMergeLists(lists [][]Candidate, k int) []Candidate {
 	type head struct {
 		list []Candidate
 		li   int // original list position, tiebreak of last resort
@@ -145,10 +142,10 @@ func RankMergeLists(lists [][]Candidate, k int, outranks func(a, b Candidate) bo
 	}
 	ahead := func(a, b head) bool {
 		ca, cb := a.list[a.pos], b.list[b.pos]
-		if outranks(ca, cb) {
+		if BetterByID(ca, cb) {
 			return true
 		}
-		if outranks(cb, ca) {
+		if BetterByID(cb, ca) {
 			return false
 		}
 		return a.li < b.li

@@ -68,25 +68,25 @@ func (g *Gallery) AppendUnits(units []Unit, base int) []Unit {
 }
 
 // ScanUnits is the exact sweep: it ranks, for each z-scored
-// gallery-space probe, the top k records of the unit list under the
-// strict total order outranks, excluding every record whose candidate
-// index i has skip[i] true (skip nil = no exclusions). Every unit's
-// gallery has the probes' dimensionality. k must be positive; a list
-// is shorter than k only when fewer unmasked records exist, and empty
-// for an empty unit list. Every score is
+// gallery-space probe, the top k records of the unit list under
+// BetterByID, excluding every record whose candidate index i has
+// skip[i] true (skip nil = no exclusions). Every unit's gallery has the
+// probes' dimensionality. k must be positive; a list is shorter than k
+// only when fewer unmasked records exist, and empty for an empty unit
+// list. Every score is
 // linalg.Dot(fingerprint, probe)·(1/features) bit for bit — the
 // streaming kernel preserves per-record accumulation order — so results
 // match DenseSimilarity and match.SimilarityMatrix. The batch's probe
 // panels are packed once and shared read-only by every run. The sweep
 // aborts between units once ctx is cancelled and returns ctx.Err().
-func ScanUnits(ctx context.Context, units []Unit, zps [][]float64, k, parallelism int, outranks func(a, b Candidate) bool, skip []bool) ([][]Candidate, error) {
+func ScanUnits(ctx context.Context, units []Unit, zps [][]float64, k, parallelism int, skip []bool) ([][]Candidate, error) {
 	var panels []float64
 	if len(units) > 0 {
 		sp := packPanels(zps, units[0].G.features)
 		defer panelPool.Put(sp)
 		panels = *sp
 	}
-	return SelectRuns(ctx, len(units), len(zps), k, parallelism, outranks, func(lo, hi int, rankers []Ranker) error {
+	return SelectRuns(ctx, len(units), len(zps), k, parallelism, func(lo, hi int, rankers []Ranker) error {
 		// The run's scratch: per-probe slice headers over one dot
 		// buffer. Headers for a batch of up to inlineProbes live in the
 		// run's frame, so buf is the run's only scratch allocation.
@@ -108,14 +108,14 @@ func ScanUnits(ctx context.Context, units []Unit, zps [][]float64, k, parallelis
 
 // SelectRuns is the selection driver under every scan: it cuts units
 // [0, units) into contiguous runs, hands each run a fresh set of
-// per-probe rankers of capacity k under outranks, has scan offer the
-// run's candidates to them, and tournament-merges the per-run rankings
-// into one best-first list per probe. With one worker (or one unit)
-// there is exactly one run and no merge; with no units there is no run
-// and every list is empty. scan owns [lo, hi) exclusively; runs may
-// execute concurrently. A cancelled ctx stops further runs and returns
+// per-probe rankers of capacity k, has scan offer the run's candidates
+// to them, and tournament-merges the per-run rankings into one
+// best-first list per probe. With one worker (or one unit) there is
+// exactly one run and no merge; with no units there is no run and every
+// list is empty. scan owns [lo, hi) exclusively; runs may execute
+// concurrently. A cancelled ctx stops further runs and returns
 // ctx.Err().
-func SelectRuns(ctx context.Context, units, probes, k, parallelism int, outranks func(a, b Candidate) bool, scan func(lo, hi int, rankers []Ranker) error) ([][]Candidate, error) {
+func SelectRuns(ctx context.Context, units, probes, k, parallelism int, scan func(lo, hi int, rankers []Ranker) error) ([][]Candidate, error) {
 	if units == 0 {
 		return make([][]Candidate, probes), nil
 	}
@@ -127,7 +127,7 @@ func SelectRuns(ctx context.Context, units, probes, k, parallelism int, outranks
 	err := parallel.ForCtx(ctx, parallelism, units, per, func(lo, hi int) error {
 		rankers := make([]Ranker, probes)
 		for p := range rankers {
-			rankers[p] = *NewRanker(k, outranks)
+			rankers[p] = *NewRanker(k)
 		}
 		if err := scan(lo, hi, rankers); err != nil {
 			return err
@@ -151,7 +151,7 @@ func SelectRuns(ctx context.Context, units, probes, k, parallelism int, outranks
 		for r := range partials {
 			lists[r] = partials[r][p]
 		}
-		out[p] = RankMergeLists(lists, k, outranks)
+		out[p] = RankMergeLists(lists, k)
 	}
 	return out, nil
 }

@@ -34,7 +34,7 @@ func TestSelectRunsIndependentOfRunCount(t *testing.T) {
 		return nil
 	}
 	for _, par := range []int{1, 2, 3, 8, 64} {
-		got, err := SelectRuns(context.Background(), units, probes, k, par, BetterByID, scan)
+		got, err := SelectRuns(context.Background(), units, probes, k, par, scan)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -53,14 +53,14 @@ func TestSelectRunsIndependentOfRunCount(t *testing.T) {
 	}
 
 	boom := errors.New("boom")
-	if _, err := SelectRuns(context.Background(), units, probes, k, 3, BetterByID,
+	if _, err := SelectRuns(context.Background(), units, probes, k, 3,
 		func(lo, hi int, _ []Ranker) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("failing run: err = %v, want boom", err)
 	}
 	// Zero units (a live engine with an empty overlay): no run, one empty
 	// list per probe.
 	for _, par := range []int{1, 3} {
-		got, err := SelectRuns(context.Background(), 0, probes, k, par, BetterByID,
+		got, err := SelectRuns(context.Background(), 0, probes, k, par,
 			func(lo, hi int, _ []Ranker) error { return boom })
 		if err != nil || len(got) != probes {
 			t.Fatalf("zero units par=%d: %d lists, err %v; want %d empty lists", par, len(got), err, probes)
@@ -73,7 +73,7 @@ func TestSelectRunsIndependentOfRunCount(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SelectRuns(ctx, units, probes, k, 3, BetterByID, scan); err != context.Canceled {
+	if _, err := SelectRuns(ctx, units, probes, k, 3, scan); err != context.Canceled {
 		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
@@ -105,7 +105,7 @@ func TestScanScratchAllocations(t *testing.T) {
 		}
 		for _, tc := range []struct{ probes, max int }{{1, 9}, {inlineProbes, 24}, {inlineProbes + 1, 26}} {
 			got := testing.AllocsPerRun(20, func() {
-				if _, err := ScanUnits(context.Background(), units, zps[:tc.probes], k, 1, BetterByID, nil); err != nil {
+				if _, err := ScanUnits(context.Background(), units, zps[:tc.probes], k, 1, nil); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -91,7 +91,7 @@ func BenchmarkScanUnits(b *testing.B) {
 		b.Run(lane.name, func(b *testing.B) {
 			b.SetBytes(int64(2 * features * subjects * probes))
 			for i := 0; i < b.N; i++ {
-				if _, err := ScanUnits(context.Background(), units, zps, k, lane.par, BetterByID, nil); err != nil {
+				if _, err := ScanUnits(context.Background(), units, zps, k, lane.par, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -191,14 +191,10 @@ func TestBlockedAliasesGalleryRecords(t *testing.T) {
 }
 
 // TestRankerMatchesReference feeds the bounded heap random candidate
-// streams and checks the selection against sorting the whole stream,
-// under the ID tiebreak and an index tiebreak (the heap takes any strict
-// total order) and across offer-order permutations.
+// streams and checks the selection against sorting the whole stream
+// under BetterByID, across offer-order permutations.
 func TestRankerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	byIndex := func(a, b Candidate) bool {
-		return a.Score > b.Score || (a.Score == b.Score && a.Index < b.Index)
-	}
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(40)
 		k := 1 + rng.Intn(12)
@@ -207,24 +203,22 @@ func TestRankerMatchesReference(t *testing.T) {
 			// Coarse scores force ties so the tiebreak paths run.
 			cands[i] = Candidate{Index: i, ID: subjectIDs(n)[i], Score: float64(rng.Intn(5))}
 		}
-		for _, outranks := range []func(a, b Candidate) bool{byIndex, BetterByID} {
-			want := append([]Candidate(nil), cands...)
-			sort.Slice(want, func(i, j int) bool { return outranks(want[i], want[j]) })
-			if len(want) > k {
-				want = want[:k]
-			}
-			r := NewRanker(k, outranks)
-			for _, i := range rng.Perm(n) {
-				r.Offer(cands[i])
-			}
-			got := r.Ranked()
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: got %d candidates, want %d", trial, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d rank %d: got %+v, want %+v", trial, i, got[i], want[i])
-				}
+		want := append([]Candidate(nil), cands...)
+		sort.Slice(want, func(i, j int) bool { return BetterByID(want[i], want[j]) })
+		if len(want) > k {
+			want = want[:k]
+		}
+		r := NewRanker(k)
+		for _, i := range rng.Perm(n) {
+			r.Offer(cands[i])
+		}
+		got := r.Ranked()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: got %d candidates, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d rank %d: got %+v, want %+v", trial, i, got[i], want[i])
 			}
 		}
 	}
@@ -257,12 +251,12 @@ func TestRankMergeListsDeterministic(t *testing.T) {
 		if len(want) > k {
 			want = want[:k]
 		}
-		got := RankMergeLists(lists, k, BetterByID)
+		got := RankMergeLists(lists, k)
 		perm := make([][]Candidate, nlists)
 		for i, p := range rng.Perm(nlists) {
 			perm[i] = lists[p]
 		}
-		gotPerm := RankMergeLists(perm, k, BetterByID)
+		gotPerm := RankMergeLists(perm, k)
 		if len(got) != len(want) || len(gotPerm) != len(want) {
 			t.Fatalf("trial %d: lengths %d/%d, want %d", trial, len(got), len(gotPerm), len(want))
 		}

@@ -48,8 +48,8 @@ func (bk *Blocked) dotsF64BatchPerStripe(lo, hi int, zps [][]float64, outs [][]f
 }
 
 // scanUnitsPerStripe is that ScanUnits.
-func scanUnitsPerStripe(ctx context.Context, units []Unit, zps [][]float64, k, parallelism int, outranks func(a, b Candidate) bool, skip []bool) ([][]Candidate, error) {
-	return SelectRuns(ctx, len(units), len(zps), k, parallelism, outranks, func(lo, hi int, rankers []Ranker) error {
+func scanUnitsPerStripe(ctx context.Context, units []Unit, zps [][]float64, k, parallelism int, skip []bool) ([][]Candidate, error) {
+	return SelectRuns(ctx, len(units), len(zps), k, parallelism, func(lo, hi int, rankers []Ranker) error {
 		outs := make([][]float64, len(zps))
 		for _, u := range units[lo:hi] {
 			g := u.G
@@ -79,7 +79,7 @@ func scanUnitsPerStripe(ctx context.Context, units []Unit, zps [][]float64, k, p
 							continue
 						}
 						c := Candidate{Index: u.Base + i, ID: g.ids[i], Score: sc}
-						if full && !r.outranks(c, thr) {
+						if full && !BetterByID(c, thr) {
 							continue
 						}
 						r.Offer(c)
@@ -179,11 +179,11 @@ func testScanUnitsMatchesPerStripeOracle(t *testing.T) {
 				want := bruteForce(units, probes, mask)
 				for _, par := range []int{1, 0, 3} {
 					name := fmt.Sprintf("shards=%d probes=%d masked=%v par=%d", shards, probes, mask != nil, par)
-					got, err := ScanUnits(context.Background(), units, zps[:probes], k, par, BetterByID, mask)
+					got, err := ScanUnits(context.Background(), units, zps[:probes], k, par, mask)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					oracle, err := scanUnitsPerStripe(context.Background(), units, zps[:probes], k, par, BetterByID, mask)
+					oracle, err := scanUnitsPerStripe(context.Background(), units, zps[:probes], k, par, mask)
 					if err != nil {
 						t.Fatalf("%s: oracle: %v", name, err)
 					}

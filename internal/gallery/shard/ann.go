@@ -187,7 +187,7 @@ func (s *Store) queryAllANN(ctx context.Context, zcols [][]float64, k, paralleli
 	copy(at[1:], at[:cells]) // each at[c] advanced to its end
 	at[0] = 0
 	inv := 1 / float64(s.features)
-	return gallery.SelectRuns(ctx, len(s.galleries)*cells, len(zcols), k, parallelism, gallery.BetterByID,
+	return gallery.SelectRuns(ctx, len(s.galleries)*cells, len(zcols), k, parallelism,
 		func(lo, hi int, rankers []gallery.Ranker) error {
 			// Units are shard-major: one view per shard the run crosses.
 			var bk *gallery.Blocked

@@ -19,7 +19,7 @@ func oracleQueryAllANN(s *Store, zcols [][]float64, k int, skip []bool) ([][]gal
 	inv := 1 / float64(s.features)
 	for j, zp := range zcols {
 		cells := s.ann.RankCells(zp, s.nprobe)
-		lists, err := gallery.SelectRuns(context.Background(), len(s.galleries), 1, k, 1, gallery.BetterByID,
+		lists, err := gallery.SelectRuns(context.Background(), len(s.galleries), 1, k, 1,
 			func(lo, hi int, rankers []gallery.Ranker) error {
 				for si := lo; si < hi; si++ {
 					oracleScanShard(s, si, cells, zp, inv, &rankers[0], skip)

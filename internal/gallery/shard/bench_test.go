@@ -7,6 +7,7 @@ import (
 
 	"brainprint/internal/gallery"
 	"brainprint/internal/gallery/ivf"
+	"brainprint/internal/linalg"
 	"brainprint/internal/match"
 )
 
@@ -29,35 +30,36 @@ import (
 // benchmark artifact records the trajectory; the CI sharding-overhead
 // gate requires sharded to stay within 5 % of single at every cohort
 // size it covers. The 1M regime lives in BenchmarkShardTopK1M so
-// filtered runs of this benchmark don't pay its setup cost.
+// filtered runs of this benchmark don't pay its setup cost. Each
+// cohort is built on first use by a lane that runs (the IVF index only
+// by the ivf lane), so a filtered run pays only for the lanes it
+// selects.
 func BenchmarkShardTopK(b *testing.B) {
 	const features, probes, k = 100, 16, 5
 	for _, subjects := range []int{1_000, 10_000, 100_000, 500_000} {
-		known := randomGroup(int64(subjects), features, subjects)
-		anon := randomGroup(int64(subjects)+1, features, probes)
-		ids := make([]string, subjects)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("s%06d", i)
-		}
-		g := gallery.New(features)
-		if err := g.EnrollMatrix(ids, known); err != nil {
-			b.Fatalf("EnrollMatrix: %v", err)
-		}
-		single := Wrap(g)
-		s, err := FromGallery(g, 8, false)
-		if err != nil {
-			b.Fatalf("FromGallery: %v", err)
-		}
-		if err := s.BuildANN(context.Background(), 0, 1, 0); err != nil {
-			b.Fatalf("BuildANN: %v", err)
+		c := &topKCohort{subjects: subjects, features: features, probes: probes}
+		query := func(b *testing.B, s *Store) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ranked, err := s.QueryAllCtx(context.Background(), c.anon, k, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(ranked) != probes {
+					b.Fatal("short result")
+				}
+			}
 		}
 
 		scale := fmt.Sprintf("%dk", subjects/1000)
 		if subjects <= 10_000 { // dense is O(n·m) memory; skip at 100k
 			b.Run("dense/"+scale, func(b *testing.B) {
+				c.groups()
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sim, err := match.SimilarityMatrix(known, anon)
+					sim, err := match.SimilarityMatrix(c.known, c.anon)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -68,52 +70,79 @@ func BenchmarkShardTopK(b *testing.B) {
 			})
 		}
 		b.Run("single/"+scale, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ranked, err := single.QueryAllCtx(context.Background(), anon, k, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ranked) != probes {
-					b.Fatal("short result")
-				}
-			}
+			query(b, Wrap(c.gallery(b)))
 		})
 		b.Run("sharded/"+scale, func(b *testing.B) {
+			s := c.sharded(b)
 			if err := s.SetANNProbe(0); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAllCtx(context.Background(), anon, k, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ranked) != probes {
-					b.Fatal("short result")
-				}
-			}
+			query(b, s)
 		})
 		b.Run("ivf/"+scale, func(b *testing.B) {
+			s := c.sharded(b)
+			if !c.trained {
+				if err := s.BuildANN(context.Background(), 0, 1, 0); err != nil {
+					b.Fatalf("BuildANN: %v", err)
+				}
+				c.trained = true
+			}
 			if err := s.SetANNProbe(ivf.DefaultNProbe); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ranked, err := s.QueryAllCtx(context.Background(), anon, k, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ranked) != probes {
-					b.Fatal("short result")
-				}
-			}
+			query(b, s)
 			b.StopTimer()
 			if err := s.SetANNProbe(0); err != nil {
 				b.Fatal(err)
 			}
 		})
 	}
+}
+
+// topKCohort holds one BenchmarkShardTopK cohort, each piece built on
+// first use: the raw groups, the enrolled gallery and its 8-shard
+// store.
+type topKCohort struct {
+	subjects, features, probes int
+
+	known, anon *linalg.Matrix
+	g           *gallery.Gallery
+	s           *Store
+	trained     bool // s carries its IVF index
+}
+
+func (c *topKCohort) groups() {
+	if c.known == nil {
+		c.known = randomGroup(int64(c.subjects), c.features, c.subjects)
+		c.anon = randomGroup(int64(c.subjects)+1, c.features, c.probes)
+	}
+}
+
+func (c *topKCohort) gallery(b *testing.B) *gallery.Gallery {
+	if c.g == nil {
+		c.groups()
+		ids := make([]string, c.subjects)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("s%06d", i)
+		}
+		g := gallery.New(c.features)
+		if err := g.EnrollMatrix(ids, c.known); err != nil {
+			b.Fatalf("EnrollMatrix: %v", err)
+		}
+		c.g = g
+	}
+	return c.g
+}
+
+func (c *topKCohort) sharded(b *testing.B) *Store {
+	if c.s == nil {
+		s, err := FromGallery(c.gallery(b), 8, false)
+		if err != nil {
+			b.Fatalf("FromGallery: %v", err)
+		}
+		c.s = s
+	}
+	return c.s
 }
 
 // BenchmarkShardTopK1M is the million-subject regime — the tentpole

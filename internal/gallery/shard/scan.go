@@ -44,5 +44,5 @@ func (s *Store) QueryAllZMasked(ctx context.Context, zcols [][]float64, k, paral
 	if s.ann != nil && s.nprobe > 0 {
 		return s.queryAllANN(ctx, zcols, k, parallelism, skip)
 	}
-	return gallery.ScanUnits(ctx, s.units, zcols, k, parallelism, gallery.BetterByID, skip)
+	return gallery.ScanUnits(ctx, s.units, zcols, k, parallelism, skip)
 }

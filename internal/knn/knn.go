@@ -92,6 +92,3 @@ func (c *Classifier) PredictBatch(xs [][]float64, k int) ([]int, error) {
 	}
 	return out, nil
 }
-
-// NumReference returns the number of stored reference points.
-func (c *Classifier) NumReference() int { return len(c.points) }

@@ -81,8 +81,8 @@ func TestPredictBatchAndImmutability(t *testing.T) {
 	if got[0] != 0 || got[1] != 1 {
 		t.Errorf("PredictBatch = %v", got)
 	}
-	if clf.NumReference() != 2 {
-		t.Errorf("NumReference = %d", clf.NumReference())
+	if len(clf.points) != 2 {
+		t.Errorf("classifier holds %d reference points, want 2", len(clf.points))
 	}
 }
 

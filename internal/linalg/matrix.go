@@ -74,15 +74,6 @@ func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// NewMatrixFromData wraps an existing row-major backing slice without
-// copying. It returns an error if len(data) != r*c.
-func NewMatrixFromData(r, c int, data []float64) (*Matrix, error) {
-	if len(data) != r*c {
-		return nil, fmt.Errorf("linalg: data length %d does not match %dx%d", len(data), r, c)
-	}
-	return &Matrix{rows: r, cols: c, data: data}, nil
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -223,19 +214,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns the matrix-vector product m·x.
-// It panics if len(x) != Cols().
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("linalg: MulVec length %d != cols %d", len(x), m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = Dot(m.data[i*m.cols:(i+1)*m.cols], x)
-	}
-	return out
-}
-
 // Gram returns mᵀ·m, the n×n Gram matrix of the columns of m, computed
 // directly (without materializing the transpose). The result is
 // symmetric by construction.
@@ -288,15 +266,6 @@ func (m *Matrix) zipWith(b *Matrix, f func(x, y float64) float64) *Matrix {
 	out := NewMatrix(m.rows, m.cols)
 	for i, v := range m.data {
 		out.data[i] = f(v, b.data[i])
-	}
-	return out
-}
-
-// Scale returns s·m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := NewMatrix(m.rows, m.cols)
-	for i, v := range m.data {
-		out.data[i] = s * v
 	}
 	return out
 }
@@ -371,32 +340,6 @@ func (m *Matrix) SelectCols(idx []int) *Matrix {
 			orow[k] = row[j]
 		}
 	}
-	return out
-}
-
-// HStack returns [m | b], the column-wise concatenation.
-// It panics if the row counts differ.
-func (m *Matrix) HStack(b *Matrix) *Matrix {
-	if m.rows != b.rows {
-		panic(fmt.Sprintf("linalg: HStack row mismatch %d vs %d", m.rows, b.rows))
-	}
-	out := NewMatrix(m.rows, m.cols+b.cols)
-	for i := 0; i < m.rows; i++ {
-		copy(out.data[i*out.cols:], m.data[i*m.cols:(i+1)*m.cols])
-		copy(out.data[i*out.cols+m.cols:], b.data[i*b.cols:(i+1)*b.cols])
-	}
-	return out
-}
-
-// VStack returns the row-wise concatenation of m on top of b.
-// It panics if the column counts differ.
-func (m *Matrix) VStack(b *Matrix) *Matrix {
-	if m.cols != b.cols {
-		panic(fmt.Sprintf("linalg: VStack col mismatch %d vs %d", m.cols, b.cols))
-	}
-	out := NewMatrix(m.rows+b.rows, m.cols)
-	copy(out.data, m.data)
-	copy(out.data[m.rows*m.cols:], b.data)
 	return out
 }
 

@@ -170,60 +170,3 @@ func (f *SVDFactors) Rank(rcond float64) int {
 	}
 	return r
 }
-
-// PseudoInverse returns the Moore-Penrose pseudo-inverse A⁺ = V·Σ⁺·Uᵀ
-// computed from the factorization, treating singular values below
-// rcond·S[0] as zero.
-func (f *SVDFactors) PseudoInverse(rcond float64) *Matrix {
-	n := len(f.S)
-	m := f.U.Rows()
-	out := NewMatrix(f.V.Rows(), m)
-	if n == 0 {
-		return out
-	}
-	thresh := rcond * f.S[0]
-	// out = Σ over k of (1/σ_k) v_k u_kᵀ
-	for k := 0; k < n; k++ {
-		if f.S[k] <= thresh {
-			continue
-		}
-		inv := 1 / f.S[k]
-		for i := 0; i < f.V.Rows(); i++ {
-			vik := f.V.At(i, k) * inv
-			if vik == 0 {
-				continue
-			}
-			for j := 0; j < m; j++ {
-				out.Set(i, j, out.At(i, j)+vik*f.U.At(j, k))
-			}
-		}
-	}
-	return out
-}
-
-// Reconstruct returns U·diag(S)·Vᵀ, optionally truncated to the leading
-// k components (k ≤ len(S); pass k = len(S) for the full product).
-func (f *SVDFactors) Reconstruct(k int) *Matrix {
-	if k < 0 || k > len(f.S) {
-		panic(fmt.Sprintf("linalg: Reconstruct rank %d out of range %d", k, len(f.S)))
-	}
-	m := f.U.Rows()
-	n := f.V.Rows()
-	out := NewMatrix(m, n)
-	for c := 0; c < k; c++ {
-		sc := f.S[c]
-		if sc == 0 {
-			continue
-		}
-		for i := 0; i < m; i++ {
-			uic := f.U.At(i, c) * sc
-			if uic == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				out.Set(i, j, out.At(i, j)+uic*f.V.At(j, c))
-			}
-		}
-	}
-	return out
-}

@@ -100,21 +100,3 @@ func Axpy(a float64, x, y []float64) {
 		y[i] += a * v
 	}
 }
-
-// ScaleVec computes x ← a·x in place.
-func ScaleVec(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
-// Normalize scales x to unit Euclidean norm in place and returns the
-// original norm. A zero vector is left unchanged and 0 is returned.
-func Normalize(x []float64) float64 {
-	n := Norm2(x)
-	if n == 0 {
-		return 0
-	}
-	ScaleVec(1/n, x)
-	return n
-}

@@ -99,34 +99,6 @@ func SimilarityMatrixCtx(ctx context.Context, known, anon *linalg.Matrix, parall
 	return out, nil
 }
 
-// SimilarityMatrixRank is the Spearman variant of SimilarityMatrix:
-// every subject's feature vector is replaced by its within-subject
-// ranks before correlation. Rank matching is invariant to any monotone
-// per-subject distortion of the features (scanner transfer curves,
-// Fisher-z vs raw correlations, clipping), which makes it a natural
-// robustness extension of the attack for heterogeneous releases.
-func SimilarityMatrixRank(known, anon *linalg.Matrix) (*linalg.Matrix, error) {
-	return SimilarityMatrixRankP(known, anon, 0)
-}
-
-// SimilarityMatrixRankP is SimilarityMatrixRank with an explicit
-// parallelism knob.
-func SimilarityMatrixRankP(known, anon *linalg.Matrix, parallelism int) (*linalg.Matrix, error) {
-	return SimilarityMatrixP(rankColumns(known, parallelism), rankColumns(anon, parallelism), parallelism)
-}
-
-// rankColumns replaces each column with its midranks.
-func rankColumns(m *linalg.Matrix, parallelism int) *linalg.Matrix {
-	rows, cols := m.Dims()
-	out := linalg.NewMatrix(rows, cols)
-	parallel.ForWith(parallelism, cols, 1, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			out.SetCol(j, stats.Ranks(m.Col(j)))
-		}
-	})
-	return out
-}
-
 // ZScoreColumns returns a copy of m with each column standardized to
 // zero mean and unit population standard deviation (constant columns
 // become zero). It is exported because the persistent fingerprint
@@ -223,42 +195,4 @@ func DiagonalContrast(sim *linalg.Matrix) (diagMean, offMean float64, err error)
 		offMean = osum / float64(rows*(rows-1))
 	}
 	return diagMean, offMean, nil
-}
-
-// TopKAccuracy returns the fraction of anonymous subjects whose true
-// identity is within the k highest-correlation candidates — a standard
-// relaxation that quantifies how close near-miss identifications are.
-func TopKAccuracy(sim *linalg.Matrix, truth []int, k int) (float64, error) {
-	rows, cols := sim.Dims()
-	if k <= 0 || k > rows {
-		return 0, fmt.Errorf("match: k=%d out of range (1..%d)", k, rows)
-	}
-	if truth != nil && len(truth) != cols {
-		return 0, fmt.Errorf("match: truth length %d != %d subjects", len(truth), cols)
-	}
-	if cols == 0 {
-		return 0, fmt.Errorf("match: empty similarity matrix")
-	}
-	correct := 0
-	col := make([]float64, rows)
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			col[i] = sim.At(i, j)
-		}
-		want := j
-		if truth != nil {
-			want = truth[j]
-		}
-		// Count how many candidates strictly beat the true identity.
-		beat := 0
-		for i := 0; i < rows; i++ {
-			if col[i] > col[want] {
-				beat++
-			}
-		}
-		if beat < k {
-			correct++
-		}
-	}
-	return float64(correct) / float64(cols), nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"brainprint/internal/linalg"
-	"brainprint/internal/stats"
 )
 
 // alignedGroups builds two feature×subject matrices where each subject's
@@ -152,28 +151,6 @@ func TestDiagonalContrastSingleSubject(t *testing.T) {
 	}
 }
 
-func TestTopKAccuracy(t *testing.T) {
-	// Subject 0 is ranked 2nd for itself, subject 1 is ranked 1st.
-	sim, _ := linalg.NewMatrixFromRows([][]float64{
-		{0.5, 0.1},
-		{0.9, 0.8},
-	})
-	top1, err := TopKAccuracy(sim, nil, 1)
-	if err != nil || top1 != 0.5 {
-		t.Errorf("top-1 = %v, %v want 0.5", top1, err)
-	}
-	top2, err := TopKAccuracy(sim, nil, 2)
-	if err != nil || top2 != 1 {
-		t.Errorf("top-2 = %v, %v want 1", top2, err)
-	}
-	if _, err := TopKAccuracy(sim, nil, 0); err == nil {
-		t.Error("expected error for k=0")
-	}
-	if _, err := TopKAccuracy(sim, nil, 3); err == nil {
-		t.Error("expected error for k>rows")
-	}
-}
-
 func TestAccuracyDegradesWithNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cleanKnown, cleanAnon := alignedGroups(rng, 60, 15, 0.2)
@@ -184,52 +161,5 @@ func TestAccuracyDegradesWithNoise(t *testing.T) {
 	accNoisy, _ := Accuracy(simNoisy, nil)
 	if accClean <= accNoisy {
 		t.Errorf("accuracy should degrade with noise: clean=%v noisy=%v", accClean, accNoisy)
-	}
-}
-
-func TestSimilarityMatrixRankMonotoneInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	known, anon := alignedGroups(rng, 80, 9, 0.3)
-	// Distort the anonymous group with a per-subject monotone transform
-	// (cubic + offset): Pearson matching shifts, rank matching must not.
-	warped := anon.Clone()
-	for s := 0; s < 9; s++ {
-		col := warped.Col(s)
-		for f := range col {
-			col[f] = col[f]*col[f]*col[f] + float64(s)
-		}
-		warped.SetCol(s, col)
-	}
-	simRank, err := SimilarityMatrixRank(known, anon)
-	if err != nil {
-		t.Fatalf("SimilarityMatrixRank: %v", err)
-	}
-	simRankWarped, err := SimilarityMatrixRank(known, warped)
-	if err != nil {
-		t.Fatalf("SimilarityMatrixRank warped: %v", err)
-	}
-	if !simRankWarped.EqualApprox(simRank, 1e-9) {
-		t.Error("rank similarity should be invariant to monotone warping")
-	}
-	accRank, _ := Accuracy(simRankWarped, nil)
-	if accRank != 1 {
-		t.Errorf("rank matching accuracy on warped data = %v want 1", accRank)
-	}
-}
-
-func TestSimilarityMatrixRankMatchesSpearman(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	known, anon := alignedGroups(rng, 40, 4, 0.5)
-	sim, err := SimilarityMatrixRank(known, anon)
-	if err != nil {
-		t.Fatalf("SimilarityMatrixRank: %v", err)
-	}
-	// Spot-check one entry against stats.Spearman.
-	want, err := stats.Spearman(known.Col(1), anon.Col(2))
-	if err != nil {
-		t.Fatalf("Spearman: %v", err)
-	}
-	if math.Abs(sim.At(1, 2)-want) > 1e-9 {
-		t.Errorf("rank sim (1,2) = %v want %v", sim.At(1, 2), want)
 	}
 }

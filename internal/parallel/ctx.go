@@ -6,20 +6,20 @@ import (
 	"sync/atomic"
 )
 
-// ForCtx is the context-aware ForErr: it splits [0, n) into chunks of at
-// most grain indices, processes them on Workers(workers) goroutines, and
-// stops pulling new chunks as soon as ctx is cancelled or any chunk
-// fails. A cancelled run returns ctx.Err(); a failed run returns the
-// error of the lowest failed range (like ForErr, independent of
-// scheduling); chunk errors win over a concurrent cancellation so a
-// real failure is never masked.
+// ForCtx is ForWith for fallible, cancellable chunks: it splits [0, n)
+// into chunks of at most grain indices, processes them on
+// Workers(workers) goroutines, and stops pulling new chunks as soon as
+// ctx is cancelled or any chunk fails. A cancelled run returns
+// ctx.Err(); a failed run returns the error of the lowest failed range,
+// so the reported error does not depend on scheduling; chunk errors win
+// over a concurrent cancellation so a real failure is never masked.
 //
-// Unlike ForWith/ForErr, the serial path still iterates chunk by chunk
+// Unlike ForWith, the serial path still iterates chunk by chunk
 // (checking ctx between chunks) instead of collapsing to one fn(0, n)
 // call, so cancellation stays prompt at any worker count. fn must treat
 // [lo, hi) as its exclusive territory; on success the output is
-// bit-identical to the same fn run under ForErr or serially, because
-// chunk boundaries and ownership do not depend on ctx or scheduling.
+// bit-identical to the same fn run serially, because chunk boundaries
+// and ownership do not depend on ctx or scheduling.
 func ForCtx(ctx context.Context, workers, n, grain int, fn func(lo, hi int) error) error {
 	w, _ := plan(workers, &n, &grain)
 	if n <= 0 {
@@ -89,11 +89,18 @@ func ForCtx(ctx context.Context, workers, n, grain int, fn func(lo, hi int) erro
 	return ctx.Err()
 }
 
-// ReduceCtx is the context-aware Reduce: chunk boundaries and the fold
-// order are functions of (n, grain) alone, so a successful run returns
-// the exact value Reduce would. On cancellation it stops mapping and
-// returns (zero, ctx.Err()) without folding, so a partial reduction is
-// never observable.
+// ReduceCtx maps disjoint chunks of [0, n) — each at most grain
+// indices — to partial results on Workers(workers) goroutines, then
+// folds the partials serially in ascending chunk order starting from
+// zero:
+//
+//	acc = merge(...merge(merge(zero, p₀), p₁)..., p₍c₋₁₎)
+//
+// The chunk boundaries and the fold order are functions of (n, grain)
+// alone, never of the worker count or scheduling, so ReduceCtx is
+// deterministic whenever mapFn and merge are. On cancellation it stops
+// mapping and returns (zero, ctx.Err()) without folding, so a partial
+// reduction is never observable.
 func ReduceCtx[T any](ctx context.Context, workers, n, grain int, zero T, mapFn func(lo, hi int) T, merge func(acc, part T) T) (T, error) {
 	if grain < 1 {
 		grain = 1
@@ -124,10 +131,11 @@ func ReduceCtx[T any](ctx context.Context, workers, n, grain int, zero T, mapFn 
 	return acc, nil
 }
 
-// GroupCtx is the context-aware Group: an errgroup-style fan-out whose
-// derived context is cancelled as soon as any task fails or the parent
-// context is cancelled, so sibling tasks (and the loops they run via
-// ForCtx) abort early instead of finishing doomed work.
+// GroupCtx is an errgroup-style fan-out: tasks submitted with Go run on
+// at most Workers(workers) goroutines, and its derived context is
+// cancelled as soon as any task fails or the parent context is
+// cancelled, so sibling tasks (and the loops they run via ForCtx) abort
+// early instead of finishing doomed work.
 type GroupCtx struct {
 	parent context.Context
 	ctx    context.Context

@@ -3,24 +3,21 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestForCtxMatchesForErr pins the success-path contract: at any worker
-// count, ForCtx must produce exactly the outputs of ForErr (disjoint
-// chunk writes, same chunking).
+// count, ForCtx must produce exactly the outputs of a serial loop
+// (disjoint chunk writes, same chunking).
 func TestForCtxMatchesForErr(t *testing.T) {
 	const n, grain = 1000, 7
 	want := make([]int, n)
-	if err := ForErr(1, n, grain, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			want[i] = i * i
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("ForErr: %v", err)
+	for i := range want {
+		want[i] = i * i
 	}
 	for _, workers := range []int{1, 2, 4, 0} {
 		got := make([]int, n)
@@ -108,9 +105,25 @@ func TestForCtxErrorBeatsCancel(t *testing.T) {
 	}
 }
 
-// TestForCtxLowestErrorWins pins the deterministic-error contract shared
-// with ForErr.
+// TestForCtxLowestErrorWins pins the deterministic-error contract:
+// among the failed chunks the lowest range's error is reported, so the
+// caller sees the same error at any worker count.
 func TestForCtxLowestErrorWins(t *testing.T) {
+	// fn fails at the first index >= 30 it sees: serial and parallel runs
+	// both report index 30.
+	failFrom30 := func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if i >= 30 {
+				return fmt.Errorf("index %d", i)
+			}
+		}
+		return nil
+	}
+	for _, workers := range []int{1, 4} {
+		if err := ForCtx(context.Background(), workers, 100, 10, failFrom30); err == nil || err.Error() != "index 30" {
+			t.Errorf("workers=%d: ForCtx = %v want index 30", workers, err)
+		}
+	}
 	errLo := errors.New("low")
 	errHi := errors.New("high")
 	for trial := 0; trial < 20; trial++ {
@@ -132,7 +145,24 @@ func TestForCtxLowestErrorWins(t *testing.T) {
 	}
 }
 
-// TestReduceCtxMatchesReduce pins ReduceCtx's success path to Reduce.
+// TestForCtxStopsSchedulingAfterFailure verifies the workers stop
+// pulling chunks once one has failed.
+func TestForCtxStopsSchedulingAfterFailure(t *testing.T) {
+	var ran atomic.Int32
+	err := ForCtx(context.Background(), 2, 1000, 1, func(lo, hi int) error {
+		ran.Add(1)
+		return errors.New("boom")
+	})
+	if err == nil {
+		t.Fatal("expected error")
+	}
+	if got := ran.Load(); got > 10 {
+		t.Errorf("%d chunks ran after the first failure; scheduling should stop", got)
+	}
+}
+
+// TestReduceCtxMatchesReduce pins ReduceCtx's success path to a serial
+// sum at every worker count and grain, and a cancelled run to zero.
 func TestReduceCtxMatchesReduce(t *testing.T) {
 	mapFn := func(lo, hi int) int {
 		s := 0
@@ -142,24 +172,65 @@ func TestReduceCtxMatchesReduce(t *testing.T) {
 		return s
 	}
 	merge := func(a, b int) int { return a + b }
-	want := Reduce(1, 500, 13, 0, mapFn, merge)
+	const n = 500
+	want := 0
+	for i := 0; i < n; i++ {
+		want += i
+	}
 	for _, workers := range []int{1, 3, 0} {
-		got, err := ReduceCtx(context.Background(), workers, 500, 13, 0, mapFn, merge)
-		if err != nil {
-			t.Fatalf("ReduceCtx(workers=%d): %v", workers, err)
-		}
-		if got != want {
-			t.Errorf("workers=%d: got %d want %d", workers, got, want)
+		for _, grain := range []int{1, 13, 64, 5000} {
+			got, err := ReduceCtx(context.Background(), workers, n, grain, 0, mapFn, merge)
+			if err != nil {
+				t.Fatalf("ReduceCtx(workers=%d, grain=%d): %v", workers, grain, err)
+			}
+			if got != want {
+				t.Errorf("workers=%d grain=%d: got %d want %d", workers, grain, got, want)
+			}
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := ReduceCtx(ctx, 2, 500, 13, 0, mapFn, merge)
+	got, err := ReduceCtx(ctx, 2, n, 13, 0, mapFn, merge)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ReduceCtx err = %v", err)
 	}
 	if got != 0 {
 		t.Errorf("cancelled ReduceCtx leaked a partial value %d", got)
+	}
+}
+
+// TestReduceEmptyRangeReturnsZero verifies an empty range returns the
+// zero value without calling mapFn.
+func TestReduceEmptyRangeReturnsZero(t *testing.T) {
+	got, err := ReduceCtx(context.Background(), 4, 0, 8, -7, func(lo, hi int) int {
+		t.Error("mapFn must not run on an empty range")
+		return 0
+	}, func(acc, part int) int { return acc + part })
+	if err != nil || got != -7 {
+		t.Errorf("ReduceCtx on empty range = %d, %v want the zero value -7", got, err)
+	}
+}
+
+// TestReduceFoldOrderIsChunkOrder uses a non-commutative merge (slice
+// append) to expose the fold order: the concatenated chunk ranges must
+// come back ascending at any worker count, because partials fold in
+// chunk order regardless of which worker produced them.
+func TestReduceFoldOrderIsChunkOrder(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		got, err := ReduceCtx(context.Background(), workers, 100, 9, nil, func(lo, hi int) []int {
+			return []int{lo, hi}
+		}, func(acc, part []int) []int { return append(acc, part...) })
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := 2; i < len(got); i += 2 {
+			if got[i] != got[i-1] {
+				t.Fatalf("workers=%d: chunk ranges out of order: %v", workers, got)
+			}
+		}
+		if got[0] != 0 || got[len(got)-1] != 100 {
+			t.Fatalf("workers=%d: chunks do not cover [0,100): %v", workers, got)
+		}
 	}
 }
 
@@ -182,6 +253,42 @@ func TestGroupCtx(t *testing.T) {
 	}
 	if ctx.Err() == nil {
 		t.Error("derived context still live after Wait")
+	}
+}
+
+// TestGroupPropagatesErrorAndBoundsConcurrency verifies Wait returns
+// the failed task's error, at most Workers(workers) tasks run at once,
+// and a clean group's Wait returns nil.
+func TestGroupPropagatesErrorAndBoundsConcurrency(t *testing.T) {
+	g, _ := NewGroupCtx(context.Background(), 3)
+	var inFlight, peak atomic.Int32
+	var mu sync.Mutex
+	for i := 0; i < 20; i++ {
+		g.Go(func(context.Context) error {
+			cur := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			mu.Lock()
+			if cur > peak.Load() {
+				peak.Store(cur)
+			}
+			mu.Unlock()
+			if i == 7 {
+				return errors.New("task 7 failed")
+			}
+			return nil
+		})
+	}
+	if err := g.Wait(); err == nil || err.Error() != "task 7 failed" {
+		t.Errorf("Wait = %v", err)
+	}
+	if p := peak.Load(); p > 3 {
+		t.Errorf("concurrency peak %d exceeds limit 3", p)
+	}
+	// A clean group returns nil.
+	g2, _ := NewGroupCtx(context.Background(), 0)
+	g2.Go(func(context.Context) error { return nil })
+	if err := g2.Wait(); err != nil {
+		t.Errorf("clean Wait = %v", err)
 	}
 }
 

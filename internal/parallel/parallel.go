@@ -95,55 +95,6 @@ func ForWith(workers, n, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ForErr is ForWith for fallible chunks. All workers stop pulling new
-// chunks once any chunk fails; among the failed chunks the error of the
-// lowest range is returned, so the reported error does not depend on
-// scheduling.
-func ForErr(workers, n, grain int, fn func(lo, hi int) error) error {
-	w, ok := plan(workers, &n, &grain)
-	if n <= 0 {
-		return nil
-	}
-	if !ok {
-		return fn(0, n)
-	}
-	var (
-		cursor atomic.Int64
-		failed atomic.Bool
-		mu     sync.Mutex
-		err    error
-		errLo  int
-	)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				lo := int(cursor.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				if e := fn(lo, hi); e != nil {
-					mu.Lock()
-					if err == nil || lo < errLo {
-						err, errLo = e, lo
-					}
-					mu.Unlock()
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return err
-}
-
 // plan normalizes the loop parameters and reports whether a concurrent
 // run is worthwhile; on a concurrent run it returns the worker count.
 func plan(workers int, n, grain *int) (int, bool) {
@@ -158,82 +109,6 @@ func plan(workers int, n, grain *int) (int, bool) {
 		w = chunks
 	}
 	return w, w > 1
-}
-
-// Reduce maps disjoint chunks of [0, n) — each at most grain indices —
-// to partial results on Workers(workers) goroutines, then folds the
-// partials serially in ascending chunk order starting from zero:
-//
-//	acc = merge(...merge(merge(zero, p₀), p₁)..., p₍c₋₁₎)
-//
-// The chunk boundaries and the fold order are functions of (n, grain)
-// alone, never of the worker count or scheduling, so Reduce is
-// deterministic whenever mapFn and merge are. It is the reduction
-// counterpart of ForWith, built for blocked searches that keep a small
-// per-chunk partial (e.g. the gallery top-k sweep) instead of writing a
-// dense output.
-func Reduce[T any](workers, n, grain int, zero T, mapFn func(lo, hi int) T, merge func(acc, part T) T) T {
-	if grain < 1 {
-		grain = 1
-	}
-	if n <= 0 {
-		return zero
-	}
-	chunks := (n + grain - 1) / grain
-	partials := make([]T, chunks)
-	ForWith(workers, chunks, 1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			clo := c * grain
-			chi := clo + grain
-			if chi > n {
-				chi = n
-			}
-			partials[c] = mapFn(clo, chi)
-		}
-	})
-	acc := zero
-	for _, p := range partials {
-		acc = merge(acc, p)
-	}
-	return acc
-}
-
-// Group is an errgroup-style fan-out: tasks submitted with Go run on at
-// most Workers(workers) concurrent goroutines, Wait blocks until all of
-// them finish, and the first error observed wins. Go blocks while the
-// pool is saturated, so a producer loop cannot outrun the workers.
-type Group struct {
-	sem  chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
-	err  error
-}
-
-// NewGroup returns a Group bounded by Workers(workers) goroutines.
-func NewGroup(workers int) *Group {
-	return &Group{sem: make(chan struct{}, Workers(workers))}
-}
-
-// Go submits a task, blocking until a worker slot frees up.
-func (g *Group) Go(fn func() error) {
-	g.wg.Add(1)
-	g.sem <- struct{}{}
-	go func() {
-		defer func() {
-			<-g.sem
-			g.wg.Done()
-		}()
-		if err := fn(); err != nil {
-			g.once.Do(func() { g.err = err })
-		}
-	}()
-}
-
-// Wait blocks until every submitted task has finished and returns the
-// first error any of them produced.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	return g.err
 }
 
 // DeriveSeed mixes a root seed with an index path (e.g. noise level,

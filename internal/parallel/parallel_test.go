@@ -1,10 +1,10 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -62,8 +62,8 @@ func TestForEmptyRange(t *testing.T) {
 	if called {
 		t.Error("fn must not run on an empty range")
 	}
-	if err := ForErr(4, 0, 1, func(lo, hi int) error { return errors.New("no") }); err != nil {
-		t.Errorf("ForErr on empty range: %v", err)
+	if err := ForCtx(context.Background(), 4, 0, 1, func(lo, hi int) error { return errors.New("no") }); err != nil {
+		t.Errorf("ForCtx on empty range: %v", err)
 	}
 }
 
@@ -83,138 +83,6 @@ func TestForGrainAtLeastNRunsInline(t *testing.T) {
 	ForWith(1, 5, 0, func(lo, hi int) { total += hi - lo })
 	if total != 5 {
 		t.Errorf("grain=0 covered %d of 5", total)
-	}
-}
-
-func TestForErrFirstErrorByRange(t *testing.T) {
-	// fn fails at the first index >= 30 it sees. Serial collapses to one
-	// [0,100) call and trips on index 30; parallel chunks report their
-	// own first bad index but the lowest range wins — either way the
-	// caller sees index 30.
-	failFrom30 := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if i >= 30 {
-				return fmt.Errorf("index %d", i)
-			}
-		}
-		return nil
-	}
-	if err := ForErr(1, 100, 10, failFrom30); err == nil || err.Error() != "index 30" {
-		t.Errorf("serial ForErr = %v want index 30", err)
-	}
-	if err := ForErr(4, 100, 10, failFrom30); err == nil || err.Error() != "index 30" {
-		t.Errorf("parallel ForErr = %v want index 30", err)
-	}
-	// Parallel: whichever failing chunks execute, the reported error must
-	// be the lowest-range one among them; chunk 0 always fails, so the
-	// answer is fully determined.
-	for trial := 0; trial < 20; trial++ {
-		err := ForErr(8, 64, 1, func(lo, hi int) error {
-			if lo%2 == 0 {
-				return fmt.Errorf("chunk %d", lo)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "chunk 0" {
-			t.Fatalf("parallel ForErr = %v want chunk 0", err)
-		}
-	}
-}
-
-func TestForErrStopsSchedulingAfterFailure(t *testing.T) {
-	var ran atomic.Int32
-	err := ForErr(2, 1000, 1, func(lo, hi int) error {
-		ran.Add(1)
-		return errors.New("boom")
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if got := ran.Load(); got > 10 {
-		t.Errorf("%d chunks ran after the first failure; scheduling should stop", got)
-	}
-}
-
-func TestReduceSumMatchesSerial(t *testing.T) {
-	const n = 1000
-	want := n * (n - 1) / 2
-	for _, workers := range []int{1, 2, 8} {
-		for _, grain := range []int{1, 7, 64, 5000} {
-			got := Reduce(workers, n, grain, 0, func(lo, hi int) int {
-				s := 0
-				for i := lo; i < hi; i++ {
-					s += i
-				}
-				return s
-			}, func(acc, part int) int { return acc + part })
-			if got != want {
-				t.Errorf("workers=%d grain=%d: Reduce sum = %d want %d", workers, grain, got, want)
-			}
-		}
-	}
-}
-
-func TestReduceFoldOrderIsChunkOrder(t *testing.T) {
-	// A non-commutative merge (slice append) exposes the fold order: the
-	// concatenated chunk ranges must come back ascending at any worker
-	// count, because partials fold in chunk order regardless of which
-	// worker produced them.
-	for _, workers := range []int{1, 3, 8} {
-		got := Reduce(workers, 100, 9, nil, func(lo, hi int) []int {
-			return []int{lo, hi}
-		}, func(acc, part []int) []int { return append(acc, part...) })
-		for i := 2; i < len(got); i += 2 {
-			if got[i] != got[i-1] {
-				t.Fatalf("workers=%d: chunk ranges out of order: %v", workers, got)
-			}
-		}
-		if got[0] != 0 || got[len(got)-1] != 100 {
-			t.Fatalf("workers=%d: chunks do not cover [0,100): %v", workers, got)
-		}
-	}
-}
-
-func TestReduceEmptyRangeReturnsZero(t *testing.T) {
-	got := Reduce(4, 0, 8, -7, func(lo, hi int) int {
-		t.Error("mapFn must not run on an empty range")
-		return 0
-	}, func(acc, part int) int { return acc + part })
-	if got != -7 {
-		t.Errorf("Reduce on empty range = %d want the zero value -7", got)
-	}
-}
-
-func TestGroupPropagatesErrorAndBoundsConcurrency(t *testing.T) {
-	g := NewGroup(3)
-	var inFlight, peak atomic.Int32
-	var mu sync.Mutex
-	for i := 0; i < 20; i++ {
-		i := i
-		g.Go(func() error {
-			cur := inFlight.Add(1)
-			defer inFlight.Add(-1)
-			mu.Lock()
-			if cur > peak.Load() {
-				peak.Store(cur)
-			}
-			mu.Unlock()
-			if i == 7 {
-				return errors.New("task 7 failed")
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err == nil || err.Error() != "task 7 failed" {
-		t.Errorf("Wait = %v", err)
-	}
-	if p := peak.Load(); p > 3 {
-		t.Errorf("concurrency peak %d exceeds limit 3", p)
-	}
-	// A clean group returns nil.
-	g2 := NewGroup(0)
-	g2.Go(func() error { return nil })
-	if err := g2.Wait(); err != nil {
-		t.Errorf("clean Wait = %v", err)
 	}
 }
 

@@ -167,7 +167,7 @@ func TestRegisterNormalizesHeadSize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Register: %v", err)
 		}
-		if !out.Grid.Equal(target) {
+		if out.Grid != target {
 			t.Fatal("output not on target grid")
 		}
 		n := 0
@@ -267,31 +267,6 @@ func TestZScoreVoxels(t *testing.T) {
 		if math.Abs(stats.Mean(v)) > 1e-9 || math.Abs(stats.StdDev(v)-1) > 1e-9 {
 			t.Fatalf("voxel %d not standardized", idx)
 		}
-	}
-}
-
-func TestSliceTimeCorrect(t *testing.T) {
-	g, _ := fmri.NewGrid(2, 2, 4, 2)
-	s, _ := fmri.NewSeries(g, 1, 10)
-	for idx := 0; idx < g.NumVoxels(); idx++ {
-		v := make([]float64, 10)
-		for t2 := range v {
-			v[t2] = float64(t2)
-		}
-		s.SetVoxelSeries(idx, v)
-	}
-	ctx := &Context{}
-	if _, err := (&SliceTimeCorrect{}).Apply(s, ctx); err != nil {
-		t.Fatalf("SliceTimeCorrect: %v", err)
-	}
-	// Slice 0 untouched; later slices shifted back by their offset.
-	v0 := s.VoxelSeries(g.Index(0, 0, 0))
-	if v0[5] != 5 {
-		t.Error("slice 0 should be unchanged")
-	}
-	v2 := s.VoxelSeries(g.Index(0, 0, 2)) // offset 0.5 TR
-	if math.Abs(v2[5]-4.5) > 1e-9 {
-		t.Errorf("slice 2 sample = %v want 4.5", v2[5])
 	}
 }
 

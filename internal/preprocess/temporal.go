@@ -108,48 +108,3 @@ func (z *ZScoreVoxels) Apply(s *fmri.Series, ctx *Context) (*fmri.Series, error)
 	ctx.record(z.Name(), "", time.Since(start))
 	return nil, nil
 }
-
-// SliceTimeCorrect aligns the acquisition time of every axial slice to
-// the start of the frame by linear temporal interpolation: slice z is
-// assumed acquired at offset (z/NZ)·TR within the frame. The paper
-// mentions this as an optional extra step (Figure 4 caption).
-type SliceTimeCorrect struct{}
-
-// Name implements Step.
-func (c *SliceTimeCorrect) Name() string { return "slice-time-correct" }
-
-// Apply implements Step.
-func (c *SliceTimeCorrect) Apply(s *fmri.Series, ctx *Context) (*fmri.Series, error) {
-	start := time.Now()
-	g := s.Grid
-	frames := s.NumFrames()
-	for z := 0; z < g.NZ; z++ {
-		frac := float64(z) / float64(g.NZ) // fraction of TR after frame start
-		if frac == 0 {
-			continue
-		}
-		for y := 0; y < g.NY; y++ {
-			for x := 0; x < g.NX; x++ {
-				idx := g.Index(x, y, z)
-				if ctx.BrainMask != nil && !ctx.BrainMask[idx] {
-					continue
-				}
-				series := s.VoxelSeries(idx)
-				corrected := make([]float64, frames)
-				for t := 0; t < frames; t++ {
-					// Value at frame-start time t is interpolated between
-					// samples taken at t−1+frac... shift the series back by
-					// frac of one sample.
-					if t == 0 {
-						corrected[t] = series[0]
-						continue
-					}
-					corrected[t] = series[t-1]*frac + series[t]*(1-frac)
-				}
-				s.SetVoxelSeries(idx, corrected)
-			}
-		}
-	}
-	ctx.record(c.Name(), "", time.Since(start))
-	return nil, nil
-}

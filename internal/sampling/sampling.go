@@ -1,6 +1,7 @@
 // Package sampling implements the row-sampling machinery of §3.1.2: the
-// randomized row-sampling meta-algorithm (Algorithm 1) with uniform,
-// l2-norm (Drineas et al. 2006) and leverage-score distributions, and
+// uniform, l2-norm (Drineas et al. 2006) and leverage-score
+// distributions of the randomized row-sampling meta-algorithm
+// (Algorithm 1), weighted selection without replacement, and
 // the deterministic top-t leverage-score selection ("Principal Features
 // Subspace Method", Ravindra et al. 2018) that the attack uses to find
 // the small set of connectome features carrying the individual
@@ -155,51 +156,6 @@ func Probabilities(a *linalg.Matrix, m Method) ([]float64, error) {
 		return nil, fmt.Errorf("sampling: unknown method %v", m)
 	}
 	return p, nil
-}
-
-// RowSample implements the meta-algorithm of Algorithm 1: draw s rows
-// iid from the distribution of the method and rescale each sampled row
-// by 1/√(s·p_i) so that ÃᵀÃ is an unbiased estimator of AᵀA. It returns
-// the sketch and the sampled row indices.
-func RowSample(a *linalg.Matrix, s int, m Method, rng *rand.Rand) (*linalg.Matrix, []int, error) {
-	if s <= 0 {
-		return nil, nil, fmt.Errorf("sampling: nonpositive sample count %d", s)
-	}
-	p, err := Probabilities(a, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Cumulative distribution for O(log m) sampling.
-	cdf := make([]float64, len(p))
-	acc := 0.0
-	for i, v := range p {
-		acc += v
-		cdf[i] = acc
-	}
-	_, cols := a.Dims()
-	sketch := linalg.NewMatrix(s, cols)
-	picked := make([]int, s)
-	for t := 0; t < s; t++ {
-		u := rng.Float64() * acc
-		i := sort.SearchFloat64s(cdf, u)
-		if i >= len(p) {
-			i = len(p) - 1
-		}
-		picked[t] = i
-		scale := 1 / math.Sqrt(float64(s)*p[i])
-		src := a.RowView(i)
-		dst := sketch.RowView(t)
-		for j, v := range src {
-			dst[j] = scale * v
-		}
-	}
-	return sketch, picked, nil
-}
-
-// SketchError returns ‖AᵀA − ÃᵀÃ‖F, the approximation error measure of
-// §3.1.2 under which the sampling guarantees are stated.
-func SketchError(a, sketch *linalg.Matrix) float64 {
-	return a.Gram().Sub(sketch.Gram()).FrobeniusNorm()
 }
 
 // SelectWithoutReplacement draws k distinct indices from the given

@@ -167,85 +167,6 @@ func TestL2ProbabilitiesProportionalToNorms(t *testing.T) {
 	}
 }
 
-func TestRowSampleUnbiasedness(t *testing.T) {
-	// E[ÃᵀÃ] = AᵀA: averaging many sketches should converge.
-	rng := rand.New(rand.NewSource(5))
-	a := randomMatrix(rng, 25, 3)
-	want := a.Gram()
-	sum := linalg.NewMatrix(3, 3)
-	const reps = 3000
-	for r := 0; r < reps; r++ {
-		sketch, _, err := RowSample(a, 6, L2Norm, rng)
-		if err != nil {
-			t.Fatalf("RowSample: %v", err)
-		}
-		sum = sum.Add(sketch.Gram())
-	}
-	avg := sum.Scale(1.0 / reps)
-	// Monte-Carlo tolerance.
-	if !avg.EqualApprox(want, 0.35*want.MaxAbs()) {
-		t.Errorf("sketch Gram not unbiased:\navg=%v\nwant=%v", avg, want)
-	}
-}
-
-func TestRowSampleShapeAndIndices(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randomMatrix(rng, 20, 4)
-	sketch, idx, err := RowSample(a, 7, Uniform, rng)
-	if err != nil {
-		t.Fatalf("RowSample: %v", err)
-	}
-	if r, c := sketch.Dims(); r != 7 || c != 4 {
-		t.Fatalf("sketch dims %dx%d", r, c)
-	}
-	if len(idx) != 7 {
-		t.Fatalf("indices = %d", len(idx))
-	}
-	for _, i := range idx {
-		if i < 0 || i >= 20 {
-			t.Fatalf("index %d out of range", i)
-		}
-	}
-	if _, _, err := RowSample(a, 0, Uniform, rng); err == nil {
-		t.Error("expected error for s=0")
-	}
-}
-
-// TestSamplingQualityOrdering verifies the paper's §3.1.2 claim on
-// average: leverage and l2 sampling produce better sketches than
-// uniform sampling for matrices with non-uniform row importance.
-func TestSamplingQualityOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	// Matrix with a few heavy rows and many near-zero rows.
-	a := linalg.NewMatrix(120, 5)
-	for i := 0; i < 120; i++ {
-		scale := 0.05
-		if i%17 == 0 {
-			scale = 3
-		}
-		for j := 0; j < 5; j++ {
-			a.Set(i, j, scale*rng.NormFloat64())
-		}
-	}
-	avgErr := func(m Method) float64 {
-		var total float64
-		const reps = 60
-		for r := 0; r < reps; r++ {
-			sketch, _, err := RowSample(a, 15, m, rng)
-			if err != nil {
-				t.Fatalf("RowSample(%v): %v", m, err)
-			}
-			total += SketchError(a, sketch)
-		}
-		return total / reps
-	}
-	uniform := avgErr(Uniform)
-	l2 := avgErr(L2Norm)
-	if l2 >= uniform {
-		t.Errorf("l2 sampling (%.3f) should beat uniform (%.3f) on skewed matrices", l2, uniform)
-	}
-}
-
 func TestSelectWithoutReplacement(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	p := []float64{0.7, 0.1, 0.1, 0.1, 0}

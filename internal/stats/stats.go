@@ -1,13 +1,12 @@
 // Package stats provides the descriptive statistics and correlation
 // measures used throughout the attack pipeline: means and variances,
-// z-scoring, Pearson and Spearman correlation, regression error metrics
-// and accuracy summaries.
+// z-scoring, Pearson correlation, the regression error metric and
+// accuracy summaries.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of x, or 0 for an empty slice.
@@ -97,14 +96,6 @@ func ZScore(x []float64) bool {
 	return true
 }
 
-// ZScored returns a standardized copy of x, leaving x untouched.
-func ZScored(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	ZScore(out)
-	return out
-}
-
 // Pearson returns the Pearson correlation coefficient between x and y.
 // It returns 0 when either series is constant, and an error when the
 // lengths differ or are zero.
@@ -130,56 +121,6 @@ func Pearson(x, y []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// Spearman returns the Spearman rank correlation between x and y,
-// computed as the Pearson correlation of the (mid-)ranks.
-func Spearman(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("stats: Spearman length mismatch %d vs %d", len(x), len(y))
-	}
-	return Pearson(Ranks(x), Ranks(y))
-}
-
-// Ranks returns the 1-based ranks of x, assigning the average rank to
-// ties (midranks).
-func Ranks(x []float64) []float64 {
-	n := len(x)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return x[idx[a]] < x[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && x[idx[j+1]] == x[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
-// Covariance returns the population covariance between x and y.
-func Covariance(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("stats: Covariance length mismatch %d vs %d", len(x), len(y))
-	}
-	if len(x) == 0 {
-		return 0, nil
-	}
-	mx, my := Mean(x), Mean(y)
-	var s float64
-	for i := range x {
-		s += (x[i] - mx) * (y[i] - my)
-	}
-	return s / float64(len(x)), nil
-}
-
 // RMSE returns the root mean squared error between predictions and
 // targets. It returns an error on length mismatch or empty input.
 func RMSE(pred, target []float64) (float64, error) {
@@ -195,22 +136,6 @@ func RMSE(pred, target []float64) (float64, error) {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(pred))), nil
-}
-
-// NRMSE returns the RMSE normalized by the range (max−min) of the
-// targets, as the paper's Table 1 reports ("normalized root-mean-squared
-// error", expressed as a fraction; multiply by 100 for percent).
-// It returns an error if the target range is zero.
-func NRMSE(pred, target []float64) (float64, error) {
-	r, err := RMSE(pred, target)
-	if err != nil {
-		return 0, err
-	}
-	lo, hi := MinMax(target)
-	if hi == lo {
-		return 0, fmt.Errorf("stats: NRMSE undefined for constant targets")
-	}
-	return r / (hi - lo), nil
 }
 
 // Summary holds a mean ± standard-deviation pair, the format the paper
@@ -242,46 +167,4 @@ func FisherZ(r float64) float64 {
 		r = -clamp
 	}
 	return math.Atanh(r)
-}
-
-// FisherZInv inverts the Fisher z-transform.
-func FisherZInv(z float64) float64 { return math.Tanh(z) }
-
-// Argmax returns the index of the largest element of x.
-// It panics on an empty slice.
-func Argmax(x []float64) int {
-	if len(x) == 0 {
-		panic("stats: Argmax of empty slice")
-	}
-	best := 0
-	for i, v := range x {
-		if v > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of x using linear
-// interpolation between order statistics. It panics on an empty slice.
-func Percentile(x []float64, p float64) float64 {
-	if len(x) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	s := make([]float64, len(x))
-	copy(s, x)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }

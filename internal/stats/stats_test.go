@@ -55,14 +55,6 @@ func TestZScore(t *testing.T) {
 	}
 }
 
-func TestZScoredDoesNotMutate(t *testing.T) {
-	x := []float64{1, 2, 3}
-	_ = ZScored(x)
-	if x[0] != 1 {
-		t.Error("ZScored mutated its input")
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{2, 4, 6, 8}
@@ -109,46 +101,10 @@ func TestPearsonInvariantToAffine(t *testing.T) {
 	}
 }
 
-func TestRanksWithTies(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Ranks[%d] = %v want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{1, 8, 27, 64, 125} // monotone but nonlinear
-	r, err := Spearman(x, y)
-	if err != nil || !almostEqual(r, 1, 1e-12) {
-		t.Errorf("Spearman = %v,%v want 1", r, err)
-	}
-}
-
-func TestCovariance(t *testing.T) {
-	c, err := Covariance([]float64{1, 2, 3}, []float64{4, 6, 8})
-	if err != nil || !almostEqual(c, 4.0/3, 1e-12) {
-		t.Errorf("Covariance = %v,%v want 4/3", c, err)
-	}
-	if _, err := Covariance([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("expected mismatch error")
-	}
-}
-
-func TestRMSEAndNRMSE(t *testing.T) {
+func TestRMSE(t *testing.T) {
 	r, err := RMSE([]float64{1, 2}, []float64{1, 4})
 	if err != nil || !almostEqual(r, math.Sqrt(2), 1e-12) {
 		t.Errorf("RMSE = %v,%v", r, err)
-	}
-	n, err := NRMSE([]float64{1, 2}, []float64{1, 3})
-	if err != nil || !almostEqual(n, math.Sqrt(0.5)/2, 1e-12) {
-		t.Errorf("NRMSE = %v,%v", n, err)
-	}
-	if _, err := NRMSE([]float64{1, 1}, []float64{2, 2}); err == nil {
-		t.Error("expected constant-target error")
 	}
 	if _, err := RMSE(nil, nil); err == nil {
 		t.Error("expected empty error")
@@ -167,40 +123,12 @@ func TestSummarize(t *testing.T) {
 
 func TestFisherZRoundTrip(t *testing.T) {
 	for _, r := range []float64{-0.9, -0.5, 0, 0.3, 0.99} {
-		if got := FisherZInv(FisherZ(r)); !almostEqual(got, r, 1e-9) {
+		if got := math.Tanh(FisherZ(r)); !almostEqual(got, r, 1e-9) {
 			t.Errorf("round trip %v -> %v", r, got)
 		}
 	}
 	if math.IsInf(FisherZ(1), 0) || math.IsInf(FisherZ(-1), 0) {
 		t.Error("FisherZ should clamp at ±1")
-	}
-}
-
-func TestArgmax(t *testing.T) {
-	if got := Argmax([]float64{1, 5, 3}); got != 1 {
-		t.Errorf("Argmax = %d want 1", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Argmax(empty) should panic")
-		}
-	}()
-	Argmax(nil)
-}
-
-func TestPercentile(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	if got := Percentile(x, 50); got != 3 {
-		t.Errorf("P50 = %v want 3", got)
-	}
-	if got := Percentile(x, 0); got != 1 {
-		t.Errorf("P0 = %v want 1", got)
-	}
-	if got := Percentile(x, 100); got != 5 {
-		t.Errorf("P100 = %v want 5", got)
-	}
-	if got := Percentile(x, 25); got != 2 {
-		t.Errorf("P25 = %v want 2", got)
 	}
 }
 
@@ -237,28 +165,6 @@ func TestQuickPearsonSymmetric(t *testing.T) {
 		a, _ := Pearson(x, y)
 		b, _ := Pearson(y, x)
 		return almostEqual(a, b, 1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: ranks are a permutation of 1..n when there are no ties.
-func TestQuickRanksPermutation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(30)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.Float64() // ties essentially impossible
-		}
-		r := Ranks(x)
-		var sum float64
-		for _, v := range r {
-			sum += v
-		}
-		want := float64(n*(n+1)) / 2
-		return almostEqual(sum, want, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

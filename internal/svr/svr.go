@@ -1,7 +1,6 @@
 // Package svr implements linear ε-insensitive support vector regression,
 // the model §3.3.3 trains on leverage-selected connectome features to
-// predict task performance, plus a ridge-regression baseline used by the
-// ablation benchmarks.
+// predict task performance.
 //
 // Training uses dual coordinate descent (Ho & Lin 2012, the LIBLINEAR
 // L1-loss SVR algorithm): with Q = XXᵀ the dual is
@@ -201,56 +200,4 @@ func (m *Model) PredictBatch(x *linalg.Matrix) ([]float64, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// Ridge fits closed-form L2-regularized least squares (the ablation
-// baseline): w = (XᵀX + λmI)⁻¹Xᵀy on standardized data.
-func Ridge(x *linalg.Matrix, y []float64, lambda float64) (*Model, error) {
-	m, d := x.Dims()
-	if m != len(y) {
-		return nil, fmt.Errorf("svr: %d samples but %d targets", m, len(y))
-	}
-	if m < 2 || d == 0 {
-		return nil, fmt.Errorf("svr: degenerate problem %dx%d", m, d)
-	}
-	if lambda <= 0 {
-		lambda = 1e-6
-	}
-	model := &Model{
-		weights:   make([]float64, d),
-		featMean:  make([]float64, d),
-		featScale: make([]float64, d),
-		yScale:    1,
-	}
-	xs := standardizeFeatures(x, model)
-	model.yMean = stats.Mean(y)
-	yc := make([]float64, m)
-	for i, v := range y {
-		yc[i] = v - model.yMean
-	}
-	// Normal equations with Tikhonov damping.
-	gram := xs.Gram()
-	for i := 0; i < d; i++ {
-		gram.Set(i, i, gram.At(i, i)+lambda*float64(m))
-	}
-	rhs := xs.T().MulVec(yc)
-	// Solve via eigendecomposition (gram is symmetric PSD + λI ≻ 0).
-	eig, err := linalg.SymEigen(gram)
-	if err != nil {
-		return nil, err
-	}
-	// w = V Λ⁻¹ Vᵀ rhs
-	vtr := eig.Vectors.T().MulVec(rhs)
-	for k := range vtr {
-		if eig.Values[k] > 0 {
-			vtr[k] /= eig.Values[k]
-		} else {
-			vtr[k] = 0
-		}
-	}
-	model.weights = eig.Vectors.MulVec(vtr)
-	if math.IsNaN(model.weights[0]) {
-		return nil, fmt.Errorf("svr: ridge solve failed")
-	}
-	return model, nil
 }

@@ -137,47 +137,6 @@ func TestConstantFeatureHandled(t *testing.T) {
 	}
 }
 
-func TestRidgeRecoversLinearFunction(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	x, y, _ := linearProblem(rng, 100, 6, 0.05)
-	model, err := Ridge(x, y, 1e-4)
-	if err != nil {
-		t.Fatalf("Ridge: %v", err)
-	}
-	pred, _ := model.PredictBatch(x)
-	rmse, _ := stats.RMSE(pred, y)
-	if rmse > 0.1*stats.StdDev(y) {
-		t.Errorf("ridge RMSE %.4f too high", rmse)
-	}
-}
-
-func TestRidgeValidation(t *testing.T) {
-	if _, err := Ridge(linalg.NewMatrix(3, 2), []float64{1, 2}, 1); err == nil {
-		t.Error("expected mismatch error")
-	}
-	if _, err := Ridge(linalg.NewMatrix(1, 2), []float64{1}, 1); err == nil {
-		t.Error("expected degenerate error")
-	}
-}
-
-func TestRidgeShrinksWithLambda(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x, y, _ := linearProblem(rng, 60, 4, 0.3)
-	small, err := Ridge(x, y, 1e-6)
-	if err != nil {
-		t.Fatalf("Ridge: %v", err)
-	}
-	big, err := Ridge(x, y, 1e3)
-	if err != nil {
-		t.Fatalf("Ridge: %v", err)
-	}
-	ns := linalg.Norm2(small.weights)
-	nb := linalg.Norm2(big.weights)
-	if nb >= ns {
-		t.Errorf("large lambda should shrink weights: %v vs %v", nb, ns)
-	}
-}
-
 func TestConstantTargetsHandled(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	x := linalg.NewMatrix(20, 3)

@@ -71,15 +71,10 @@ type Result struct {
 	Iterations int
 }
 
-// Embed maps the rows of x (n points × d features) into the low-
-// dimensional space.
-func Embed(x *linalg.Matrix, cfg Config) (*Result, error) {
-	return EmbedCtx(context.Background(), x, cfg)
-}
-
-// EmbedCtx is Embed under a context: the gradient loop checks ctx every
-// iteration and returns ctx.Err() on cancellation, so even long
-// paper-scale embeddings abort promptly.
+// EmbedCtx maps the rows of x (n points × d features) into the low-
+// dimensional space. The gradient loop checks ctx every iteration and
+// returns ctx.Err() on cancellation, so even long paper-scale
+// embeddings abort promptly.
 func EmbedCtx(ctx context.Context, x *linalg.Matrix, cfg Config) (*Result, error) {
 	n, _ := x.Dims()
 	if n < 4 {
@@ -116,13 +111,8 @@ func SquaredDistances(x *linalg.Matrix) (*linalg.Matrix, error) {
 	return out, nil
 }
 
-// EmbedDistances runs t-SNE from a precomputed n×n squared-distance
-// matrix.
-func EmbedDistances(d2 *linalg.Matrix, n int, cfg Config) (*Result, error) {
-	return EmbedDistancesCtx(context.Background(), d2, n, cfg)
-}
-
-// EmbedDistancesCtx is EmbedDistances under a context (see EmbedCtx).
+// EmbedDistancesCtx runs t-SNE from a precomputed n×n squared-distance
+// matrix, under a context (see EmbedCtx).
 func EmbedDistancesCtx(ctx context.Context, d2 *linalg.Matrix, n int, cfg Config) (*Result, error) {
 	if r, c := d2.Dims(); r != n || c != n {
 		return nil, fmt.Errorf("tsne: distance matrix is %dx%d, want %dx%d", r, c, n, n)

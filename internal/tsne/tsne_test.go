@@ -1,6 +1,7 @@
 package tsne
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,10 +58,10 @@ func TestSquaredDistances(t *testing.T) {
 }
 
 func TestEmbedRejectsTinyInput(t *testing.T) {
-	if _, err := Embed(linalg.NewMatrix(3, 5), Config{}); err == nil {
+	if _, err := EmbedCtx(context.Background(), linalg.NewMatrix(3, 5), Config{}); err == nil {
 		t.Error("expected error for <4 points")
 	}
-	if _, err := EmbedDistances(linalg.NewMatrix(4, 5), 4, Config{}); err == nil {
+	if _, err := EmbedDistancesCtx(context.Background(), linalg.NewMatrix(4, 5), 4, Config{}); err == nil {
 		t.Error("expected error for non-square distances")
 	}
 }
@@ -69,21 +70,21 @@ func TestEmbedShapeAndDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, _ := gaussianClusters(rng, [][]float64{{0, 0, 0}, {10, 0, 0}}, 8, 0.5)
 	cfg := Config{Perplexity: 5, Iterations: 120, Seed: 7}
-	r1, err := Embed(x, cfg)
+	r1, err := EmbedCtx(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatalf("Embed: %v", err)
 	}
 	if rows, cols := r1.Y.Dims(); rows != 16 || cols != 2 {
 		t.Fatalf("embedding dims %dx%d want 16x2", rows, cols)
 	}
-	r2, err := Embed(x, cfg)
+	r2, err := EmbedCtx(context.Background(), x, cfg)
 	if err != nil {
 		t.Fatalf("Embed: %v", err)
 	}
 	if !r1.Y.EqualApprox(r2.Y, 0) {
 		t.Error("same seed should reproduce the embedding exactly")
 	}
-	r3, _ := Embed(x, Config{Perplexity: 5, Iterations: 120, Seed: 8})
+	r3, _ := EmbedCtx(context.Background(), x, Config{Perplexity: 5, Iterations: 120, Seed: 8})
 	if r1.Y.EqualApprox(r3.Y, 1e-12) {
 		t.Error("different seed should change the embedding")
 	}
@@ -101,7 +102,7 @@ func TestEmbedSeparatesClusters(t *testing.T) {
 		{0, 20, 0, 0, 0},
 	}
 	x, labels := gaussianClusters(rng, centers, 10, 0.8)
-	res, err := Embed(x, Config{Perplexity: 8, Iterations: 300, Seed: 3})
+	res, err := EmbedCtx(context.Background(), x, Config{Perplexity: 8, Iterations: 300, Seed: 3})
 	if err != nil {
 		t.Fatalf("Embed: %v", err)
 	}
@@ -130,11 +131,11 @@ func TestEmbedSeparatesClusters(t *testing.T) {
 func TestEmbedKLDecreasesWithIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x, _ := gaussianClusters(rng, [][]float64{{0, 0, 0}, {8, 0, 0}}, 10, 1)
-	short, err := Embed(x, Config{Perplexity: 6, Iterations: 60, ExaggerationIters: 10, Seed: 5})
+	short, err := EmbedCtx(context.Background(), x, Config{Perplexity: 6, Iterations: 60, ExaggerationIters: 10, Seed: 5})
 	if err != nil {
 		t.Fatalf("Embed: %v", err)
 	}
-	long, err := Embed(x, Config{Perplexity: 6, Iterations: 400, ExaggerationIters: 10, Seed: 5})
+	long, err := EmbedCtx(context.Background(), x, Config{Perplexity: 6, Iterations: 400, ExaggerationIters: 10, Seed: 5})
 	if err != nil {
 		t.Fatalf("Embed: %v", err)
 	}
@@ -149,7 +150,7 @@ func TestEmbedKLDecreasesWithIterations(t *testing.T) {
 func TestEmbedCentered(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x, _ := gaussianClusters(rng, [][]float64{{0, 0}, {5, 5}}, 6, 0.5)
-	res, err := Embed(x, Config{Perplexity: 4, Iterations: 50, Seed: 1})
+	res, err := EmbedCtx(context.Background(), x, Config{Perplexity: 4, Iterations: 50, Seed: 1})
 	if err != nil {
 		t.Fatalf("Embed: %v", err)
 	}
@@ -181,7 +182,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestEmbedHigherOutputDims(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x, _ := gaussianClusters(rng, [][]float64{{0, 0, 0}, {6, 0, 0}}, 5, 0.4)
-	res, err := Embed(x, Config{Perplexity: 3, Iterations: 40, OutputDims: 3, Seed: 2})
+	res, err := EmbedCtx(context.Background(), x, Config{Perplexity: 3, Iterations: 40, OutputDims: 3, Seed: 2})
 	if err != nil {
 		t.Fatalf("Embed: %v", err)
 	}
