@@ -105,12 +105,13 @@ func TestForCtxErrorBeatsCancel(t *testing.T) {
 	}
 }
 
-// TestForCtxLowestErrorWins pins the deterministic-error contract:
-// among the failed chunks the lowest range's error is reported, so the
-// caller sees the same error at any worker count.
-func TestForCtxLowestErrorWins(t *testing.T) {
-	// fn fails at the first index >= 30 it sees: serial and parallel runs
-	// both report index 30.
+// TestForErrFirstErrorByRange pins which error an erroring sweep
+// reports: the one from the lowest failing range, at any worker count.
+func TestForErrFirstErrorByRange(t *testing.T) {
+	// fn fails at the first index >= 30 it sees. Serial collapses to one
+	// [0,100) call and trips on index 30; parallel chunks report their
+	// own first bad index but the lowest range wins — either way the
+	// caller sees index 30.
 	failFrom30 := func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			if i >= 30 {
@@ -119,11 +120,32 @@ func TestForCtxLowestErrorWins(t *testing.T) {
 		}
 		return nil
 	}
-	for _, workers := range []int{1, 4} {
-		if err := ForCtx(context.Background(), workers, 100, 10, failFrom30); err == nil || err.Error() != "index 30" {
-			t.Errorf("workers=%d: ForCtx = %v want index 30", workers, err)
+	if err := ForCtx(context.Background(), 1, 100, 10, failFrom30); err == nil || err.Error() != "index 30" {
+		t.Errorf("serial ForCtx = %v want index 30", err)
+	}
+	if err := ForCtx(context.Background(), 4, 100, 10, failFrom30); err == nil || err.Error() != "index 30" {
+		t.Errorf("parallel ForCtx = %v want index 30", err)
+	}
+	// Parallel: whichever failing chunks execute, the reported error must
+	// be the lowest-range one among them; chunk 0 always fails, so the
+	// answer is fully determined.
+	for trial := 0; trial < 20; trial++ {
+		err := ForCtx(context.Background(), 8, 64, 1, func(lo, hi int) error {
+			if lo%2 == 0 {
+				return fmt.Errorf("chunk %d", lo)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "chunk 0" {
+			t.Fatalf("parallel ForCtx = %v want chunk 0", err)
 		}
 	}
+}
+
+// TestForCtxLowestErrorWins pins the deterministic-error contract:
+// among the failed chunks the lowest range's error is reported, so the
+// caller sees the same error at any worker count.
+func TestForCtxLowestErrorWins(t *testing.T) {
 	errLo := errors.New("low")
 	errHi := errors.New("high")
 	for trial := 0; trial < 20; trial++ {
@@ -161,8 +183,32 @@ func TestForCtxStopsSchedulingAfterFailure(t *testing.T) {
 	}
 }
 
-// TestReduceCtxMatchesReduce pins ReduceCtx's success path to a serial
-// sum at every worker count and grain, and a cancelled run to zero.
+// TestReduceSumMatchesSerial pins ReduceCtx's result to a serial sum at
+// every worker count and grain.
+func TestReduceSumMatchesSerial(t *testing.T) {
+	const n = 1000
+	want := n * (n - 1) / 2
+	for _, workers := range []int{1, 2, 8} {
+		for _, grain := range []int{1, 7, 64, 5000} {
+			got, err := ReduceCtx(context.Background(), workers, n, grain, 0, func(lo, hi int) int {
+				s := 0
+				for i := lo; i < hi; i++ {
+					s += i
+				}
+				return s
+			}, func(acc, part int) int { return acc + part })
+			if err != nil {
+				t.Fatalf("workers=%d grain=%d: %v", workers, grain, err)
+			}
+			if got != want {
+				t.Errorf("workers=%d grain=%d: ReduceCtx sum = %d want %d", workers, grain, got, want)
+			}
+		}
+	}
+}
+
+// TestReduceCtxMatchesReduce pins ReduceCtx's success path to the serial
+// fold at every worker count, and a cancelled run to zero.
 func TestReduceCtxMatchesReduce(t *testing.T) {
 	mapFn := func(lo, hi int) int {
 		s := 0
@@ -172,25 +218,22 @@ func TestReduceCtxMatchesReduce(t *testing.T) {
 		return s
 	}
 	merge := func(a, b int) int { return a + b }
-	const n = 500
-	want := 0
-	for i := 0; i < n; i++ {
-		want += i
+	want, err := ReduceCtx(context.Background(), 1, 500, 13, 0, mapFn, merge)
+	if err != nil {
+		t.Fatalf("serial ReduceCtx: %v", err)
 	}
-	for _, workers := range []int{1, 3, 0} {
-		for _, grain := range []int{1, 13, 64, 5000} {
-			got, err := ReduceCtx(context.Background(), workers, n, grain, 0, mapFn, merge)
-			if err != nil {
-				t.Fatalf("ReduceCtx(workers=%d, grain=%d): %v", workers, grain, err)
-			}
-			if got != want {
-				t.Errorf("workers=%d grain=%d: got %d want %d", workers, grain, got, want)
-			}
+	for _, workers := range []int{3, 0} {
+		got, err := ReduceCtx(context.Background(), workers, 500, 13, 0, mapFn, merge)
+		if err != nil {
+			t.Fatalf("ReduceCtx(workers=%d): %v", workers, err)
+		}
+		if got != want {
+			t.Errorf("workers=%d: got %d want %d", workers, got, want)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := ReduceCtx(ctx, 2, n, 13, 0, mapFn, merge)
+	got, err := ReduceCtx(ctx, 2, 500, 13, 0, mapFn, merge)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ReduceCtx err = %v", err)
 	}
