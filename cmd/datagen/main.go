@@ -1,17 +1,17 @@
-// Command datagen generates synthetic cohorts and serializes them to
-// disk: a gob archive for round-tripping through the library, plus
-// optional CSV exports of individual scans and the task-performance
-// table.
+// Command datagen generates a synthetic HCP-style cohort and exports it
+// as CSV: one region×time series file per subject's REST1/LR scan plus
+// the per-subject task-performance table.
 //
 // Usage:
 //
-//	datagen -dataset hcp -out cohort.gob [-csv dir] [-subjects N] [-regions N] [-seed S]
-//	datagen -dataset adhd -out cohort.gob [-seed S]
+//	datagen -csv dir [-subjects N] [-regions N] [-seed S]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -20,76 +20,36 @@ import (
 
 func main() {
 	var (
-		dataset  = flag.String("dataset", "hcp", "which cohort to generate: hcp or adhd")
-		out      = flag.String("out", "", "output gob file (required)")
-		csvDir   = flag.String("csv", "", "optional directory for CSV exports (HCP only)")
+		csvDir   = flag.String("csv", "", "output directory for the CSV exports (required)")
 		subjects = flag.Int("subjects", 0, "override subject count")
 		regions  = flag.Int("regions", 0, "override region count")
 		seed     = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
 
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "datagen: -out is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := run(*dataset, *out, *csvDir, *subjects, *regions, *seed); err != nil {
+	if err := run(*csvDir, *subjects, *regions, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset, out, csvDir string, subjects, regions int, seed int64) error {
-	f, err := os.Create(out)
+func run(csvDir string, subjects, regions int, seed int64) error {
+	if csvDir == "" {
+		return errors.New("-csv is required")
+	}
+	p := synth.DefaultHCPParams()
+	if subjects > 0 {
+		p.Subjects = subjects
+	}
+	if regions > 0 {
+		p.Regions = regions
+	}
+	p.Seed = seed
+	cohort, err := synth.GenerateHCP(p)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
-	switch dataset {
-	case "hcp":
-		p := synth.DefaultHCPParams()
-		if subjects > 0 {
-			p.Subjects = subjects
-		}
-		if regions > 0 {
-			p.Regions = regions
-		}
-		p.Seed = seed
-		cohort, err := synth.GenerateHCP(p)
-		if err != nil {
-			return err
-		}
-		if err := synth.SaveHCP(f, cohort); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d scans (%d subjects × %d conditions × 2 encodings) to %s\n",
-			len(cohort.Scans), p.Subjects, len(synth.AllTasks), out)
-		if csvDir != "" {
-			if err := exportCSV(csvDir, cohort); err != nil {
-				return err
-			}
-		}
-	case "adhd":
-		p := synth.DefaultADHDParams()
-		if regions > 0 {
-			p.Regions = regions
-		}
-		p.Seed = seed
-		cohort, err := synth.GenerateADHD(p)
-		if err != nil {
-			return err
-		}
-		if err := synth.SaveADHD(f, cohort); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d scans (%d subjects × 2 sessions) to %s\n",
-			len(cohort.Scans), p.NumSubjects(), out)
-	default:
-		return fmt.Errorf("unknown dataset %q (want hcp or adhd)", dataset)
-	}
-	return f.Sync()
+	return exportCSV(csvDir, cohort)
 }
 
 // exportCSV writes one series CSV per resting scan plus the performance
@@ -104,26 +64,27 @@ func exportCSV(dir string, cohort *synth.HCPCohort) error {
 			return err
 		}
 		path := filepath.Join(dir, fmt.Sprintf("subject%03d_rest1_lr.csv", s))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := synth.WriteSeriesCSV(f, scan); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(path, func(w io.Writer) error { return synth.WriteSeriesCSV(w, scan) }); err != nil {
 			return err
 		}
 	}
-	perf, err := os.Create(filepath.Join(dir, "performance.csv"))
+	if err := writeFile(filepath.Join(dir, "performance.csv"), func(w io.Writer) error { return synth.WritePerformanceCSV(w, cohort) }); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d series CSVs and performance.csv to %s\n", cohort.Params.Subjects, dir)
+	return nil
+}
+
+// writeFile creates path and fills it with write, returning the first
+// error of the create, the write or the close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer perf.Close()
-	if err := synth.WritePerformanceCSV(perf, cohort); err != nil {
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	fmt.Printf("wrote CSV exports to %s\n", dir)
-	return nil
+	return f.Close()
 }

@@ -19,10 +19,8 @@ import (
 // Error and ServeHTTP are interface methods too, but module code names
 // them, so they need no entry.)
 var deadcodeInterfaceMethods = map[string]string{
-	"Is":        "errors.Is",
-	"Unwrap":    "errors.Is and errors.As",
-	"GobEncode": "gob.GobEncoder",
-	"GobDecode": "gob.GobDecoder",
+	"Is":     "errors.Is",
+	"Unwrap": "errors.Is and errors.As",
 }
 
 // deadcodeAllowlist names the functions under internal/ that no
@@ -32,8 +30,6 @@ var deadcodeAllowlist = map[string]string{
 	"internal/linalg.NewMatrixFromRows":                            "the fixture constructor the tests of many packages share",
 	"internal/linalg.Matrix.EqualApprox":                           "the tolerance check the tests of many packages share",
 	"internal/stats.Pearson":                                       "the scalar oracle of the synth and preprocess tests",
-	"internal/synth.LoadHCP":                                       "the reader for cmd/datagen's gob files",
-	"internal/synth.LoadADHD":                                      "the reader for cmd/datagen's gob files",
 	"internal/experiments.GalleryDefenseResult.MonotoneByStrength": "the defense gate's invariant, a method of the facade's GalleryDefenseResult",
 }
 

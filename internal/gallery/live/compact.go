@@ -230,7 +230,7 @@ func (e *Engine) switchTo(c compactCut, next *view) error {
 	}
 	e.gen, e.view, e.nprobe, e.wal = c.gen, *next, nprobe, w
 	e.adoptLog(replayed)
-	e.baseSeq, e.retoldSeq = newBaseSeq, 0
+	e.baseSeq = newBaseSeq
 	e.bump() // generation switched: wake stream waiters pinned to the old one
 	return nil
 }

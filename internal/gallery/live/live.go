@@ -170,15 +170,11 @@ type Engine struct {
 	// starts after; walStart is the offset just past the log header;
 	// walOff[i] is the offset just past committed record i; and walCh is
 	// closed-and-replaced on every commit, generation switch, and Close,
-	// waking WaitWAL waiters. retoldSeq is non-zero only on a generation
-	// written before compaction carried the log tail over verbatim: the
-	// records up to it retell history in a collapsed order, so a
-	// follower of an older generation may not resume below it.
-	baseSeq   int64
-	retoldSeq int64
-	walStart  int64
-	walOff    []int64
-	walCh     chan struct{}
+	// waking WaitWAL waiters.
+	baseSeq  int64
+	walStart int64
+	walOff   []int64
+	walCh    chan struct{}
 
 	compactMu     sync.Mutex  // serializes compactions
 	compactKick   atomic.Bool // a background compaction is scheduled or running
@@ -287,11 +283,16 @@ func createGeneration0(dir string, features int, featureIndex []int, opts Option
 // its manifest (when present) loads as the immutable base, and its
 // write-ahead log replays into the memtable overlay — truncating a torn
 // tail from a crash mid-append (Stats reports the recovered byte count)
-// and failing hard with ErrWALCorrupt on interior corruption. Orphaned
-// files from a compaction that crashed before its generation switch are
-// swept away.
+// and failing hard with ErrWALCorrupt on interior corruption. A current
+// generation whose sequence sidecar is missing or malformed is refused.
+// Orphaned files from a compaction that crashed before its generation
+// switch are swept away.
 func Open(dir string, opts Options) (*Engine, error) {
 	gen, err := readCurrent(dir)
+	if err != nil {
+		return nil, err
+	}
+	baseSeq, err := readSeqFile(dir, gen)
 	if err != nil {
 		return nil, err
 	}
@@ -346,7 +347,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 	e.wal = w
 	e.adoptLog(tail)
 	e.tornBytes = tail.tornBytes
-	e.baseSeq, e.retoldSeq = readSeqFile(dir, gen)
+	e.baseSeq = baseSeq
 	e.sweepOrphans()
 	return e, nil
 }

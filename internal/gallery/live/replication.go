@@ -28,6 +28,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"brainprint/internal/gallery"
@@ -47,8 +48,7 @@ type ReplicationState struct {
 	Generation int
 	// BaseSeq is the earliest position a follower may resume from: the
 	// sequence the compaction that wrote this generation cut its
-	// snapshot at, which is where the generation's log starts (on a
-	// generation whose log opens with a retelling, where that ends).
+	// snapshot at, which is where the generation's log starts.
 	BaseSeq int64
 	// Seq is the sequence number of the last committed mutation.
 	Seq int64
@@ -69,7 +69,7 @@ func (e *Engine) ReplicationState() ReplicationState {
 	defer e.mu.RUnlock()
 	return ReplicationState{
 		Generation: e.gen,
-		BaseSeq:    max(e.baseSeq, e.retoldSeq),
+		BaseSeq:    e.baseSeq,
 		Seq:        e.baseSeq + int64(e.walRecords),
 		WALName:    genName(e.gen, "bpw"),
 		WALBytes:   e.walBytes,
@@ -94,8 +94,8 @@ type GenerationFile struct {
 }
 
 // GenerationFiles lists the current generation's immutable files — the
-// base manifest, shard files, ANN sidecar, and sequence sidecar when
-// present — excluding the write-ahead log, whose committed prefix is
+// base manifest, shard files, ANN sidecar when present, and sequence
+// sidecar — excluding the write-ahead log, whose committed prefix is
 // reported by ReplicationState and served by OpenGenerationFile.
 func (e *Engine) GenerationFiles() ([]GenerationFile, error) {
 	e.mu.RLock()
@@ -316,23 +316,21 @@ func writeSeqFile(dir string, gen int, baseSeq int64) error {
 	return f.Close()
 }
 
-// readSeqFile parses a generation's sequence origin. A missing or
-// malformed sidecar — a directory written before sequence numbering
-// existed — degrades to 0: the local log still replays correctly, only
-// the cross-restart sequence origin is forgotten. A second number is
-// the mark of a generation whose compaction retold the log tail instead
-// of copying it ("<baseSeq> <retoldSeq>", retoldSeq ≥ baseSeq): the
-// records up to retoldSeq are not the history older generations told.
-func readSeqFile(dir string, gen int) (baseSeq, retoldSeq int64) {
-	b, err := os.ReadFile(filepath.Join(dir, seqName(gen)))
+// readSeqFile parses a generation's sequence origin: exactly one
+// non-negative decimal integer and a newline, as writeSeqFile leaves it.
+// A missing or malformed sidecar is an error — opening at origin 0
+// would number the log from the wrong position and serve followers the
+// wrong frames.
+func readSeqFile(dir string, gen int) (int64, error) {
+	path := filepath.Join(dir, seqName(gen))
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0
+		return 0, fmt.Errorf("live: generation %d sequence sidecar: %w", gen, err)
 	}
-	switch n, _ := fmt.Sscanf(string(b), "%d %d", &baseSeq, &retoldSeq); {
-	case n == 1 && baseSeq >= 0:
-		return baseSeq, 0
-	case n == 2 && baseSeq >= 0 && retoldSeq >= baseSeq:
-		return baseSeq, retoldSeq
+	digits, ok := strings.CutSuffix(string(b), "\n")
+	baseSeq, err := strconv.ParseInt(digits, 10, 64)
+	if !ok || err != nil || baseSeq < 0 {
+		return 0, fmt.Errorf("live: %s: malformed sequence sidecar %q (want one non-negative integer)", path, b)
 	}
-	return 0, 0
+	return baseSeq, nil
 }

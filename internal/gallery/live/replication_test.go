@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,46 +76,13 @@ func TestSeqMonotonicAcrossCompactionAndReopen(t *testing.T) {
 	}
 }
 
-// TestSeqLegacyDirectory pins the degradation rule for directories
-// written before sequence numbering: a missing sidecar reads as origin
-// zero and the engine still opens and counts from its local records.
-func TestSeqLegacyDirectory(t *testing.T) {
-	const features = 8
-	dir := filepath.Join(t.TempDir(), "live")
-	e, err := Create(dir, features, nil, Options{NoSync: true})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	group := randomGroup(4, features, 3)
-	for j, id := range subjectIDs(3) {
-		if err := e.Enroll(id, group.Col(j)); err != nil {
-			t.Fatalf("Enroll: %v", err)
-		}
-	}
-	if err := e.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := os.Remove(filepath.Join(dir, seqName(0))); err != nil {
-		t.Fatalf("removing sidecar: %v", err)
-	}
-	e, err = Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatalf("Open without sidecar: %v", err)
-	}
-	defer e.Close()
-	if st := e.Stats(); st.Seq != 3 || st.BaseSeq != 0 {
-		t.Fatalf("legacy open: Seq=%d BaseSeq=%d, want 3, 0", st.Seq, st.BaseSeq)
-	}
-}
-
-// TestSeqLegacyRetoldSidecar pins the other legacy shape: a generation
-// written when compaction retold the log tail instead of copying it
-// carries a two-number sidecar, "<baseSeq> <retoldSeq>", and its first
-// retoldSeq-baseSeq records are not the history older generations told.
-// It must open at the same Seq and keep followers of older generations
-// from resuming below retoldSeq, until the next compaction writes the
-// one-number sidecar and the whole window is history again.
-func TestSeqLegacyRetoldSidecar(t *testing.T) {
+// TestSeqSidecarMustBeOneInteger pins the sequence sidecar's one form,
+// "<baseSeq>\n": Open refuses a current generation whose sidecar is
+// missing or holds anything else, naming the file, instead of numbering
+// the log from 0 (pre-sequence directories) or honouring a second
+// number (the retired "<baseSeq> <retoldSeq>" form). The well-formed
+// sidecar reopens at the same window and ranking.
+func TestSeqSidecarMustBeOneInteger(t *testing.T) {
 	const features = 8
 	dir := filepath.Join(t.TempDir(), "live")
 	e, err := Create(dir, features, nil, Options{NoSync: true})
@@ -131,7 +99,7 @@ func TestSeqLegacyRetoldSidecar(t *testing.T) {
 	if err := e.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	for j := 5; j < 8; j++ { // stand-ins for 2 retold records and 1 live one
+	for j := 5; j < 8; j++ {
 		if err := e.Enroll(ids[j], group.Col(j)); err != nil {
 			t.Fatalf("Enroll: %v", err)
 		}
@@ -140,39 +108,60 @@ func TestSeqLegacyRetoldSidecar(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if got := string(mustReadFile(t, filepath.Join(dir, seqName(1)))); got != "5\n" {
-		t.Fatalf("sidecar = %q, want the one-number form", got)
-	}
-	if err := os.WriteFile(filepath.Join(dir, seqName(1)), []byte("5 7\n"), 0o644); err != nil {
-		t.Fatal(err)
+	sidecar := filepath.Join(dir, seqName(1))
+	if got := string(mustReadFile(t, sidecar)); got != "5\n" {
+		t.Fatalf("sidecar = %q, want \"5\\n\"", got)
 	}
 
+	for _, tc := range []struct {
+		name    string
+		content *string // nil: no sidecar at all
+	}{
+		{"missing", nil},
+		{"empty", ptr("")},
+		{"not a number", ptr("x\n")},
+		{"negative", ptr("-1\n")},
+		{"two numbers", ptr("5 7\n")},
+		{"two lines", ptr("5\n7\n")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.RemoveAll(sidecar); err != nil {
+				t.Fatal(err)
+			}
+			if tc.content != nil {
+				if err := os.WriteFile(sidecar, []byte(*tc.content), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e, err := Open(dir, Options{NoSync: true})
+			if err == nil {
+				e.Close()
+				t.Fatalf("Open with sidecar %s succeeded at %+v", tc.name, e.Stats())
+			}
+			if !strings.Contains(err.Error(), "live.g0001.seq") {
+				t.Fatalf("Open error %q does not name the sidecar", err)
+			}
+		})
+	}
+
+	if err := os.WriteFile(sidecar, []byte("5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	e, err = Open(dir, Options{NoSync: true})
 	if err != nil {
-		t.Fatalf("Open with a two-number sidecar: %v", err)
+		t.Fatalf("Open with a well-formed sidecar: %v", err)
 	}
 	defer e.Close()
 	assertSameRanked(t, want, snapshotRanked(t, e))
 	if st := e.Stats(); st.Seq != 8 || st.BaseSeq != 5 || st.WALRecords != 3 {
-		t.Fatalf("legacy open: %+v, want Seq 8, BaseSeq 5, 3 records", st)
+		t.Fatalf("reopen: %+v, want Seq 8, BaseSeq 5, 3 records", st)
 	}
-	if rs := e.ReplicationState(); rs.BaseSeq != 7 || rs.Seq != 8 {
-		t.Fatalf("legacy resume window [%d, %d], want [7, 8]", rs.BaseSeq, rs.Seq)
-	}
-	// Its own followers bootstrapped the whole log and tail any of it.
-	if _, upTo, err := e.WALRange(1, 5, 1<<20); err != nil || upTo != 8 {
-		t.Fatalf("same-generation WALRange over the retold prefix: upTo=%d err=%v", upTo, err)
-	}
-	if err := e.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if got := string(mustReadFile(t, filepath.Join(dir, seqName(2)))); got != "8\n" {
-		t.Fatalf("sidecar after compaction = %q, want \"8\\n\"", got)
-	}
-	if rs := e.ReplicationState(); rs.BaseSeq != 8 || rs.Seq != 8 {
-		t.Fatalf("post-compaction resume window [%d, %d], want [8, 8]", rs.BaseSeq, rs.Seq)
+	if rs := e.ReplicationState(); rs.BaseSeq != 5 || rs.Seq != 8 {
+		t.Fatalf("resume window [%d, %d], want [5, 8]", rs.BaseSeq, rs.Seq)
 	}
 }
+
+func ptr(s string) *string { return &s }
 
 // applyFrames splits a WALRange batch back into frames and applies each
 // to a follower.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"brainprint/internal/gallery"
@@ -210,81 +211,32 @@ func assertSurvivorsQueryable(t *testing.T, s *Store, g *gallery.Gallery, faulte
 	}
 }
 
-// TestManifestWithLegacyQuantTablesOpensExact pins the on-disk
-// compatibility rule for stores written with the removed -quantize
-// option (manifest flag bit 0 plus a 16·features-byte table block): the
-// manifest still opens, the tables are checksummed and discarded,
-// re-encoding drops the bit, and the store answers with float64 scores
-// bit-identical to the same store written without the flag. A table
-// block that is truncated or fails the header CRC is still rejected.
-func TestManifestWithLegacyQuantTablesOpensExact(t *testing.T) {
-	manifest, g := writeStore(t)
+// TestManifestWithLegacyQuantTablesRefused pins the compatibility
+// horizon for stores written with the long-removed -quantize option
+// (manifest flag bit 0 plus a 16·features-byte table block): the bit is
+// retired, so both the decoder and Open refuse such a manifest as
+// carrying unknown flags instead of opening it.
+func TestManifestWithLegacyQuantTablesRefused(t *testing.T) {
+	manifest, _ := writeStore(t)
 	plain, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
 	legacy := withLegacyQuantTables(t, plain)
-	if len(legacy) != len(plain)+16*g.Features() {
-		t.Fatalf("legacy manifest is %d bytes, want %d", len(legacy), len(plain)+16*g.Features())
+	const want = "unknown manifest flags 0x1"
+	if _, err := decodeManifest(bytes.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("decodeManifest(legacy) = %v, want %q", err, want)
 	}
 	// Shard entries name files relative to the manifest's directory, so
 	// a second manifest beside the first describes the same shard files.
 	legacyPath := filepath.Join(filepath.Dir(manifest), "legacy.bpm")
-	write := func(buf []byte) {
-		t.Helper()
-		if err := os.WriteFile(legacyPath, buf, 0o644); err != nil {
-			t.Fatalf("WriteFile: %v", err)
-		}
+	if err := os.WriteFile(legacyPath, legacy, 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
-
-	m, err := decodeManifest(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("decodeManifest(legacy): %v", err)
+	if s, err := Open(legacyPath); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open(legacy) = %v, %v, want %q", s, err, want)
 	}
-	again, err := m.encode()
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(again, plain) {
-		t.Fatal("re-encoding a legacy manifest did not yield the unflagged manifest byte for byte")
-	}
-
-	write(legacy)
-	flagged, err := Open(legacyPath)
-	if err != nil {
-		t.Fatalf("Open(legacy): %v", err)
-	}
-	unflagged, err := Open(manifest)
-	if err != nil {
+	if _, err := Open(manifest); err != nil {
 		t.Fatalf("Open(plain): %v", err)
-	}
-	probes := randomGroup(82, g.Features(), 12)
-	for _, par := range []int{1, 0, 3} {
-		want, err := unflagged.QueryAllCtx(context.Background(), probes, 5, par)
-		if err != nil {
-			t.Fatalf("par=%d: unflagged QueryAll: %v", par, err)
-		}
-		got, err := flagged.QueryAllCtx(context.Background(), probes, 5, par)
-		if err != nil {
-			t.Fatalf("par=%d: legacy QueryAll: %v", par, err)
-		}
-		for j := range want {
-			for r := range want[j] {
-				if got[j][r] != want[j][r] {
-					t.Fatalf("par=%d probe %d rank %d: legacy %+v != unflagged %+v", par, j, r, got[j][r], want[j][r])
-				}
-			}
-		}
-	}
-
-	tables := len(manifestMagic) + 20 // no feature index: the block follows the fixed header
-	write(legacy[:tables+16*g.Features()/2])
-	if _, err := Open(legacyPath); !errors.Is(err, gallery.ErrTruncated) {
-		t.Fatalf("Open(truncated table block) = %v, want ErrTruncated", err)
-	}
-	write(legacy)
-	flipByte(t, legacyPath, int64(tables)+10)
-	if _, err := Open(legacyPath); !errors.Is(err, gallery.ErrChecksum) {
-		t.Fatalf("Open(corrupt table block) = %v, want ErrChecksum", err)
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // withLegacyQuantTables rewrites an encoded undefended manifest the way
-// the removed -quantize option wrote it: flag bit 0 set and a
-// 16·features-byte table block (per-feature scale, then offset) after
-// the feature index, header CRC recomputed.
+// the long-removed -quantize option wrote it: the now-retired flag bit 0
+// set and a 16·features-byte table block (per-feature scale, then
+// offset) after the feature index, header CRC recomputed.
 func withLegacyQuantTables(tb testing.TB, plain []byte) []byte {
 	tb.Helper()
 	const fixed = len(manifestMagic) + 20
@@ -21,7 +21,7 @@ func withLegacyQuantTables(tb testing.TB, plain []byte) []byte {
 	features := int(binary.LittleEndian.Uint32(plain[fixed-12:]))
 	indexEnd := fixed + 4*int(binary.LittleEndian.Uint32(plain[fixed-8:]))
 	out := append([]byte(nil), plain[:indexEnd]...)
-	binary.LittleEndian.PutUint32(out[fixed-4:], flagQuantized)
+	binary.LittleEndian.PutUint32(out[fixed-4:], 1<<0)
 	for f := 0; f < features; f++ {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(0.125*float64(f+1)))
 	}
@@ -55,7 +55,7 @@ func fuzzSeedManifest(tb testing.TB, features int, index []int, shards int) []by
 func FuzzDecodeManifest(f *testing.F) {
 	plain := fuzzSeedManifest(f, 5, nil, 2)
 	f.Add(plain)
-	f.Add(withLegacyQuantTables(f, fuzzSeedManifest(f, 3, []int{9, 2, 4}, 4))) // legacy flag bit 0 + tables
+	f.Add(withLegacyQuantTables(f, fuzzSeedManifest(f, 3, []int{9, 2, 4}, 4))) // retired flag bit 0: refused
 	f.Add(plain[:15])                                                          // torn header
 	f.Add(plain[:len(plain)-7])                                                // torn entry
 	f.Add([]byte("BPSHMAN\x00\x01"))                                           // magic then garbage

@@ -26,11 +26,9 @@ import (
 //	  shards       uint32   shard count N (> 0)
 //	  features     uint32   fingerprint dimensionality (> 0)
 //	  indexLen     uint32   feature-index length (0 = none, else == features)
-//	  flags        uint32   bit 0: legacy quantization tables present
+//	  flags        uint32   bit 0: retired (refused, never reused)
 //	                        bit 1: defense descriptor present
 //	  featureIndex [indexLen]uint32
-//	  quantTables  [2*features]float64 only when flag bit 0 is set
-//	                                   (legacy; read, checksummed, discarded)
 //	  defenseLen   uint32              only when flag bit 1 is set
 //	  defense      [defenseLen]byte    defense descriptor blob
 //	                                   (defense.EncodeDescriptor)
@@ -51,12 +49,9 @@ import (
 // mismatch (a swapped or regenerated shard file) as such instead of
 // surfacing a raw decode error.
 //
-// Legacy read rule for flag bit 0: stores written with the removed
-// -quantize option carry a 16·features-byte table block (per-feature
-// int8 scale and offset). The decoder still bounds-checks the block and
-// covers it with the header CRC, then discards it — such a store opens
-// and answers with the same float64 scores as one written without the
-// flag. encode never sets the bit.
+// Flag bit 0 marked stores written with the long-removed -quantize
+// option; it is retired, so the decoder refuses it as an unknown flag,
+// and it is never reused.
 const (
 	manifestMagic = "BPSHMAN\x00"
 
@@ -67,11 +62,6 @@ const (
 	// maxShards bounds the plausible shard count so a corrupt manifest
 	// cannot drive an absurd allocation before its checksum is read.
 	maxShards = 1 << 16
-
-	// flagQuantized marks a manifest written with the removed -quantize
-	// option: a legacy table block follows the feature index (see the
-	// read rule above). Accepted on decode, never written.
-	flagQuantized = 1 << 0
 
 	// flagDefended marks a manifest that carries a defense descriptor —
 	// the anonymization pipeline the store's records were built through,
@@ -219,16 +209,10 @@ func decodeManifest(r io.Reader) (*Manifest, error) {
 	if indexLen != 0 && indexLen != features {
 		return nil, fmt.Errorf("%w: feature index length %d != %d features", gallery.ErrDimMismatch, indexLen, features)
 	}
-	if flags&^uint32(flagQuantized|flagDefended) != 0 {
+	if flags&^uint32(flagDefended) != 0 {
 		return nil, fmt.Errorf("shard: unknown manifest flags %#x", flags)
 	}
-	// rest is the feature index plus, on a legacy quantized manifest, the
-	// table block: read (bounded) and checksummed, never interpreted.
-	quantLen := 0
-	if flags&flagQuantized != 0 {
-		quantLen = 16 * int(features)
-	}
-	rest, err := readN(br, 4*int(indexLen)+quantLen, "manifest header body")
+	rest, err := readN(br, 4*int(indexLen), "manifest header body")
 	if err != nil {
 		return nil, err
 	}

@@ -1,21 +1,15 @@
 package linalg
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 )
 
-// matrixWireVersion tags the binary encoding so future layout changes
-// remain detectable.
-const matrixWireVersion = 1
-
 // AppendFloat64s appends the little-endian IEEE-754 encoding of vals to
-// dst and returns the extended slice. It is the hand-rolled fast path
-// shared by the Matrix gob codec and the gallery fingerprint codec:
-// unlike binary.Write it performs no reflection and at most one
-// allocation (growing dst).
+// dst and returns the extended slice. It is the gallery fingerprint
+// codec's hand-rolled fast path: unlike binary.Write it performs no
+// reflection and at most one allocation (growing dst).
 func AppendFloat64s(dst []byte, vals []float64) []byte {
 	off := len(dst)
 	dst = append(dst, make([]byte, 8*len(vals))...)
@@ -38,38 +32,4 @@ func DecodeFloat64s(src []byte, out []float64) (int, error) {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
 	return need, nil
-}
-
-// GobEncode implements gob.GobEncoder with a compact little-endian
-// layout: version, rows, cols, then the row-major float64 data.
-func (m *Matrix) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	header := []int64{matrixWireVersion, int64(m.rows), int64(m.cols)}
-	if err := binary.Write(&buf, binary.LittleEndian, header); err != nil {
-		return nil, err
-	}
-	buf.Write(AppendFloat64s(nil, m.data))
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (m *Matrix) GobDecode(b []byte) error {
-	buf := bytes.NewReader(b)
-	header := make([]int64, 3)
-	if err := binary.Read(buf, binary.LittleEndian, header); err != nil {
-		return err
-	}
-	if header[0] != matrixWireVersion {
-		return fmt.Errorf("linalg: unsupported matrix encoding version %d", header[0])
-	}
-	rows, cols := int(header[1]), int(header[2])
-	if rows < 0 || cols < 0 {
-		return fmt.Errorf("linalg: corrupt matrix header %dx%d", rows, cols)
-	}
-	data := make([]float64, rows*cols)
-	if _, err := DecodeFloat64s(b[len(b)-buf.Len():], data); err != nil {
-		return err
-	}
-	m.rows, m.cols, m.data = rows, cols, data
-	return nil
 }

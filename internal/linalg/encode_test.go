@@ -1,42 +1,6 @@
 package linalg
 
-import (
-	"bytes"
-	"encoding/gob"
-	"math/rand"
-	"testing"
-)
-
-func TestGobRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	orig := randomMatrix(rng, 7, 3)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(orig); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var back Matrix
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !back.EqualApprox(orig, 0) {
-		t.Error("round trip changed the matrix")
-	}
-}
-
-func TestGobEmptyMatrix(t *testing.T) {
-	orig := NewMatrix(0, 0)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(orig); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var back Matrix
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if r, c := back.Dims(); r != 0 || c != 0 {
-		t.Errorf("dims = %dx%d", r, c)
-	}
-}
+import "testing"
 
 func TestFloat64sRoundTripIsBitExact(t *testing.T) {
 	vals := []float64{0, 1, -1, 1e-308, -1e308, 3.141592653589793, 0.1}
@@ -59,46 +23,5 @@ func TestFloat64sRoundTripIsBitExact(t *testing.T) {
 	}
 	if _, err := DecodeFloat64s(raw[1:9], back); err == nil {
 		t.Error("expected truncation error on a short payload")
-	}
-}
-
-func TestGobDecodeRejectsBadVersion(t *testing.T) {
-	m := NewMatrix(2, 2)
-	raw, err := m.GobEncode()
-	if err != nil {
-		t.Fatalf("GobEncode: %v", err)
-	}
-	raw[0] = 99 // clobber the version byte
-	var back Matrix
-	if err := back.GobDecode(raw); err == nil {
-		t.Error("expected version error")
-	}
-}
-
-func TestGobDecodeRejectsTruncated(t *testing.T) {
-	m := NewMatrix(3, 3)
-	raw, err := m.GobEncode()
-	if err != nil {
-		t.Fatalf("GobEncode: %v", err)
-	}
-	var back Matrix
-	if err := back.GobDecode(raw[:len(raw)-8]); err == nil {
-		t.Error("expected truncation error")
-	}
-	if err := back.GobDecode(raw[:4]); err == nil {
-		t.Error("expected header error")
-	}
-}
-
-func TestGobDecodeRejectsNegativeDims(t *testing.T) {
-	m := NewMatrix(1, 1)
-	raw, _ := m.GobEncode()
-	// Header layout: version, rows, cols as int64 little-endian.
-	for i := 8; i < 16; i++ {
-		raw[i] = 0xFF // rows = -1
-	}
-	var back Matrix
-	if err := back.GobDecode(raw); err == nil {
-		t.Error("expected corrupt-header error")
 	}
 }

@@ -402,73 +402,3 @@ func TestServeWALWindowErrors(t *testing.T) {
 		t.Fatalf("seed-boundary resume: %d, want 200", code)
 	}
 }
-
-// TestServeWALLegacyRetoldPrefix pins the resume floor of a generation
-// written when compaction retold the log tail instead of copying it
-// (sidecar "<baseSeq> <retoldSeq>"): a follower of an older generation
-// below retoldSeq would apply a retelling as if it were history, so it
-// answers 410 — until the next compaction, after which the floor is
-// base_seq like everywhere else.
-func TestServeWALLegacyRetoldPrefix(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "primary")
-	eng, err := live.Create(dir, testFeatures, nil, live.Options{NoSync: true})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	rng := rand.New(rand.NewSource(47))
-	enroll := func(eng *live.Engine, n int) {
-		for i := 0; i < n; i++ {
-			if err := eng.Enroll(fmt.Sprintf("s%05d", eng.Stats().Seq), randVec(rng)); err != nil {
-				t.Fatalf("Enroll: %v", err)
-			}
-		}
-	}
-	enroll(eng, 4)
-	if err := eng.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	enroll(eng, 3)
-	if err := eng.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// Generation 1 as the previous format would have left it: log starts
-	// after 4, its first two records retell history up to 6.
-	if err := os.WriteFile(filepath.Join(dir, "live.g0001.seq"), []byte("4 6\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	eng, err = live.Open(dir, live.Options{NoSync: true})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	t.Cleanup(func() { eng.Close() })
-	p := mountPrimary(t, eng)
-	get := func(gen int, after int64) int {
-		resp, err := http.Get(fmt.Sprintf("%s%s?gen=%d&after=%d", p.srv.URL, PathWAL, gen, after))
-		if err != nil {
-			t.Fatalf("GET: %v", err)
-		}
-		defer resp.Body.Close()
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode
-	}
-	if st := eng.Stats(); st.Seq != 7 {
-		t.Fatalf("legacy directory opened at sequence %d, want 7", st.Seq)
-	}
-	if code := get(0, 5); code != http.StatusGone {
-		t.Fatalf("resume inside the retold prefix: %d, want 410", code)
-	}
-	if code := get(0, 6); code != http.StatusOK {
-		t.Fatalf("resume at the end of the retold prefix: %d, want 200", code)
-	}
-	enroll(eng, 1)
-	if err := eng.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	enroll(eng, 1)
-	if code := get(1, 7); code != http.StatusGone {
-		t.Fatalf("resume below the new cut: %d, want 410", code)
-	}
-	if code := get(1, 8); code != http.StatusOK {
-		t.Fatalf("resume at the new cut: %d, want 200", code)
-	}
-}

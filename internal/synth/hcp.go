@@ -366,14 +366,6 @@ func (c *HCPCohort) ScansFor(task Task, enc Encoding) ([]*Scan, error) {
 	return out, nil
 }
 
-// rebuildIndex reconstructs the lookup index after deserialization.
-func (c *HCPCohort) rebuildIndex() {
-	c.index = make(map[scanKey]*Scan, len(c.Scans))
-	for _, s := range c.Scans {
-		c.index[scanKey{s.Subject, s.Task, s.Encoding}] = s
-	}
-}
-
 // leadingDirection returns the first principal direction (unit vector)
 // of the rows of x: the top eigenvector of the column-centred covariance.
 func leadingDirection(x *linalg.Matrix) ([]float64, error) {

@@ -2,41 +2,9 @@ package synth
 
 import (
 	"encoding/csv"
-	"encoding/gob"
-	"fmt"
 	"io"
 	"strconv"
 )
-
-// SaveHCP serializes a cohort with encoding/gob.
-func SaveHCP(w io.Writer, c *HCPCohort) error {
-	return gob.NewEncoder(w).Encode(c)
-}
-
-// LoadHCP deserializes a cohort written by SaveHCP and rebuilds its
-// internal scan index.
-func LoadHCP(r io.Reader) (*HCPCohort, error) {
-	var c HCPCohort
-	if err := gob.NewDecoder(r).Decode(&c); err != nil {
-		return nil, fmt.Errorf("synth: decoding HCP cohort: %w", err)
-	}
-	c.rebuildIndex()
-	return &c, nil
-}
-
-// SaveADHD serializes a cohort with encoding/gob.
-func SaveADHD(w io.Writer, c *ADHDCohort) error {
-	return gob.NewEncoder(w).Encode(c)
-}
-
-// LoadADHD deserializes a cohort written by SaveADHD.
-func LoadADHD(r io.Reader) (*ADHDCohort, error) {
-	var c ADHDCohort
-	if err := gob.NewDecoder(r).Decode(&c); err != nil {
-		return nil, fmt.Errorf("synth: decoding ADHD cohort: %w", err)
-	}
-	return &c, nil
-}
 
 // WriteSeriesCSV exports one scan's region×time series as CSV: one row
 // per region, one column per time point, with a leading region column.

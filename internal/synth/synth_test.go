@@ -2,7 +2,6 @@ package synth
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -454,65 +453,6 @@ func TestADHDGroupString(t *testing.T) {
 	}
 	if !strings.Contains(ADHDGroup(9).String(), "9") {
 		t.Error("unknown group should render its number")
-	}
-}
-
-func TestHCPSaveLoadRoundTrip(t *testing.T) {
-	p := DefaultHCPParams()
-	p.Subjects = 3
-	p.Regions = 12
-	p.RestFrames = 30
-	p.TaskFrames = 20
-	c, err := GenerateHCP(p)
-	if err != nil {
-		t.Fatalf("GenerateHCP: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := SaveHCP(&buf, c); err != nil {
-		t.Fatalf("SaveHCP: %v", err)
-	}
-	back, err := LoadHCP(&buf)
-	if err != nil {
-		t.Fatalf("LoadHCP: %v", err)
-	}
-	if len(back.Scans) != len(c.Scans) {
-		t.Fatalf("scan count changed: %d vs %d", len(back.Scans), len(c.Scans))
-	}
-	orig, _ := c.Scan(1, Social, RL)
-	got, err := back.Scan(1, Social, RL)
-	if err != nil {
-		t.Fatalf("index not rebuilt: %v", err)
-	}
-	if !got.Series.EqualApprox(orig.Series, 0) {
-		t.Error("series changed across serialization")
-	}
-	if math.Abs(back.Performance[Language][0]-c.Performance[Language][0]) > 1e-12 {
-		t.Error("performance changed across serialization")
-	}
-}
-
-func TestADHDSaveLoadRoundTrip(t *testing.T) {
-	p := DefaultADHDParams()
-	p.Controls, p.Subtype1, p.Subtype2, p.Subtype3 = 3, 2, 0, 1
-	p.Regions = 12
-	p.Frames = 24
-	c, err := GenerateADHD(p)
-	if err != nil {
-		t.Fatalf("GenerateADHD: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := SaveADHD(&buf, c); err != nil {
-		t.Fatalf("SaveADHD: %v", err)
-	}
-	back, err := LoadADHD(&buf)
-	if err != nil {
-		t.Fatalf("LoadADHD: %v", err)
-	}
-	if len(back.Scans) != len(c.Scans) || back.Groups[3] != c.Groups[3] {
-		t.Error("round trip lost data")
-	}
-	if !back.Scans[0].Series.EqualApprox(c.Scans[0].Series, 0) {
-		t.Error("series changed across serialization")
 	}
 }
 
