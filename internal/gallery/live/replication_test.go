@@ -76,15 +76,77 @@ func TestSeqMonotonicAcrossCompactionAndReopen(t *testing.T) {
 	}
 }
 
-// TestSeqSidecarMustBeOneInteger pins the sequence sidecar's one form,
-// "<baseSeq>\n": Open refuses a current generation whose sidecar is
-// missing or holds anything else, naming the file, instead of numbering
-// the log from 0 (pre-sequence directories) or honouring a second
-// number (the retired "<baseSeq> <retoldSeq>" form). The well-formed
-// sidecar reopens at the same window and ranking.
-func TestSeqSidecarMustBeOneInteger(t *testing.T) {
+// TestSeqLegacyDirectory pins the refusal of directories written
+// before sequence numbering: a generation without a sidecar does not
+// open at origin zero; Open fails and names the missing file.
+func TestSeqLegacyDirectory(t *testing.T) {
 	const features = 8
 	dir := filepath.Join(t.TempDir(), "live")
+	e, err := Create(dir, features, nil, Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	group := randomGroup(4, features, 3)
+	for j, id := range subjectIDs(3) {
+		if err := e.Enroll(id, group.Col(j)); err != nil {
+			t.Fatalf("Enroll: %v", err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := os.Remove(filepath.Join(dir, seqName(0))); err != nil {
+		t.Fatalf("removing sidecar: %v", err)
+	}
+	assertOpenRefused(t, dir, "live.g0000.seq")
+}
+
+// TestSeqLegacyRetoldSidecar pins the refusal of the retired two-number
+// sidecar, "<baseSeq> <retoldSeq>", written when compaction retold the
+// log tail: Open fails naming the file rather than honouring either
+// number, and the one-number form reopens the same directory.
+func TestSeqLegacyRetoldSidecar(t *testing.T) {
+	dir, sidecar, want := compactedSeqDir(t)
+	if err := os.WriteFile(sidecar, []byte("5 7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	assertOpenRefused(t, dir, "live.g0001.seq")
+	assertReopensAt5To8(t, dir, sidecar, want)
+}
+
+// TestSeqSidecarMustBeOneInteger pins the sequence sidecar's one form,
+// "<baseSeq>\n": Open refuses a current generation whose sidecar holds
+// anything else, naming the file. The well-formed sidecar reopens at
+// the same window and ranking.
+func TestSeqSidecarMustBeOneInteger(t *testing.T) {
+	dir, sidecar, want := compactedSeqDir(t)
+	for _, tc := range []struct {
+		name    string
+		content string
+	}{
+		{"empty", ""},
+		{"not a number", "x\n"},
+		{"negative", "-1\n"},
+		{"two lines", "5\n7\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(sidecar, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			assertOpenRefused(t, dir, "live.g0001.seq")
+		})
+	}
+	assertReopensAt5To8(t, dir, sidecar, want)
+}
+
+// compactedSeqDir builds a closed live directory whose current
+// generation 1 starts at sequence 5 and holds 3 WAL records, checks
+// its sidecar reads "5\n", and returns the directory, the sidecar path
+// and the engine's ranking before close.
+func compactedSeqDir(t *testing.T) (dir, sidecar string, want []gallery.Candidate) {
+	t.Helper()
+	const features = 8
+	dir = filepath.Join(t.TempDir(), "live")
 	e, err := Create(dir, features, nil, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -104,50 +166,40 @@ func TestSeqSidecarMustBeOneInteger(t *testing.T) {
 			t.Fatalf("Enroll: %v", err)
 		}
 	}
-	want := snapshotRanked(t, e)
+	want = snapshotRanked(t, e)
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	sidecar := filepath.Join(dir, seqName(1))
+	sidecar = filepath.Join(dir, seqName(1))
 	if got := string(mustReadFile(t, sidecar)); got != "5\n" {
 		t.Fatalf("sidecar = %q, want \"5\\n\"", got)
 	}
+	return dir, sidecar, want
+}
 
-	for _, tc := range []struct {
-		name    string
-		content *string // nil: no sidecar at all
-	}{
-		{"missing", nil},
-		{"empty", ptr("")},
-		{"not a number", ptr("x\n")},
-		{"negative", ptr("-1\n")},
-		{"two numbers", ptr("5 7\n")},
-		{"two lines", ptr("5\n7\n")},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := os.RemoveAll(sidecar); err != nil {
-				t.Fatal(err)
-			}
-			if tc.content != nil {
-				if err := os.WriteFile(sidecar, []byte(*tc.content), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			e, err := Open(dir, Options{NoSync: true})
-			if err == nil {
-				e.Close()
-				t.Fatalf("Open with sidecar %s succeeded at %+v", tc.name, e.Stats())
-			}
-			if !strings.Contains(err.Error(), "live.g0001.seq") {
-				t.Fatalf("Open error %q does not name the sidecar", err)
-			}
-		})
+// assertOpenRefused requires Open to fail with an error naming file.
+func assertOpenRefused(t *testing.T, dir, file string) {
+	t.Helper()
+	e, err := Open(dir, Options{NoSync: true})
+	if err == nil {
+		st := e.Stats()
+		e.Close()
+		t.Fatalf("Open succeeded at %+v, want a refusal naming %s", st, file)
 	}
+	if !strings.Contains(err.Error(), file) {
+		t.Fatalf("Open error %q does not name %s", err, file)
+	}
+}
 
+// assertReopensAt5To8 rewrites the well-formed sidecar of a
+// compactedSeqDir directory and requires it to reopen with the same
+// ranking and the resume window [5, 8].
+func assertReopensAt5To8(t *testing.T, dir, sidecar string, want []gallery.Candidate) {
+	t.Helper()
 	if err := os.WriteFile(sidecar, []byte("5\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e, err = Open(dir, Options{NoSync: true})
+	e, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatalf("Open with a well-formed sidecar: %v", err)
 	}
@@ -160,8 +212,6 @@ func TestSeqSidecarMustBeOneInteger(t *testing.T) {
 		t.Fatalf("resume window [%d, %d], want [5, 8]", rs.BaseSeq, rs.Seq)
 	}
 }
-
-func ptr(s string) *string { return &s }
 
 // applyFrames splits a WALRange batch back into frames and applies each
 // to a follower.
